@@ -15,8 +15,7 @@
 // --deterministic.
 //
 // Usage:
-//   sweep_runner [--threads N] [--shard-threads S] [--epoch-ticks E]
-//                [--mixes 1-10] [--defenses all|none,pipo,...]
+//   sweep_runner [--threads N] [--mixes 1-10] [--defenses all|none,pipo,...]
 //                [--seeds K] [--instr M] [--ws-div D] [--out FILE]
 //                [--llc inc|exc] [--slice-hash low|cas]
 //                [--monitor-level l1|l2|llc]
@@ -24,12 +23,11 @@
 //                [--deterministic]
 //                [--record DIR] [--record-format text|binary|framed]
 //
-// --threads parallelizes *across* configurations (one Simulation per
-// worker); --shard-threads parallelizes *within* each simulation via the
-// epoch-shard engine (sim/shard_engine.h) — simulated fields are
-// byte-identical across both knobs. On hosts with more than one hardware
-// thread the JSON array ends with a {"scaling": ...} record ready for
-// BENCH_engine.json (docs/benchmarks.md); single-threaded hosts omit it
+// --threads parallelizes *across* configurations (one single-threaded
+// Simulation per worker) — simulated fields are byte-identical at any
+// thread count. On hosts with more than one hardware thread the JSON
+// array ends with a {"scaling": ...} record ready for BENCH_engine.json
+// (docs/benchmarks.md); single-threaded hosts omit it
 // (analysis/scaling_record.h). --deterministic strips the two host-timing
 // artifacts (per-config wall_ms and the scaling record) so outputs are
 // byte-comparable across runs, hosts and --threads values — the fabric
@@ -85,10 +83,6 @@ Options parse_args(int argc, char** argv) {
     };
     if (arg == "--threads") {
       o.threads = parse_uint32(value(), "--threads", 0, 4096);
-    } else if (arg == "--shard-threads") {
-      o.spec.shard_threads = parse_uint32(value(), "--shard-threads", 0, 64);
-    } else if (arg == "--epoch-ticks") {
-      o.spec.epoch_ticks = parse_uint(value(), "--epoch-ticks", 1);
     } else if (arg == "--llc") {
       o.spec.inclusion = parse_inclusion(value());
     } else if (arg == "--slice-hash") {
@@ -211,7 +205,6 @@ int main(int argc, char** argv) {
     SweepScaling scaling;
     scaling.hw_threads = std::thread::hardware_concurrency();
     scaling.threads = n_threads;
-    scaling.shard_threads = opt.spec.shard_threads;
     // Only completed configurations count as work — errored configs burn
     // ~no wall clock and would inflate configs_per_sec.
     scaling.configs = results.size() - failed;

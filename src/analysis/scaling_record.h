@@ -1,13 +1,13 @@
 // Thread-scaling record for the sweep runner's JSON output.
 //
-// The ROADMAP's "sweep-runner scaling numbers" item needs wall-clock
-// speedups measured on real multi-core hardware, but the dev container
-// has a single hardware thread — there, a configs/sec number labeled as
-// "scaling" would be noise dressed up as data. So the record degrades
-// explicitly: on hosts with more than one hardware thread the runner
-// emits a scaling object (ready to append to BENCH_engine.json per
-// docs/benchmarks.md); on single-threaded hosts it emits nothing, and
-// the absence is the documented, tested behavior.
+// Scaling is a wall-clock speedup across worker threads, which only
+// means something on a host with more than one hardware thread; on a
+// single-threaded host a configs/sec number labeled as "scaling" would
+// be noise dressed up as data. So the record degrades explicitly: on
+// multi-core hosts the runner emits a scaling object (ready to append
+// to BENCH_engine.json per docs/benchmarks.md); on single-threaded
+// hosts it emits nothing, and the absence is the documented, tested
+// behavior.
 #pragma once
 
 #include <cstddef>
@@ -19,14 +19,13 @@ namespace pipo {
 struct SweepScaling {
   unsigned hw_threads = 0;       ///< std::thread::hardware_concurrency()
   unsigned threads = 0;          ///< worker threads the sweep ran with
-  unsigned shard_threads = 0;    ///< per-simulation shard threads (0 = serial)
   std::size_t configs = 0;       ///< configurations executed
   double sweep_seconds = 0.0;    ///< whole-sweep wall clock
 };
 
 /// JSON object describing the sweep's thread scaling, or the empty
-/// string when the host cannot demonstrate scaling (hw_threads <= 1 —
-/// the single-core dev-container case) or the sweep did no work.
+/// string when the host cannot demonstrate scaling (hw_threads <= 1)
+/// or the sweep did no work.
 inline std::string scaling_record_json(const SweepScaling& s) {
   if (s.hw_threads <= 1 || s.configs == 0 || s.sweep_seconds <= 0.0) {
     return {};
@@ -34,10 +33,9 @@ inline std::string scaling_record_json(const SweepScaling& s) {
   char buf[256];
   std::snprintf(buf, sizeof buf,
                 "{\"scaling\": {\"hw_threads\": %u, \"threads\": %u, "
-                "\"shard_threads\": %u, \"configs\": %zu, "
-                "\"sweep_seconds\": %.3f, \"configs_per_sec\": %.2f}}",
-                s.hw_threads, s.threads, s.shard_threads, s.configs,
-                s.sweep_seconds,
+                "\"configs\": %zu, \"sweep_seconds\": %.3f, "
+                "\"configs_per_sec\": %.2f}}",
+                s.hw_threads, s.threads, s.configs, s.sweep_seconds,
                 static_cast<double>(s.configs) / s.sweep_seconds);
   return buf;
 }

@@ -61,36 +61,6 @@ class SlicedCache {
     return slice_hash(hash_, line, num_slices_);
   }
 
-  /// Set index of `line` within its slice — the same pure routing
-  /// computation CacheArray::lookup performs, exposed so shard workers
-  /// and tests can route without touching mutable array state.
-  std::size_t set_index_of(LineAddr line) const {
-    const CacheArray& s = slices_[slice_of(line)];
-    return static_cast<std::size_t>(line >> s.index_shift()) &
-           (s.num_sets() - 1);
-  }
-
-  /// Fixed slice->shard ownership map of the epoch-sharded engine
-  /// (sim/shard_engine.h): slice i belongs to shard i % num_shards.
-  static std::uint32_t shard_of(std::uint32_t slice,
-                                std::uint32_t num_shards) {
-    return slice % num_shards;
-  }
-
-  /// The slices one shard owns under the fixed map — a read-only view
-  /// used by the engine's barrier accounting, benches and tests.
-  struct ShardView {
-    std::uint32_t shard = 0;
-    std::uint32_t num_shards = 1;
-    std::vector<std::uint32_t> slices;  ///< owned slice indices, ascending
-  };
-  ShardView shard_view(std::uint32_t shard, std::uint32_t num_shards) const {
-    ShardView v{shard, num_shards, {}};
-    for (std::uint32_t s = shard; s < num_slices_; s += num_shards) {
-      v.slices.push_back(s);
-    }
-    return v;
-  }
   CacheArray& slice(std::uint32_t i) { return slices_[i]; }
   const CacheArray& slice(std::uint32_t i) const { return slices_[i]; }
   CacheArray& slice_for(LineAddr line) { return slices_[slice_of(line)]; }

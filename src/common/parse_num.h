@@ -2,8 +2,8 @@
 //
 // The CLIs used to lean on std::stoul, which has two traps for flag
 // values: a leading '-' is accepted and wrapped ("--threads -1" became
-// ~4e9 worker threads) and trailing junk is ignored ("--epoch-ticks
-// 10x" parsed as 10). parse_uint consumes the whole token or throws,
+// ~4e9 worker threads) and trailing junk is ignored ("--instr 10x"
+// parsed as 10). parse_uint consumes the whole token or throws,
 // rejects signs, and range-checks, so every mistyped flag fails loudly
 // with the flag name in the message instead of silently running a
 // different experiment. Shared by sweep_runner and the fabric CLIs

@@ -237,8 +237,6 @@ ConfigResult run_campaign_config(const CampaignSpec& spec,
       return out;
     }
     SystemConfig cfg = SystemConfig::with_defense(key.defense);
-    cfg.shard_threads = spec.shard_threads;
-    cfg.epoch_ticks = spec.epoch_ticks;
     cfg.inclusion = spec.inclusion;
     cfg.slice_hash = spec.slice_hash;
     cfg.monitor_level = spec.monitor_level;

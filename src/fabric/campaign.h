@@ -63,8 +63,6 @@ struct CampaignSpec {
   unsigned seeds = 1;
   std::uint64_t instr = 200'000;
   std::uint64_t ws_div = 16;
-  unsigned shard_threads = 0;        ///< 0 = serial engine inside each sim
-  std::uint64_t epoch_ticks = 1024;  ///< shard-engine barrier cadence
   // --- hierarchy variants (defaults = the paper's machine) ---
   InclusionPolicy inclusion = InclusionPolicy::kInclusive;
   SliceHashKind slice_hash = SliceHashKind::kLowBits;

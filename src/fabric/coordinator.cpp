@@ -370,7 +370,10 @@ struct Coordinator::Impl {
       if (listen_fd >= 0 && (pfds[listener_at].revents & POLLIN)) {
         accept_new();
       }
-      for (std::size_t i = 0; i < conns.size(); ++i) {
+      // Only connections that existed before poll() have a pfds slot;
+      // the ones accept_new() just appended wait for the next round.
+      const std::size_t polled = pfds.size() - conns_at;
+      for (std::size_t i = 0; i < polled; ++i) {
         Conn& c = *conns[i];
         const short re = pfds[conns_at + i].revents;
         if (c.dead) continue;

@@ -1,5 +1,6 @@
 #include "fabric/frames.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -41,14 +42,21 @@ std::vector<std::uint8_t> encode_frame(const Frame& f) {
         " bytes exceeds the " + std::to_string(kMaxFramePayload) +
         "-byte limit");
   }
-  std::vector<std::uint8_t> out;
-  out.reserve(kFrameHeaderBytes + f.payload.size());
-  out.insert(out.end(), kFabricMagic, kFabricMagic + 4);
-  out.push_back(kFabricVersion);
-  out.push_back(static_cast<std::uint8_t>(f.type));
+  // Sized once and written by index: gcc 12 misreads an insert of the
+  // 4-byte magic into a freshly reserved vector as an out-of-bounds
+  // write (-Wstringop-overflow / -Warray-bounds).
+  std::vector<std::uint8_t> out(kFrameHeaderBytes + f.payload.size());
+  for (std::size_t i = 0; i < 4; ++i) {
+    out[i] = static_cast<std::uint8_t>(kFabricMagic[i]);
+  }
+  out[4] = kFabricVersion;
+  out[5] = static_cast<std::uint8_t>(f.type);
   const auto len = static_cast<std::uint32_t>(f.payload.size());
-  for (int i = 0; i < 4; ++i) out.push_back((len >> (8 * i)) & 0xFF);
-  out.insert(out.end(), f.payload.begin(), f.payload.end());
+  for (std::size_t i = 0; i < 4; ++i) {
+    out[6 + i] = static_cast<std::uint8_t>((len >> (8 * i)) & 0xFF);
+  }
+  std::copy(f.payload.begin(), f.payload.end(),
+            out.begin() + kFrameHeaderBytes);
   return out;
 }
 
@@ -231,8 +239,6 @@ void encode_campaign_spec(WireWriter& w, const CampaignSpec& spec) {
   w.varint(spec.seeds);
   w.varint(spec.instr);
   w.varint(spec.ws_div);
-  w.varint(spec.shard_threads);
-  w.varint(spec.epoch_ticks);
   w.u8(static_cast<std::uint8_t>(spec.inclusion));
   w.u8(static_cast<std::uint8_t>(spec.slice_hash));
   w.u8(static_cast<std::uint8_t>(spec.monitor_level));
@@ -278,8 +284,6 @@ CampaignSpec decode_campaign_spec(WireReader& r) {
   spec.seeds = static_cast<unsigned>(r.varint("spec.seeds"));
   spec.instr = r.varint("spec.instr");
   spec.ws_div = r.varint("spec.ws_div");
-  spec.shard_threads = static_cast<unsigned>(r.varint("spec.shard_threads"));
-  spec.epoch_ticks = r.varint("spec.epoch_ticks");
   const std::uint8_t inc = r.u8("spec.inclusion");
   if (inc > static_cast<std::uint8_t>(InclusionPolicy::kExclusive)) {
     r.bad("spec.inclusion", "unknown inclusion policy " + std::to_string(inc));

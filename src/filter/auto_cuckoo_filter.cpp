@@ -6,13 +6,8 @@
 namespace pipo {
 
 AutoCuckooFilter::Response AutoCuckooFilter::access(LineAddr x) {
-  return access(x, array_.candidates(x));
-}
-
-AutoCuckooFilter::Response AutoCuckooFilter::access(
-    LineAddr x, const BucketArray::Candidates& pre) {
   ++accesses_;
-  const auto [fp, b1, b2] = pre;
+  const auto [fp, b1, b2] = array_.candidates(x);
 
   // Query: check both candidate buckets for a valid matching fingerprint.
   for (std::size_t bkt : {b1, b2}) {

@@ -51,15 +51,6 @@ class AutoCuckooFilter {
   /// with Security = 0 and return 0.
   Response access(LineAddr x);
 
-  /// Same Access, but with the hash triple (xi_x, mu_x, sigma_x) already
-  /// computed — the epoch-shard workers (sim/shard_engine.h) hash staged
-  /// lines off the critical path and hand the triple down here. `pre`
-  /// MUST equal array().candidates(x); since candidates() is a pure
-  /// function of the line and immutable seeds, any correctly-routed hint
-  /// satisfies this by construction (the serial-vs-sharded oracle in
-  /// tests/oracle/ proves the end-to-end equivalence).
-  Response access(LineAddr x, const BucketArray::Candidates& pre);
-
   /// Read-only membership probe (no Security side effects). Not part of
   /// the hardware interface; used by tests and the attack analyses.
   bool contains(LineAddr x) const;

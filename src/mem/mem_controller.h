@@ -12,7 +12,6 @@
 
 #include <cstdint>
 
-#include "common/stats.h"
 #include "common/types.h"
 
 namespace pipo {

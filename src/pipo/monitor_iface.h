@@ -20,20 +20,6 @@ struct MonitorAccessResult {
   bool ping_pong = false;      ///< capture: tag the returning fill
 };
 
-/// Pure per-line routing work a shard worker may have precomputed off the
-/// critical path (sim/shard_engine.h): the monitor-filter hash triple —
-/// the paper's (xi_x, mu_x, sigma_x). Everything here is a pure function
-/// of the line address and immutable configuration, so a hinted access is
-/// bit-identical to an unhinted one; the serial-vs-sharded oracle in
-/// tests/oracle/ enforces that. Plain integers only: this header is the
-/// monitor contract and must not pull in the filter implementation.
-struct AccessRouteHints {
-  std::uint32_t fprint = 0;    ///< filter fingerprint xi_x
-  std::uint64_t bucket1 = 0;   ///< candidate bucket mu_x
-  std::uint64_t bucket2 = 0;   ///< candidate bucket sigma_x
-  bool has_filter_triple = false;
-};
-
 /// A prefetch request ready to enter the MC fetch queue; `ready` is the
 /// tick at which the monitor issued it, which the system uses to
 /// backdate the fetch when draining lazily.
@@ -51,16 +37,6 @@ class MonitorIface {
 
   /// A demand Access from the LLC to memory for `line`.
   virtual MonitorAccessResult on_access(LineAddr line) = 0;
-
-  /// Hinted variant: `hints` may carry the precomputed filter hash triple
-  /// from a shard worker. Monitors without hashed state (and monitors
-  /// that simply have not been taught hints) fall back to the plain
-  /// observation — results are identical either way by construction.
-  virtual MonitorAccessResult on_access(LineAddr line,
-                                        const AccessRouteHints& hints) {
-    (void)hints;
-    return on_access(line);
-  }
 
   /// A monitor-generated prefetch fetch reaching memory.
   virtual void on_prefetch_fetch(LineAddr line) { (void)line; }
@@ -89,7 +65,6 @@ class MonitorIface {
 /// Monitor of the undefended baseline: observes nothing, issues nothing.
 class NullMonitor final : public MonitorIface {
  public:
-  using MonitorIface::on_access;
   MonitorAccessResult on_access(LineAddr) override { return {}; }
   bool on_pevict(Tick, LineAddr, bool, bool) override { return false; }
   std::vector<MonitorPrefetchRequest> take_due_prefetches(Tick) override {

@@ -10,19 +10,6 @@ PiPoMonitor::AccessResult PiPoMonitor::on_access(LineAddr line) {
   return AccessResult{resp.security, resp.ping_pong};
 }
 
-PiPoMonitor::AccessResult PiPoMonitor::on_access(
-    LineAddr line, const AccessRouteHints& hints) {
-  if (!hints.has_filter_triple) return on_access(line);
-  if (!cfg_.enabled) return AccessResult{};
-  ++accesses_;
-  const BucketArray::Candidates pre{
-      hints.fprint, static_cast<std::size_t>(hints.bucket1),
-      static_cast<std::size_t>(hints.bucket2)};
-  const AutoCuckooFilter::Response resp = filter_.access(line, pre);
-  if (resp.ping_pong) ++captures_;
-  return AccessResult{resp.security, resp.ping_pong};
-}
-
 void PiPoMonitor::on_prefetch_fetch(LineAddr line) {
   if (!cfg_.enabled || !cfg_.record_prefetch_accesses) return;
   filter_.access(line);

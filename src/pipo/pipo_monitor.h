@@ -94,12 +94,6 @@ class PiPoMonitor final : public MonitorIface {
   /// When the monitor is disabled this is a no-op returning no capture.
   AccessResult on_access(LineAddr line) override;
 
-  /// Hinted observation: when `hints` carries the filter hash triple
-  /// (precomputed by the line's shard worker), the filter skips its own
-  /// hashing pass. Bit-identical to the unhinted path.
-  AccessResult on_access(LineAddr line,
-                         const AccessRouteHints& hints) override;
-
   /// Observes a monitor-generated prefetch fetch (only recorded when
   /// `record_prefetch_accesses` is set).
   void on_prefetch_fetch(LineAddr line) override;

@@ -59,10 +59,6 @@ class CoreModel {
       return;
     }
     pending_ = *req;
-    // Sharded engine: announce the request now, at step() time, so the
-    // owning shard worker has the pre_delay window to precompute its
-    // routing hints before issue(). No-op on the serial engine.
-    system_->publish_pending(id_, pending_.addr);
     queue_->schedule(queue_->now() + req->pre_delay, [this] { issue(); });
   }
 

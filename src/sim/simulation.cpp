@@ -34,11 +34,6 @@ Tick Simulation::run(Tick max_ticks) {
 
   queue_.run_active(max_ticks);
 
-  // Sharded engine: close the tail (possibly partial) epoch so the final
-  // Stats are fully folded and the shard workers are quiescent before
-  // the caller inspects results. No-op on the serial engine.
-  system_.flush_epochs(queue_.now());
-
   Tick finish = 0;
   for (const auto& c : cores_) {
     finish = std::max(finish, c->done() ? c->finish_tick() : queue_.now());

@@ -81,18 +81,6 @@ System::Stats& System::Stats::operator+=(const Stats& o) {
   return *this;
 }
 
-const System::Stats& System::stats() const {
-  if (!shards_) return stats_;
-  merged_view_ = stats_;
-  for (const Stats& d : slice_deltas_) merged_view_ += d;
-  return merged_view_;
-}
-
-void System::reset_stats() {
-  stats_ = Stats{};
-  for (Stats& d : slice_deltas_) d = Stats{};
-}
-
 System::System(const SystemConfig& cfg, FilterObserver* filter_observer)
     : cfg_(cfg) {
   cfg_.validate();
@@ -134,81 +122,15 @@ System::System(const SystemConfig& cfg, FilterObserver* filter_observer)
       active_monitor_ = null_monitor_.get();
       break;
   }
-
-  if (cfg_.shard_threads > 0) {
-    slice_deltas_.resize(cfg_.l3_slices);
-    epoch_end_ = cfg_.epoch_ticks;
-    // Shard workers precompute the monitor filter's hash triple when the
-    // active defense keeps hashed state. candidates() reads only the
-    // filter's immutable seeds and XOR table, so it is safe (and
-    // race-free) to evaluate from worker threads.
-    ShardEngine::HintFn hint_fn;
-    if (cfg_.defense == DefenseKind::kPiPoMonitor && cfg_.monitor.enabled) {
-      const BucketArray* arr = &pipo_monitor_->filter().array();
-      hint_fn = [arr](LineAddr line, AccessRouteHints& h) {
-        const BucketArray::Candidates c = arr->candidates(line);
-        h.fprint = c.fprint;
-        h.bucket1 = static_cast<std::uint64_t>(c.b1);
-        h.bucket2 = static_cast<std::uint64_t>(c.b2);
-        h.has_filter_triple = true;
-      };
-    }
-    shards_ = std::make_unique<ShardEngine>(cfg_.shard_threads,
-                                            cfg_.l3_slices, cfg_.num_cores,
-                                            std::move(hint_fn));
-  }
-}
-
-void System::epoch_barrier(Tick now) {
-  // No worker hand-shake here: worker results are pure and gated by
-  // sequence validation, and the deltas below are driver-owned, so the
-  // merge needs nothing from the workers. (An earlier draining barrier
-  // cost 23% on the churn microbench shape — see ShardEngine::quiesce.)
-  if (epoch_observer_) {
-    epoch_observer_(epochs_completed_, epoch_end_, slice_deltas_.data(),
-                    cfg_.l3_slices);
-  }
-  // Deterministic merge: fixed slice order, plain adds on the driver
-  // thread. Counter sums commute, so the result equals the serial
-  // engine's direct accumulation no matter how accesses were attributed.
-  for (Stats& d : slice_deltas_) {
-    stats_ += d;
-    d = Stats{};
-  }
-  ++epochs_completed_;
-  acc_ = &stats_;  // helpers must not write into a folded delta
-  if (now >= epoch_end_) {
-    const Tick e = cfg_.epoch_ticks;
-    epoch_end_ += e * ((now - epoch_end_) / e + 1);
-  }
-}
-
-void System::flush_epochs(Tick now) {
-  if (!shards_) return;
-  shards_->quiesce();  // end of run: settle the engine counters
-  epoch_barrier(now);
 }
 
 System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
                                      AccessType type, bool bypass_private) {
   assert(core < cfg_.num_cores);
-  drain_prefetches(now);  // also runs the epoch barrier when one is due
+  drain_prefetches(now);
   const LineAddr line = line_of(addr);
-  // Sharded engine: pick up the shard worker's precomputed hints (inline
-  // fallback when the worker has not finished — same pure computation
-  // either way) and accrue this operation's counters into the target
-  // line's per-slice delta.
-  const ShardHints* hints = nullptr;
-  if (shards_) {
-    const std::uint32_t slice = l3_->slice_of(line);
-    hints = shards_->try_take(core, line, slice);
-    acc_ = &slice_deltas_[slice];
-  }
-  const auto observe = [&](LineAddr l) {
-    return hints ? active_monitor_->on_access(l, hints->monitor)
-                 : active_monitor_->on_access(l);
-  };
-  ++acc_->accesses;
+  MonitorIface& mon = *active_monitor_;
+  ++stats_.accesses;
 
   if (bypass_private) {
     // LLC-direct probe access: reads served by (and filling) the shared
@@ -218,7 +140,7 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
       slice.touch(*slot);
       CacheLine& l3l = slice.line(*slot);
       if (l3l.pp_tag) l3l.pp_accessed = true;
-      ++acc_->l3_hits;
+      ++stats_.l3_hits;
       const std::uint32_t lat = cfg_.l3.latency;
       return AccessOutcome{now + lat, lat, HitLevel::kL3};
     }
@@ -226,14 +148,14 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
       // The line lives in some core's private caches; the probe is
       // served cache-to-cache and must not duplicate the line into the
       // LLC (mutual exclusion). The holder's state is undisturbed.
-      ++acc_->l3_hits;
+      ++stats_.l3_hits;
       const std::uint32_t lat = cfg_.l3.latency;
       return AccessOutcome{now + lat, lat, HitLevel::kL3};
     }
     // A probe that skips the private caches is invisible to a defense
     // attached at L1/L2; only the LLC-attached monitor observes it.
     MonitorAccessResult mres;
-    if (cfg_.monitor_level == MonitorLevel::kLlc) mres = observe(line);
+    if (cfg_.monitor_level == MonitorLevel::kLlc) mres = mon.on_access(line);
     const Tick done = mem_->fetch(now, line, MemController::Reason::kDemand);
     const std::uint32_t lat =
         cfg_.l3.latency + static_cast<std::uint32_t>(done - now);
@@ -248,7 +170,7 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
       reconcile_ric_orphans(now, line, kInvalidCore, /*is_store=*/false,
                             l3_->line_for(line, *slot));
     }
-    ++acc_->l3_misses;
+    ++stats_.l3_misses;
     return AccessOutcome{now + lat, lat, HitLevel::kMemory};
   }
 
@@ -266,19 +188,19 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
       if (!can_write(cl.state)) {
         // S -> M upgrade: one directory/snoop (LLC) round trip.
         upgrade_for_store(now, core, line);
-        ++acc_->upgrades;
+        ++stats_.upgrades;
         lat += cfg_.l3.latency;
       }
       cl.state = Mesi::kModified;
       set_l2_state(core, line, Mesi::kModified);
     }
-    ++acc_->l1_hits;
+    ++stats_.l1_hits;
     return AccessOutcome{now + lat, lat, HitLevel::kL1};
   }
 
   // An L1-attached defense observes every L1 miss, whatever serves it.
   MonitorAccessResult l1_mres;
-  if (cfg_.monitor_level == MonitorLevel::kL1) l1_mres = observe(line);
+  if (cfg_.monitor_level == MonitorLevel::kL1) l1_mres = mon.on_access(line);
 
   std::uint32_t lat = 0;
   HitLevel level;
@@ -296,18 +218,18 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
     lat = l2_[core]->config().latency;
     if (type == AccessType::kStore && !can_write(cl.state)) {
       upgrade_for_store(now, core, line);
-      ++acc_->upgrades;
+      ++stats_.upgrades;
       lat += cfg_.l3.latency;
     }
     if (type == AccessType::kStore) cl.state = Mesi::kModified;
     fill_state = cl.state;
     level = HitLevel::kL2;
     l2_has = true;
-    ++acc_->l2_hits;
+    ++stats_.l2_hits;
   } else if (!exclusive()) {
     // An L2-attached defense observes every L2 miss.
     MonitorAccessResult l2_mres;
-    if (cfg_.monitor_level == MonitorLevel::kL2) l2_mres = observe(line);
+    if (cfg_.monitor_level == MonitorLevel::kL2) l2_mres = mon.on_access(line);
     tag_l2 = l2_mres.ping_pong;
     // ---- L3 (shared, sliced, inclusive, directory) ----
     CacheArray& slice = l3_->slice_for(line);
@@ -327,11 +249,11 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
       l3l.presence |= bit(core);
       if (l3l.pp_tag) l3l.pp_accessed = true;  // demanded since tagging
       level = HitLevel::kL3;
-      ++acc_->l3_hits;
+      ++stats_.l3_hits;
     } else {
       // ---- memory: the Access the PiPoMonitor observes (Section IV) ----
       MonitorAccessResult mres;
-      if (cfg_.monitor_level == MonitorLevel::kLlc) mres = observe(line);
+      if (cfg_.monitor_level == MonitorLevel::kLlc) mres = mon.on_access(line);
       const Tick done =
           mem_->fetch(now, line, MemController::Reason::kDemand);
       lat = cfg_.l3.latency + static_cast<std::uint32_t>(done - now);
@@ -353,12 +275,12 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
         if (slot) l3_->line_for(line, *slot).ever_written = true;
       }
       level = HitLevel::kMemory;
-      ++acc_->l3_misses;
+      ++stats_.l3_misses;
     }
   } else {
     // ---- exclusive hierarchy: snoop, then victim LLC, then memory ----
     MonitorAccessResult l2_mres;
-    if (cfg_.monitor_level == MonitorLevel::kL2) l2_mres = observe(line);
+    if (cfg_.monitor_level == MonitorLevel::kL2) l2_mres = mon.on_access(line);
     tag_l2 = l2_mres.ping_pong;
     if (other_core_holds(core, line)) {
       // Cache-to-cache transfer at LLC latency: holders downgrade (read)
@@ -368,13 +290,13 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
           (type == AccessType::kStore) ? Mesi::kModified : Mesi::kShared;
       lat = cfg_.l3.latency;
       level = HitLevel::kL3;
-      ++acc_->l3_hits;
+      ++stats_.l3_hits;
     } else if (l3_->lookup(line)) {
       // Victim-cache hit: the line MOVES back into the private caches.
       const EvictedLine mv = *l3_->invalidate(line);
       lat = cfg_.l3.latency;
       level = HitLevel::kL3;
-      ++acc_->l3_hits;
+      ++stats_.l3_hits;
       if (type == AccessType::kStore) {
         fill_state = Mesi::kModified;  // dirty data travels with the line
       } else {
@@ -382,7 +304,7 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
           // A clean move: the dirty victim data goes home so the private
           // copy can be granted plain Exclusive.
           mem_->writeback(now, line);
-          ++acc_->writebacks;
+          ++stats_.writebacks;
         }
         fill_state = Mesi::kExclusive;
       }
@@ -392,7 +314,7 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
     } else {
       // ---- memory ----
       MonitorAccessResult mres;
-      if (cfg_.monitor_level == MonitorLevel::kLlc) mres = observe(line);
+      if (cfg_.monitor_level == MonitorLevel::kLlc) mres = mon.on_access(line);
       const Tick done =
           mem_->fetch(now, line, MemController::Reason::kDemand);
       lat = cfg_.l3.latency + static_cast<std::uint32_t>(done - now);
@@ -402,10 +324,10 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
           (type == AccessType::kStore) ? Mesi::kModified : Mesi::kExclusive;
       if (cfg_.monitor_level == MonitorLevel::kLlc && mres.ping_pong) {
         tag_l2 = true;
-        ++acc_->pp_tag_fills;
+        ++stats_.pp_tag_fills;
       }
       level = HitLevel::kMemory;
-      ++acc_->l3_misses;
+      ++stats_.l3_misses;
     }
   }
 
@@ -418,7 +340,7 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
       CacheLine& cl = l2_[core]->line(*slot);
       cl.pp_tag = true;
       cl.pp_accessed = true;  // a demand fill is by definition accessed
-      if (cfg_.monitor_level == MonitorLevel::kL2) ++acc_->pp_tag_fills;
+      if (cfg_.monitor_level == MonitorLevel::kL2) ++stats_.pp_tag_fills;
     }
   }
   if (cfg_.monitor_level == MonitorLevel::kL1 && l1_mres.ping_pong) {
@@ -426,7 +348,7 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
       CacheLine& cl = l1.line(*slot);
       cl.pp_tag = true;
       cl.pp_accessed = true;
-      ++acc_->pp_tag_fills;
+      ++stats_.pp_tag_fills;
     }
   }
   return AccessOutcome{now + lat, lat, level};
@@ -452,7 +374,7 @@ void System::fill_private(Tick now, CoreId core, CacheArray& l1,
 
 void System::handle_l2_eviction(Tick now, CoreId core,
                                 const EvictedLine& ev) {
-  ++acc_->l2_evictions;
+  ++stats_.l2_evictions;
   bool dirty = ev.state == Mesi::kModified;
   // L2 is inclusive of both L1s: back-invalidate the core's own copies.
   for (CacheArray* l1 : {l1i_[core].get(), l1d_[core].get()}) {
@@ -482,7 +404,7 @@ void System::handle_l2_eviction(Tick now, CoreId core,
            "inclusive invariant: L2 line must be in L3");
     if (dirty) {
       mem_->writeback(now, ev.line);
-      ++acc_->writebacks;
+      ++stats_.writebacks;
     }
     return;
   }
@@ -524,7 +446,7 @@ void System::fill_l3(Tick now, LineAddr line, bool pp_tagged,
   // un-accessed so that an untouched line does not re-arm the prefetcher
   // (the paper's anti-over-protection rule).
   l3l.pp_accessed = pp_tagged && !from_prefetch;
-  if (pp_tagged && !from_prefetch) ++acc_->pp_tag_fills;
+  if (pp_tagged && !from_prefetch) ++stats_.pp_tag_fills;
 }
 
 void System::handle_l3_eviction(Tick now, const EvictedLine& ev,
@@ -538,7 +460,7 @@ void System::handle_l3_eviction(Tick now, const EvictedLine& ev,
   const bool ric_exempt =
       cfg_.defense == DefenseKind::kRic && !ev.ever_written;
   if (ric_exempt && ev.presence != 0) {
-    ++acc_->ric_exemptions;
+    ++stats_.ric_exemptions;
   }
   // Inclusive back-invalidation: every private copy dies with the LLC
   // line. This is the observable coherence action cross-core Prime+Probe
@@ -546,18 +468,18 @@ void System::handle_l3_eviction(Tick now, const EvictedLine& ev,
   for (CoreId c = 0; !ric_exempt && c < cfg_.num_cores; ++c) {
     if (ev.presence & bit(c)) {
       dirty = invalidate_private(now, c, ev.line) || dirty;
-      ++acc_->back_invalidations;
+      ++stats_.back_invalidations;
       active_monitor_->on_back_invalidation(now, ev.line);
     }
   }
   if (dirty) {
     mem_->writeback(now, ev.line);
-    ++acc_->writebacks;
+    ++stats_.writebacks;
   }
   if (ev.pp_tag) {
     active_monitor_->on_pevict(now, ev.line, ev.pp_accessed,
                                demand_caused);
-    ++acc_->pevicts;
+    ++stats_.pevicts;
   }
 }
 
@@ -583,7 +505,7 @@ void System::note_private_removal(Tick now, MonitorLevel level,
   // only ever fill the LLC, so they cannot evict private lines).
   active_monitor_->on_pevict(now, ev.line, ev.pp_accessed,
                              /*demand_caused=*/true);
-  ++acc_->pevicts;
+  ++stats_.pevicts;
 }
 
 bool System::core_holds(CoreId core, LineAddr line) const {
@@ -613,7 +535,7 @@ void System::snoop_transfer(Tick now, CoreId requester, LineAddr line,
     if (is_store) {
       // The holder's dirty data (if any) travels to the new M copy.
       invalidate_private(now, c, line);
-      ++acc_->invalidations_for_write;
+      ++stats_.invalidations_for_write;
       continue;
     }
     // Read snoop: the holder degrades to S; an M holder's dirty data
@@ -629,7 +551,7 @@ void System::snoop_transfer(Tick now, CoreId requester, LineAddr line,
     }
     if (was_m) {
       mem_->writeback(now, line);
-      ++acc_->writebacks;
+      ++stats_.writebacks;
     }
   }
 }
@@ -662,7 +584,7 @@ void System::make_exclusive(Tick now, CoreId writer, LineAddr line,
   for (CoreId c = 0; c < cfg_.num_cores; ++c) {
     if (c == writer || !(l3_line.presence & bit(c))) continue;
     if (invalidate_private(now, c, line)) l3_line.dirty = true;
-    ++acc_->invalidations_for_write;
+    ++stats_.invalidations_for_write;
   }
   l3_line.presence &= bit(writer);
 }
@@ -710,7 +632,7 @@ void System::reconcile_ric_orphans(Tick now, LineAddr line,
     if (is_store) {
       // orphans are clean: nothing to merge
       invalidate_private(now, c, line);
-      ++acc_->invalidations_for_write;
+      ++stats_.invalidations_for_write;
     } else {
       l3_line.presence |= bit(c);
     }
@@ -819,11 +741,6 @@ std::string System::check_invariants() const {
 }
 
 void System::drain_prefetches(Tick now) {
-  // Epoch barrier check. drain_prefetches is the first thing access()
-  // does and the only thing the driver's uncore tick does, so this one
-  // check point closes epochs for every kind of system activity: an
-  // epoch ends at the first operation at or past its boundary tick.
-  if (shards_ && now >= epoch_end_) epoch_barrier(now);
   // The drain runs lazily (at every access and at the driver's uncore
   // tick), so requests are backdated to their true issue times: a pEvict
   // whose delay elapsed at tick R enters the MC channel at R, not at the
@@ -833,12 +750,11 @@ void System::drain_prefetches(Tick now) {
   //
   // Stage 1: pEvicts whose delay has elapsed become MC fetch requests.
   for (const auto& req : active_monitor_->take_due_prefetches(now)) {
-    if (shards_) acc_ = &slice_deltas_[l3_->slice_of(req.line)];
     if (l3_->lookup(req.line) ||
         (exclusive() && privately_held(req.line))) {
       // Line came back on its own (or, in exclusive mode, lives
       // privately and must stay out of the LLC): drop.
-      ++acc_->prefetch_drops;
+      ++stats_.prefetch_drops;
       continue;
     }
     active_monitor_->on_prefetch_fetch(req.line);
@@ -851,15 +767,14 @@ void System::drain_prefetches(Tick now) {
          inflight_prefetch_.front().fill_at <= now) {
     const InflightPrefetch pf = inflight_prefetch_.front();
     inflight_prefetch_.pop_front();
-    if (shards_) acc_ = &slice_deltas_[l3_->slice_of(pf.line)];
     if (l3_->lookup(pf.line) ||
         (exclusive() && privately_held(pf.line))) {
-      ++acc_->prefetch_drops;  // a demand fetch beat the prefetch back
+      ++stats_.prefetch_drops;  // a demand fetch beat the prefetch back
       continue;
     }
     fill_l3(pf.fill_at, pf.line, /*pp_tagged=*/pf.tag,
             /*from_prefetch=*/true, kInvalidCore);
-    ++acc_->prefetch_fills;
+    ++stats_.prefetch_fills;
   }
 }
 

@@ -47,7 +47,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -62,7 +61,6 @@
 #include "mem/mem_controller.h"
 #include "pipo/monitor_iface.h"
 #include "pipo/pipo_monitor.h"
-#include "sim/shard_engine.h"
 #include "sim/system_config.h"
 
 namespace pipo {
@@ -96,54 +94,6 @@ class System {
   /// driver also calls it periodically so prefetches land on time even
   /// while all cores are idle.
   void drain_prefetches(Tick now);
-
-  struct Stats;  // defined below
-
-  // --- epoch-sharded execution (sim/shard_engine.h) ---
-  // Active when cfg.shard_threads > 0. The simulated results are
-  // byte-identical to the serial engine at every shard-thread count and
-  // epoch length; the sharding only changes who computes the pure
-  // per-line routing work and how Stats are accumulated (per-slice
-  // deltas, merged at epoch barriers in fixed slice order).
-
-  /// Whether the epoch-shard engine is driving this System.
-  bool sharded() const { return shards_ != nullptr; }
-
-  /// Announces `core`'s next request as soon as the core model knows it
-  /// (at step() time, pre_delay ticks before issue), staging it to the
-  /// owning shard's worker. No-op on the serial engine.
-  void publish_pending(CoreId core, Addr addr) {
-    if (!shards_) return;
-    const LineAddr line = line_of(addr);
-    shards_->publish(core, line, l3_->slice_of(line));
-  }
-
-  /// Closes the current (possibly partial) epoch: quiesces the shards,
-  /// reports and folds the per-slice Stats deltas, and advances the
-  /// epoch window past `now`. The Simulation calls this at the end of
-  /// run(); tests call it before inspecting per-epoch deltas. No-op on
-  /// the serial engine.
-  void flush_epochs(Tick now);
-
-  /// Observer fired at every epoch barrier, before the per-slice deltas
-  /// fold into the global Stats: (epoch index, the boundary tick that
-  /// closed the epoch, per-slice deltas, slice count). The parallel-
-  /// equivalence oracle uses this to compare per-epoch deltas between
-  /// engines.
-  using EpochObserver = std::function<void(
-      std::uint64_t epoch, Tick epoch_end, const struct Stats* per_slice,
-      std::uint32_t num_slices)>;
-  void set_epoch_observer(EpochObserver obs) {
-    epoch_observer_ = std::move(obs);
-  }
-
-  /// Completed epoch barriers (including the final flush).
-  std::uint64_t epochs_completed() const { return epochs_completed_; }
-
-  /// Host-side engine counters; valid only when sharded().
-  const ShardEngine::EngineStats& shard_stats() const {
-    return shards_->engine_stats();
-  }
 
   // --- component access (attack construction, tests, benches) ---
   const SystemConfig& config() const { return cfg_; }
@@ -190,17 +140,12 @@ class System {
     std::uint64_t pevicts = 0;             ///< pEvict messages sent to the monitor
     std::uint64_t ric_exemptions = 0;      ///< back-invalidations skipped by RIC
     void dump(std::ostream& os) const;
-    /// Field-wise merge — the "mergeable delta" form the epoch barrier
-    /// uses to fold per-slice deltas into the global Stats. Commutative
-    /// and associative, so the fixed-slice-order merge is deterministic
-    /// and equals the serial engine's direct accumulation.
+    /// Field-wise sum, for callers that total the counters of several
+    /// runs or Systems.
     Stats& operator+=(const Stats& o);
   };
-  /// In sharded mode the pending per-slice deltas are folded into the
-  /// returned view non-destructively, so this is exact at any point —
-  /// mid-epoch included — without disturbing the per-epoch accounting.
-  const Stats& stats() const;
-  void reset_stats();
+  const Stats& stats() const { return stats_; }
+  void reset_stats() { stats_ = Stats{}; }
 
   /// Structural-invariant audit (test/diagnostic hook). Walks every
   /// array and returns a description of the first violation found, or an
@@ -293,22 +238,6 @@ class System {
   std::deque<InflightPrefetch> inflight_prefetch_;
 
   Stats stats_;
-
-  // --- epoch-shard state (null/empty on the serial engine) ---
-  /// Runs the epoch barrier that closed at `now`: quiesce workers, fire
-  /// the observer, fold per-slice deltas in slice order, advance the
-  /// epoch window past `now`.
-  void epoch_barrier(Tick now);
-  /// Where counters accrue: &stats_ on the serial engine, the current
-  /// operation's per-slice delta in sharded mode. Helpers (fill_l3,
-  /// eviction handlers, ...) inherit the enclosing operation's target.
-  Stats* acc_ = &stats_;
-  std::unique_ptr<ShardEngine> shards_;
-  std::vector<Stats> slice_deltas_;   ///< per-slice, folded at barriers
-  Tick epoch_end_ = 0;                ///< current epoch's boundary tick
-  std::uint64_t epochs_completed_ = 0;
-  EpochObserver epoch_observer_;
-  mutable Stats merged_view_;         ///< stats() cache in sharded mode
 };
 
 }  // namespace pipo

@@ -79,18 +79,6 @@ struct SystemConfig {
   BitpConfig bitp;
   std::uint64_t seed = 0x5EED;
 
-  // --- host execution strategy (sim/shard_engine.h) ---
-  // These knobs choose how the simulation is *executed*, never what it
-  // computes: simulated results are byte-identical across every value
-  // (enforced by tests/oracle/sharded_system_differential_test.cpp and
-  // the e2e golden matrix).
-  /// Epoch-shard worker threads for intra-simulation LLC slice
-  /// parallelism. 0 = the serial engine (no workers, no staging).
-  std::uint32_t shard_threads = 0;
-  /// Epoch length in ticks between shard barriers (>= 1; only meaningful
-  /// when shard_threads > 0).
-  Tick epoch_ticks = 1024;
-
   void validate() const {
     l1i.validate();
     l1d.validate();
@@ -104,12 +92,6 @@ struct SystemConfig {
         l3_slices > kMaxIntelCasSlices) {
       throw std::invalid_argument(
           "intel-cas slice hash supports at most 8 LLC slices");
-    }
-    if (shard_threads > 64) {
-      throw std::invalid_argument("shard_threads must be in [0,64]");
-    }
-    if (shard_threads > 0 && epoch_ticks == 0) {
-      throw std::invalid_argument("epoch_ticks must be >= 1 when sharded");
     }
   }
 

@@ -13,12 +13,6 @@
 // absolute ticks of the shared simulation clock (one tick = one core
 // cycle). A workload that finished (returned nullopt) is never asked
 // again within the same run.
-//
-// Threading: workloads are called from the driver thread only, even
-// under the epoch-sharded engine (sim/shard_engine.h) — shard workers
-// never see a Workload; they only precompute pure per-line routing for
-// requests the driver already pulled. Parallel sweeps still run one
-// whole Simulation per thread.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // The sweep runner's scaling record must degrade gracefully on hosts
 // that cannot demonstrate thread scaling: a single-hardware-thread
-// machine (the dev container) emits *no* record rather than a
-// meaningless configs/sec number labeled as scaling data.
+// machine emits *no* record rather than a meaningless configs/sec
+// number labeled as scaling data.
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@ SweepScaling sample() {
   SweepScaling s;
   s.hw_threads = 8;
   s.threads = 4;
-  s.shard_threads = 2;
   s.configs = 120;
   s.sweep_seconds = 10.0;
   return s;
@@ -43,15 +42,14 @@ TEST(ScalingRecord, MultiCoreHostEmitsFullRecord) {
   EXPECT_NE(j.find("\"scaling\""), std::string::npos);
   EXPECT_NE(j.find("\"hw_threads\": 8"), std::string::npos);
   EXPECT_NE(j.find("\"threads\": 4"), std::string::npos);
-  EXPECT_NE(j.find("\"shard_threads\": 2"), std::string::npos);
   EXPECT_NE(j.find("\"configs\": 120"), std::string::npos);
   EXPECT_NE(j.find("\"configs_per_sec\": 12.00"), std::string::npos);
 }
 
 TEST(ScalingRecord, ThisHostBehavesPerItsConcurrency) {
   // Whatever machine runs the suite, the record's presence must agree
-  // with its hardware concurrency — on the 1-core dev container this
-  // pins the graceful fallback end to end.
+  // with its hardware concurrency — on a 1-core host this pins the
+  // graceful fallback end to end.
   SweepScaling s = sample();
   s.hw_threads = std::thread::hardware_concurrency();
   const std::string j = scaling_record_json(s);

@@ -66,14 +66,10 @@ constexpr std::uint64_t kInstrBudget = 5000;
 constexpr std::uint64_t kWsDivisor = 16;
 constexpr std::uint64_t kSeed = 2026;
 
-GoldenRow run_cell(unsigned mix, DefenseKind defense,
-                   std::uint32_t shard_threads = 0,
-                   Tick epoch_ticks = 1024) {
+GoldenRow run_cell(unsigned mix, DefenseKind defense) {
   SystemConfig cfg = testcfg::mini();
   cfg.defense = defense;
   cfg.monitor.enabled = (defense == DefenseKind::kPiPoMonitor);
-  cfg.shard_threads = shard_threads;
-  cfg.epoch_ticks = epoch_ticks;
   const MixPerfResult r = run_mix_perf(mix, cfg, kInstrBudget, kSeed,
                                        kWsDivisor);
   return GoldenRow{mix, defense, r.exec_time, r.instructions, r.stats};
@@ -133,51 +129,6 @@ TEST(GoldenStats, MatrixMatchesGolden) {
     SCOPED_TRACE(testing::Message() << "mix" << rows[i].mix << " / "
                                     << to_string(rows[i].defense));
     expect_matches_golden(rows[i], kGolden[i]);
-  }
-}
-
-// The epoch-sharded engine (sim/shard_engine.h) must reproduce the same
-// goldens *unmodified* — no regeneration — at every shard-thread count:
-// sharding is an execution strategy, not a semantic change. A full
-// matrix pass per thread count, using the default epoch length.
-TEST(GoldenStats, ShardedEngineMatchesGoldenUnmodified) {
-  if (std::getenv("PIPO_GOLDEN_REGEN")) {
-    GTEST_SKIP() << "regeneration runs the serial engine only";
-  }
-  ASSERT_EQ(std::size(kGolden),
-            std::size(kMixes) * std::size(kDefenses))
-      << "matrix shape changed — regenerate golden_stats.inc";
-  for (std::uint32_t threads : {1u, 2u, 4u}) {
-    std::size_t i = 0;
-    for (unsigned mix : kMixes) {
-      for (DefenseKind defense : kDefenses) {
-        SCOPED_TRACE(testing::Message()
-                     << "mix" << mix << " / " << to_string(defense)
-                     << " / shard_threads=" << threads);
-        expect_matches_golden(run_cell(mix, defense, threads), kGolden[i]);
-        ++i;
-      }
-    }
-  }
-}
-
-// Degenerate epoch lengths bracket the barrier cadence: a barrier before
-// nearly every access (1 tick) and a single final barrier (epoch longer
-// than any run). One mix row across every defense keeps the e2e tier's
-// runtime bounded while still crossing each defense's protocol paths.
-TEST(GoldenStats, ShardedEngineDegenerateEpochsMatchGolden) {
-  if (std::getenv("PIPO_GOLDEN_REGEN")) {
-    GTEST_SKIP() << "regeneration runs the serial engine only";
-  }
-  for (Tick epoch : {Tick{1}, ~Tick{0} / 2}) {
-    std::size_t i = 0;
-    for (DefenseKind defense : kDefenses) {
-      SCOPED_TRACE(testing::Message() << to_string(defense)
-                                      << " / epoch_ticks=" << epoch);
-      expect_matches_golden(run_cell(kMixes[0], defense, 2, epoch),
-                            kGolden[i]);
-      ++i;
-    }
   }
 }
 

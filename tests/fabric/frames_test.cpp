@@ -28,8 +28,6 @@ CampaignSpec sample_spec() {
   spec.seeds = 3;
   spec.instr = 123'456;
   spec.ws_div = 8;
-  spec.shard_threads = 2;
-  spec.epoch_ticks = 512;
   spec.inclusion = InclusionPolicy::kExclusive;
   spec.slice_hash = SliceHashKind::kIntelCas;
   spec.monitor_level = MonitorLevel::kL2;
@@ -175,6 +173,11 @@ TEST(FabricFramesMalformed, BadMagicDetectedBelowHeaderSize) {
 TEST(FabricFramesMalformed, UnsupportedVersionAtByte4) {
   auto bytes = encode_frame(make_heartbeat());
   bytes[4] = kFabricVersion + 1;
+  expect_rejected(bytes, 4, "unsupported version");
+  // An older peer is refused as well: its spec layout differs (v4 still
+  // carried two intra-simulation sharding varints), so decoding it
+  // would misread every later field.
+  bytes[4] = kFabricVersion - 1;
   expect_rejected(bytes, 4, "unsupported version");
 }
 

@@ -24,15 +24,6 @@ struct RunResult {
   std::vector<Tick> core_finish;
 };
 
-/// `cfg` copy with the epoch-shard engine enabled (0 threads = serial).
-SystemConfig sharded(const SystemConfig& base, std::uint32_t threads,
-                     Tick epoch_ticks = 1024) {
-  SystemConfig cfg = base;
-  cfg.shard_threads = threads;
-  cfg.epoch_ticks = epoch_ticks;
-  return cfg;
-}
-
 RunResult run_once(const SystemConfig& cfg, std::uint64_t seed,
                    Tick max_ticks = ~Tick{0}) {
   Simulation sim(cfg);
@@ -84,71 +75,6 @@ TEST(Determinism, HoldsWithTickCap) {
   // reproducible too (pins run_active's crossing-event semantics).
   const SystemConfig cfg = mini();
   expect_identical(run_once(cfg, 13, 50'000), run_once(cfg, 13, 50'000));
-}
-
-// --- epoch-sharded engine: byte-identical to the serial engine ---
-// The sharded engine only changes *who executes* the pure per-line
-// routing work and how Stats accumulate (per-slice deltas merged at
-// epoch barriers); simulated results must not move at any shard-thread
-// count or epoch length. tests/oracle/sharded_system_differential_test
-// drives the raw System through the same property access-by-access.
-
-TEST(Determinism, ShardedEngineMatchesSerial) {
-  const SystemConfig cfg = mini();
-  const RunResult serial = run_once(cfg, 7);
-  for (std::uint32_t threads : {1u, 2u, 4u}) {
-    SCOPED_TRACE(testing::Message() << "shard_threads=" << threads);
-    expect_identical(serial, run_once(sharded(cfg, threads), 7));
-  }
-}
-
-TEST(Determinism, ShardedEngineMatchesSerialUnderEveryDefense) {
-  for (DefenseKind kind :
-       {DefenseKind::kNone, DefenseKind::kPiPoMonitor, DefenseKind::kSharp,
-        DefenseKind::kBitp, DefenseKind::kRic,
-        DefenseKind::kDirectoryMonitor}) {
-    SystemConfig cfg = mini();
-    cfg.defense = kind;
-    cfg.monitor.enabled = (kind == DefenseKind::kPiPoMonitor);
-    SCOPED_TRACE(testing::Message() << "defense=" << to_string(kind));
-    expect_identical(run_once(cfg, 11), run_once(sharded(cfg, 2), 11));
-  }
-}
-
-TEST(Determinism, ShardedEngineDegenerateEpochLengths) {
-  // Epoch of one tick (a barrier before nearly every access) and an
-  // epoch longer than the whole run (one barrier, at the final flush)
-  // bracket the barrier cadence; both must leave results untouched.
-  const SystemConfig cfg = mini();
-  const RunResult serial = run_once(cfg, 7);
-  expect_identical(serial, run_once(sharded(cfg, 2, /*epoch_ticks=*/1), 7));
-  expect_identical(serial,
-                   run_once(sharded(cfg, 2, /*epoch_ticks=*/~Tick{0} / 2), 7));
-}
-
-TEST(Determinism, ShardedEngineHoldsWithTickCap) {
-  const SystemConfig cfg = mini();
-  expect_identical(run_once(cfg, 13, 50'000),
-                   run_once(sharded(cfg, 4, /*epoch_ticks=*/128), 13, 50'000));
-}
-
-TEST(Determinism, ShardedEngineReportsEpochProgress) {
-  // Sanity that the sharded run actually took the sharded path: epochs
-  // completed and the engine staged requests (the equivalence above
-  // would hold vacuously if sharding silently disabled itself).
-  SystemConfig cfg = sharded(mini(), 2, /*epoch_ticks=*/256);
-  Simulation sim(cfg);
-  auto wls = make_mix(1, 2000, 7, 64);
-  for (CoreId c = 0; c < cfg.num_cores; ++c) {
-    sim.set_workload(c, std::move(wls[c]));
-  }
-  sim.run();
-  ASSERT_TRUE(sim.system().sharded());
-  EXPECT_GT(sim.system().epochs_completed(), 1u);
-  const ShardEngine::EngineStats& es = sim.system().shard_stats();
-  EXPECT_GT(es.published, 0u);
-  EXPECT_EQ(es.hints_used + es.hints_missed,
-            sim.system().stats().accesses);
 }
 
 TEST(Determinism, DifferentSeedsDiverge) {

@@ -9,7 +9,6 @@
 //                    [--lease-ms L] [--heartbeat-timeout-ms H]
 //                    [--mixes a-b] [--defenses all|none,pipo,...]
 //                    [--seeds K] [--instr M] [--ws-div D]
-//                    [--shard-threads S] [--epoch-ticks E]
 //                    [--llc inc|exc] [--slice-hash low|cas]
 //                    [--monitor-level l1|l2|llc]
 //                    [--trace PATH]... [--trace-prefetch]
@@ -84,10 +83,6 @@ Options parse_args(int argc, char** argv) {
       o.spec.instr = parse_uint(value(), "--instr", 1);
     } else if (arg == "--ws-div") {
       o.spec.ws_div = parse_uint(value(), "--ws-div", 1);
-    } else if (arg == "--shard-threads") {
-      o.spec.shard_threads = parse_uint32(value(), "--shard-threads", 0, 64);
-    } else if (arg == "--epoch-ticks") {
-      o.spec.epoch_ticks = parse_uint(value(), "--epoch-ticks", 1);
     } else if (arg == "--llc") {
       o.spec.inclusion = parse_inclusion(value());
     } else if (arg == "--slice-hash") {
