@@ -3,13 +3,13 @@
 // priority_queue engine (reproduced below as LegacyEventQueue).
 //
 // Two workloads:
-//  * chains — N self-rescheduling events (the simulator's steady state:
-//    one pending step/issue event per core);
-//  * churn  — a deep queue of independent one-shot events at scattered
-//    ticks (prefetch-drain storms, attack schedules);
-//  * deep   — churn with deltas up to 64k ticks, pushing events through
-//    every calendar wheel level (the prefetch-heavy defense shape the
-//    two-tier queue exists for).
+//  * chains — 4 self-rescheduling events with deltas of 1-64 ticks: the
+//    simulator's queue depth (one pending step/issue event per core);
+//    its deltas are shorter than the simulator's, whose DRAM
+//    completions land 200+ ticks out, but a heap's cost follows its
+//    depth, not its deltas;
+//  * churn  — a deep queue of 4096 independent one-shot events at
+//    scattered ticks, a stress shape far deeper than any simulation.
 //
 // Reports events/sec and heap allocations per event (via a counting
 // global operator new), human-readable by default, one JSON object with
@@ -181,10 +181,8 @@ Measurement chains(unsigned num_chains, std::uint64_t total) {
 }
 
 /// Deep-queue churn: `depth` pending one-shot events; every pop pushes a
-/// replacement until `total` events ran. `MASK` bounds the reschedule
-/// delta: 1023 is the classic churn shape, 65535 (deep) spreads events
-/// across every wheel level of the calendar tier.
-template <typename Queue, unsigned MASK = 1023>
+/// replacement, 1-1024 ticks out, until `total` events ran.
+template <typename Queue>
 Measurement churn(std::size_t depth, std::uint64_t total) {
   Queue q;
   std::uint64_t remaining = total;
@@ -197,12 +195,12 @@ Measurement churn(std::size_t depth, std::uint64_t total) {
     void operator()() const {
       if (*remaining == 0) return;
       --*remaining;
-      q->schedule_in(1 + (splitmix(*rng) & MASK), Shot{q, remaining, rng});
+      q->schedule_in(1 + (splitmix(*rng) & 1023), Shot{q, remaining, rng});
     }
   };
 
   for (std::size_t i = 0; i < depth; ++i) {
-    q.schedule(splitmix(rng) & MASK, Shot{&q, &remaining, &rng});
+    q.schedule(splitmix(rng) & 1023, Shot{&q, &remaining, &rng});
   }
   for (int i = 0; i < 4096; ++i) q.run_one();
 
@@ -234,17 +232,12 @@ int main(int argc, char** argv) {
   auto best = [](Measurement a, Measurement b) {
     return a.events_per_sec >= b.events_per_sec ? a : b;
   };
-  Measurement legacy_chain, engine_chain, legacy_churn, engine_churn,
-      legacy_deep, engine_deep;
+  Measurement legacy_chain, engine_chain, legacy_churn, engine_churn;
   for (int r = 0; r < kReps; ++r) {
     legacy_chain = best(legacy_chain, chains<LegacyEventQueue>(4, kTotal));
     engine_chain = best(engine_chain, chains<pipo::EventQueue>(4, kTotal));
     legacy_churn = best(legacy_churn, churn<LegacyEventQueue>(4096, kTotal));
     engine_churn = best(engine_churn, churn<pipo::EventQueue>(4096, kTotal));
-    legacy_deep = best(legacy_deep,
-                       churn<LegacyEventQueue, 65535>(4096, kTotal));
-    engine_deep = best(engine_deep,
-                       churn<pipo::EventQueue, 65535>(4096, kTotal));
   }
 
   if (json) {
@@ -255,9 +248,6 @@ int main(int argc, char** argv) {
         "\"engine_allocs_per_event\":%.3f},"
         "\"churn\":{\"legacy_eps\":%.0f,\"engine_eps\":%.0f,"
         "\"speedup\":%.2f,\"legacy_allocs_per_event\":%.3f,"
-        "\"engine_allocs_per_event\":%.3f},"
-        "\"deep\":{\"legacy_eps\":%.0f,\"engine_eps\":%.0f,"
-        "\"speedup\":%.2f,\"legacy_allocs_per_event\":%.3f,"
         "\"engine_allocs_per_event\":%.3f}}\n",
         static_cast<unsigned long long>(kTotal), legacy_chain.events_per_sec,
         engine_chain.events_per_sec,
@@ -265,10 +255,7 @@ int main(int argc, char** argv) {
         legacy_chain.allocs_per_event, engine_chain.allocs_per_event,
         legacy_churn.events_per_sec, engine_churn.events_per_sec,
         engine_churn.events_per_sec / legacy_churn.events_per_sec,
-        legacy_churn.allocs_per_event, engine_churn.allocs_per_event,
-        legacy_deep.events_per_sec, engine_deep.events_per_sec,
-        engine_deep.events_per_sec / legacy_deep.events_per_sec,
-        legacy_deep.allocs_per_event, engine_deep.allocs_per_event);
+        legacy_churn.allocs_per_event, engine_churn.allocs_per_event);
     return 0;
   }
 
@@ -286,10 +273,5 @@ int main(int argc, char** argv) {
   std::printf("%-22s %15.2e %15.3f %8.2fx\n", "churn   engine",
               engine_churn.events_per_sec, engine_churn.allocs_per_event,
               engine_churn.events_per_sec / legacy_churn.events_per_sec);
-  std::printf("%-22s %15.2e %15.3f %9s\n", "deep    legacy",
-              legacy_deep.events_per_sec, legacy_deep.allocs_per_event, "");
-  std::printf("%-22s %15.2e %15.3f %8.2fx\n", "deep    engine",
-              engine_deep.events_per_sec, engine_deep.allocs_per_event,
-              engine_deep.events_per_sec / legacy_deep.events_per_sec);
   return 0;
 }

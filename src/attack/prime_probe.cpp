@@ -66,9 +66,10 @@ std::optional<MemRequest> PrimeProbeAttacker::next(Tick now) {
   } else {
     req.pre_delay = 0;  // pointer-chase through the set back-to-back
   }
-  // Calendar-deep perturbation: push every far_period-th probe far into
-  // the future (the event queue's calendar tier). Self-delay only — the
-  // absolute pacing above re-synchronizes the following traversal.
+  // Far-future perturbation: push every far_period-th probe far into
+  // the future (a long idle gap for the uncore tick to skip through).
+  // Self-delay only — the absolute pacing above re-synchronizes the
+  // following traversal.
   if (cfg_.far_period != 0 &&
       ++probes_issued_ % cfg_.far_period == 0) {
     req.pre_delay += static_cast<std::uint32_t>(cfg_.far_delay);

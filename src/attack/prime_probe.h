@@ -53,9 +53,8 @@ struct AttackerConfig {
   std::uint64_t mix_seed = 0x9B57;
   /// Calendar-deep schedule perturbation: every `far_period`-th probe
   /// carries an extra pre_delay of `far_delay` ticks (0 = never). Large
-  /// values land the attacker's events in the event queue's far
-  /// calendar tier — schedule shapes the hand-written attacks never
-  /// exercised.
+  /// values open long idle gaps in the attacker's schedule — shapes the
+  /// hand-written attacks never exercised.
   Tick far_delay = 0;
   std::uint32_t far_period = 0;
 };

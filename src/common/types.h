@@ -16,6 +16,10 @@ using Addr = std::uint64_t;
 /// The paper's latencies (Table II) are all expressed in this clock.
 using Tick = std::uint64_t;
 
+/// Sentinel for "no tick": later than every tick a run can reach (it is
+/// also the default run limit), so taking the minimum with it is a no-op.
+inline constexpr Tick kNeverTick = ~Tick{0};
+
 /// Identifies one of the processor cores (0..num_cores-1).
 using CoreId = std::uint32_t;
 

@@ -56,6 +56,10 @@ class BitpPrefetcher final : public MonitorIface {
     return due;
   }
 
+  Tick next_due_tick() const override {
+    return pending_.empty() ? kNeverTick : pending_.front().ready;
+  }
+
   std::uint64_t captures() const override { return back_invalidations_; }
   std::uint64_t prefetches_issued() const override {
     return prefetches_issued_;

@@ -71,6 +71,10 @@ class DirectoryMonitor final : public MonitorIface {
   std::vector<MonitorPrefetchRequest> take_due_prefetches(
       Tick now) override;
 
+  Tick next_due_tick() const override {
+    return pending_.empty() ? kNeverTick : pending_.front().ready;
+  }
+
   /// Counter of `line`'s entry, if tracked (test/analysis hook).
   std::optional<std::uint32_t> counter_of(LineAddr line) const;
 

@@ -3,7 +3,7 @@
 //
 // A ScenarioGenotype describes a complete cross-core attack scenario —
 // prime/probe cadence, eviction-set shape and size, bypass-probe mix,
-// victim access pattern, calendar-deep far-future timing, and the
+// victim access pattern, far-future timing, and the
 // observation quantization — everything run_fuzz_scenario (scenario.h)
 // needs to instantiate attacker + victim on a simulated machine. Every
 // field lives in a hard [lo, hi] bound (kGenotypeBounds); clamp()
@@ -35,7 +35,7 @@ struct ScenarioGenotype {
   std::uint32_t ev_lines = 8;     ///< eviction-set size per target
   std::uint32_t ev_stride = 1;    ///< congruence-stride multiplier (shape)
   std::uint32_t bypass_pct = 100; ///< % of probes bypassing private caches
-  // --- calendar-deep far-future timing ---
+  // --- far-future timing ---
   Tick far_delay = 0;             ///< injected pre_delay (0 = off)
   std::uint32_t far_period = 0;   ///< probes between injections (0 = off)
   // --- victim access pattern ---

@@ -57,6 +57,11 @@ class MonitorIface {
   virtual std::vector<MonitorPrefetchRequest> take_due_prefetches(
       Tick now) = 0;
 
+  /// Issue time of the front of the prefetch FIFO — the earliest tick at
+  /// which take_due_prefetches() pops anything — or kNeverTick when
+  /// nothing is pending.
+  virtual Tick next_due_tick() const = 0;
+
   // --- statistics common to all monitors ---
   virtual std::uint64_t captures() const = 0;
   virtual std::uint64_t prefetches_issued() const = 0;
@@ -70,6 +75,7 @@ class NullMonitor final : public MonitorIface {
   std::vector<MonitorPrefetchRequest> take_due_prefetches(Tick) override {
     return {};
   }
+  Tick next_due_tick() const override { return kNeverTick; }
   std::uint64_t captures() const override { return 0; }
   std::uint64_t prefetches_issued() const override { return 0; }
 };

@@ -114,11 +114,8 @@ class PiPoMonitor final : public MonitorIface {
   /// accessed = false).
   std::vector<PrefetchRequest> take_due_prefetches(Tick now) override;
 
-  /// Earliest pending-prefetch issue time, or 0 when none are pending
-  /// (lets the simulation driver schedule a wakeup).
-  bool has_pending_prefetch() const { return !pending_.empty(); }
-  Tick next_prefetch_tick() const {
-    return pending_.empty() ? 0 : pending_.front().ready;
+  Tick next_due_tick() const override {
+    return pending_.empty() ? kNeverTick : pending_.front().ready;
   }
 
   AutoCuckooFilter& filter() { return filter_; }

@@ -2,35 +2,25 @@
 // (tick, insertion sequence), the same scheduling discipline as gem5's
 // EventQueue. Single-threaded by design.
 //
-// Engine notes. The queue is two-tiered:
+// Engine notes. Pending events live in one 4-ary implicit min-heap of
+// 16-byte POD records {tick, seq|slot}, so every percolation step is a
+// plain copy with no indirect calls; a 4-ary heap traverses half the
+// levels of a binary heap per percolation and its four children share a
+// cache line. The simulator keeps the heap small: every blocking
+// CoreModel has exactly one event in flight and the driver adds one
+// uncore tick, so it never holds more than num_cores + 1 events.
 //
-//  * Near tier — a 4-ary implicit min-heap of 16-byte POD records
-//    {tick, seq|slot}, so every percolation step is a plain copy with no
-//    indirect calls. A 4-ary heap traverses half the levels of a binary
-//    heap per percolation and its four children share a cache line.
-//  * Far tier — a calendar of power-of-two bucketed wheels for events at
-//    least kHorizon ticks in the future. Insertion is an O(1) push into
-//    the bucket covering the event's tick; as the horizon advances, the
-//    current bucket is lazily spilled into a sorted ready run consumed
-//    front to back (and higher-level buckets cascade one wheel down), so
-//    each event is moved a constant number of times before it is popped.
-//    Deep queues of far-future events (prefetch storms, attack
-//    schedules) therefore pay an O(1) bucket push plus a share of one
-//    small sort instead of O(log n) heap percolations, and the near heap
-//    stays small and cache-resident.
-//
-// The ordering state and the callbacks are split: heap, calendar and
-// ready run hold only the POD records, while the callbacks live in a
-// stable chunked slot pool recycled through a free list. Callbacks are small-buffer
+// The ordering state and the callbacks are split: the heap holds only
+// the POD records, while the callbacks live in a stable chunked slot
+// pool recycled through a free list. Callbacks are small-buffer
 // InlineCallbacks instead of std::function, so scheduling a callable
 // whose captures fit kInlineBytes performs no heap allocation;
 // steady-state simulation (cores self-scheduling `this`-capture steps)
-// is entirely allocation-free once the pool, heap and bucket vectors
-// have reached their high-water marks.
+// is entirely allocation-free once the pool and heap have reached their
+// high-water marks.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -158,22 +148,14 @@ class EventQueue {
  public:
   using Callback = InlineCallback;
 
-  /// Near/far routing boundary: an event at least kHorizon ticks in the
-  /// future goes to the calendar tier, anything nearer (or anything the
-  /// calendar cannot take — see schedule()) goes straight to the heap.
-  /// Exactly `now() + kHorizon` is the first calendar-eligible tick.
-  /// Workloads whose deltas all stay below kHorizon (the simulator's
-  /// core-step and uncore-tick shapes) never touch the calendar at all.
-  static constexpr Tick kHorizon = 128;
-
   EventQueue() {
     heap_.reserve(64);
     free_slots_.reserve(64);
   }
 
   /// Schedules `fn` to run at absolute tick `when` (>= now()). The
-  /// callable is constructed directly into its pool slot; the 16-byte
-  /// ordering record is routed to the near heap or the calendar tier.
+  /// callable is constructed directly into its pool slot and its 16-byte
+  /// ordering record is pushed onto the heap.
   template <typename F>
   void schedule(Tick when, F&& fn) {
     std::uint32_t slot;
@@ -194,23 +176,8 @@ class EventQueue {
     }
     slot_ref(slot).assign(std::forward<F>(fn));
     if (seq_ >= kMaxSeq) renumber();
-    const Event ev{when, (seq_++ << kSlotBits) | slot};
-    // Heap routing: near-future events (the steady-state self-scheduling
-    // shape), events below the calendar's spill frontier (the frontier
-    // only guarantees order for events at or above it), and ticks so
-    // close to the Tick ceiling that window arithmetic would wrap.
-    if (when - now_ < kHorizon || when < spill_ || when >= kFarCeiling) {
-      heap_.push_back(ev);
-      sift_up(heap_.size() - 1);
-    } else {
-      // Deferred calendar insert: a plain push keeps this path — and the
-      // register pressure of anything reachable from it — as cheap as
-      // the heap path; the inbox is binned into the wheels lazily by
-      // spill_step(). (An out-of-line call here measurably slowed even
-      // workloads that never took this branch.)
-      ++cal_count_;
-      cal_inbox_.push_back(ev);
-    }
+    heap_.push_back(Event{when, (seq_++ << kSlotBits) | slot});
+    sift_up(heap_.size() - 1);
   }
 
   /// Schedules `fn` to run `delta` ticks from now.
@@ -220,30 +187,21 @@ class EventQueue {
   }
 
   Tick now() const { return now_; }
-  bool empty() const {
-    return heap_.empty() && ready_left() == 0 && cal_count_ == 0;
-  }
+  bool empty() const { return heap_.empty(); }
 
-  /// Pending events across all tiers (heap + ready run + calendar).
-  std::size_t pending() const {
-    return heap_.size() + ready_left() + cal_count_;
-  }
+  /// Pending (scheduled, not yet dispatched) events.
+  std::size_t pending() const { return heap_.size(); }
 
   /// Tick of the earliest pending event. Precondition: !empty().
-  /// Non-const: finding the global minimum may spill calendar buckets
-  /// into the ready run.
-  Tick next_tick() {
-    ensure_front();
-    const Event* f = peek();
-    assert(f != nullptr);
-    return f->when;
+  Tick next_tick() const {
+    assert(!heap_.empty());
+    return heap_.front().when;
   }
 
   /// Runs the earliest event. Returns false when the queue is empty.
   bool run_one() {
-    ensure_front();
-    if (drained()) return false;
-    dispatch(pop_front());
+    if (heap_.empty()) return false;
+    dispatch(pop_min());
     return true;
   }
 
@@ -254,23 +212,12 @@ class EventQueue {
   /// backwards.
   std::uint64_t run_until(Tick limit) {
     std::uint64_t n = 0;
-    for (;;) {
-      ensure_front();
-      const Event* f = peek();
-      if (f == nullptr || f->when > limit) {
-        // The guard spells out the clamp's precondition (drained, or
-        // next event beyond the horizon). After ensure_front(), peek()
-        // is the global minimum across all tiers and a null peek means
-        // an empty queue, so reaching here already guarantees the
-        // condition — an invariant made explicit rather than a branch
-        // that can fail; see the regression tests pinning these
-        // semantics.
-        if (now_ < limit) now_ = limit;
-        return n;
-      }
-      dispatch(pop_front());
+    while (!heap_.empty() && heap_.front().when <= limit) {
+      dispatch(pop_min());
       ++n;
     }
+    if (now_ < limit) now_ = limit;
+    return n;
   }
 
   /// Runs events while the clock has not reached `stop` — the event that
@@ -280,19 +227,16 @@ class EventQueue {
   /// pointer indirection beyond the callback itself.
   std::uint64_t run_active(Tick stop) {
     std::uint64_t n = 0;
-    while (now_ < stop) {
-      ensure_front();
-      if (drained()) break;
-      dispatch(pop_front());
+    while (now_ < stop && !heap_.empty()) {
+      dispatch(pop_min());
       ++n;
     }
     return n;
   }
 
   /// Discards every pending event without running it, destroying the
-  /// queued callbacks in both tiers. The clock is preserved. Lets a
-  /// driver start a fresh run after a tick-capped one without
-  /// dispatching stale events.
+  /// queued callbacks. The clock is preserved. Lets a driver start a
+  /// fresh run after a tick-capped one without dispatching stale events.
   void clear() {
     // Each queued event's slot goes back to the free list; the pool
     // high-water mark is deliberately left alone. Resetting it would
@@ -300,35 +244,19 @@ class EventQueue {
     // while its captures still live in that buffer — this way in-flight
     // slots stay out of circulation until their dispatch frame recycles
     // them, and no per-dispatch bookkeeping is needed.
-    for (const Event& ev : heap_) release_slot(ev);
+    for (const Event& ev : heap_) {
+      slot_ref(ev.slot()).destroy_payload();
+      free_slots_.push_back(ev.slot());
+    }
     heap_.clear();
-    for (std::size_t i = ready_head_; i < ready_.size(); ++i) {
-      release_slot(ready_[i]);
-    }
-    ready_.clear();
-    ready_head_ = 0;
-    for (auto& level : buckets_) {
-      for (auto& b : level) {
-        for (const Event& ev : b) release_slot(ev);
-        b.clear();
-      }
-    }
-    for (const Event& ev : far_) release_slot(ev);
-    far_.clear();
-    for (const Event& ev : cal_inbox_) release_slot(ev);
-    cal_inbox_.clear();
-    lvl_count_.fill(0);
-    cal_count_ = 0;
     seq_ = 0;
   }
 
   /// Drains the queue completely.
   std::uint64_t run_all() {
     std::uint64_t n = 0;
-    for (;;) {
-      ensure_front();
-      if (drained()) break;
-      dispatch(pop_front());
+    while (!heap_.empty()) {
+      dispatch(pop_min());
       ++n;
     }
     return n;
@@ -358,234 +286,6 @@ class EventQueue {
 
   static constexpr std::size_t kArity = 4;
 
-  // ------------------------------------------------------- calendar tier
-  // A ladder of kLevels wheels, each kBucketsPerLevel power-of-two-wide
-  // buckets, over the same chunked slot pool as the heap (buckets hold
-  // the 16-byte Event records, never the callbacks). Level widths grow
-  // by the wheel size: 2, 128, 8192 ticks (level-0 buckets are kept tiny
-  // so a spilled run is already almost sorted and lands in std::sort's
-  // insertion-sort regime; measured on the churn shape, width-2 buckets
-  // beat width-16 by ~1.7x). The live window of each level is exactly
-  // one bucket of the level above:
-  //
-  //   ticks:   spill_      end_[0]          end_[1]            end_[2]
-  //   level 0:   [ 64 x 2t   )
-  //   level 1:               [  64 x 128t   )
-  //   level 2:                               [   64 x 8192t    )
-  //   far_:                                                    [ ... )
-  //
-  // Invariants: every calendar event's tick is >= spill_; level l holds
-  // exactly the events in [start_l, end_[l]) where start_0 = spill_ and
-  // start_l = end_[l-1]; each such range is at most one wheel span, so
-  // the mask-indexed bucket ring never aliases; all boundaries are
-  // aligned to their level's bucket width. far_ is an unordered overflow
-  // list for events beyond end_[2], re-bucketed when the window reaches
-  // them. Extraction lazily advances spill_ bucket by bucket, sorting
-  // each level-0 bucket into the ready run (consumed front to back in
-  // O(1) per pop) and cascading a level-l bucket into level l-1 wheels
-  // when a window empties — each event is re-binned at most kLevels
-  // times, so insert and extract are amortized O(1).
-  static constexpr unsigned kBucketBits = 6;
-  static constexpr std::size_t kBucketsPerLevel = std::size_t{1}
-                                                  << kBucketBits;
-  static constexpr unsigned kLevels = 3;
-  static constexpr unsigned kLevelShift[kLevels] = {1, 7, 13};
-
-  static constexpr Tick level_width(unsigned l) {
-    return Tick{1} << kLevelShift[l];
-  }
-
-  /// Ticks at or above this stay in the heap: anchoring a calendar
-  /// window past them would overflow Tick arithmetic.
-  static constexpr Tick kFarCeiling =
-      ~Tick{0} - (Tick{1} << (kLevelShift[kLevels - 1] + kBucketBits));
-
-  std::vector<Event>& bucket(unsigned l, Tick when) {
-    return buckets_[l][(when >> kLevelShift[l]) & (kBucketsPerLevel - 1)];
-  }
-
-  /// Bins one inbox event into its wheel (or the far list).
-  /// Preconditions (schedule()'s routing plus file_inbox()'s anchoring):
-  /// when >= spill_ and when < kFarCeiling.
-  void bin(const Event& ev) {
-    for (unsigned l = 0; l < kLevels; ++l) {
-      if (ev.when < end_[l]) {
-        bucket(l, ev.when).push_back(ev);
-        ++lvl_count_[l];
-        return;
-      }
-    }
-    far_.push_back(ev);
-  }
-
-  /// Moves the staged inbox into the wheels. Runs at the top of
-  /// spill_step(), i.e. before any frontier advance of the current
-  /// ensure_front() pass, so every inbox event still satisfies
-  /// when >= spill_ (the routing in schedule() checked it against this
-  /// same frontier value).
-  void file_inbox() {
-    // Empty wheels have stale windows (they only ever advance); re-aim
-    // them at the batch minimum so no event lands below the new spill_.
-    if (cal_count_ == cal_inbox_.size()) {
-      Tick lo = cal_inbox_.front().when;
-      for (const Event& e : cal_inbox_) lo = std::min(lo, e.when);
-      anchor(lo);
-    }
-    for (const Event& e : cal_inbox_) bin(e);
-    cal_inbox_.clear();
-  }
-
-  /// Re-aims the empty wheels' windows at `when`: level l's window
-  /// becomes the level-(l+1) bucket containing `when`, so the event
-  /// lands in a level-0 bucket. Boundaries may move backwards here —
-  /// with no wheel-resident events, only alignment and ordering matter
-  /// (the heap may hold events on either side of spill_, harmlessly).
-  void anchor(Tick when) {
-    spill_ = when & ~(level_width(0) - 1);
-    end_[0] = (when & ~(level_width(1) - 1)) + level_width(1);
-    end_[1] = (when & ~(level_width(2) - 1)) + level_width(2);
-    end_[2] = (when & ~(level_width(2) - 1)) +
-              (level_width(2) << kBucketBits);
-  }
-
-  /// Events already spilled but not yet dispatched.
-  std::size_t ready_left() const { return ready_.size() - ready_head_; }
-
-  /// True when both pop sources are exhausted. After ensure_front() this
-  /// is equivalent to empty(): the loop below only stops with the ready
-  /// run non-empty, the heap front below the spill frontier, or the
-  /// calendar drained.
-  bool drained() const {
-    return heap_.empty() && ready_head_ == ready_.size();
-  }
-
-  /// Restores the cross-tier ordering invariant: on return, the globally
-  /// earliest pending event (if any) is in the heap or the ready run, so
-  /// pops and peeks can consult those two fronts alone. Every calendar
-  /// event's tick is >= spill_ and every ready event's is < spill_, so
-  /// the invariant already holds whenever the ready run is non-empty or
-  /// the heap front lies strictly below the spill frontier. The `>=`
-  /// comparison also preserves same-tick FIFO order across tiers: a
-  /// calendar event tying the heap front's tick is spilled first and the
-  /// (tick, seq) comparison at the fronts then decides.
-  void ensure_front() {
-    while (cal_count_ != 0 && ready_head_ == ready_.size() &&
-           (heap_.empty() || heap_.front().when >= spill_)) {
-      spill_step();
-    }
-  }
-
-  /// The globally earliest pending event, or nullptr when the queue is
-  /// drained. Precondition: ensure_front() since the last mutation. The
-  /// pointer is invalidated by any mutation.
-  const Event* peek() {
-    const bool have_ready = ready_head_ < ready_.size();
-    if (heap_.empty()) {
-      return have_ready ? &ready_[ready_head_] : nullptr;
-    }
-    if (have_ready && ready_[ready_head_].before(heap_.front())) {
-      return &ready_[ready_head_];
-    }
-    return &heap_.front();
-  }
-
-  /// Pops the globally earliest pending event. Preconditions:
-  /// ensure_front() since the last mutation and !drained(). A ready-run
-  /// pop is O(1) — this is where the calendar tier's win lands — and the
-  /// run's known dispatch order lets the next callback's pool slot be
-  /// prefetched while the current one executes.
-  Event pop_front() {
-    const bool have_ready = ready_head_ < ready_.size();
-    if (!heap_.empty() &&
-        (!have_ready || heap_.front().before(ready_[ready_head_]))) {
-      return pop_min();
-    }
-    const Event out = ready_[ready_head_++];
-    if (ready_head_ < ready_.size()) {
-      __builtin_prefetch(&slot_ref(ready_[ready_head_].slot()));
-    }
-    maybe_rewind_seq();
-    return out;
-  }
-
-  /// One step of lazy horizon advance: sort the next non-empty level-0
-  /// bucket into the ready run, or — when a level's window is exhausted —
-  /// cascade the next non-empty higher-level bucket one wheel down
-  /// (re-anchoring the windows below it), or re-bucket the far list.
-  /// Each step makes progress, and ensure_front()'s guard bounds the
-  /// total work at a constant number of re-bins per event. Kept out of
-  /// line so ensure_front() inlines into the dispatch loops as just a
-  /// counter test plus one tick comparison.
-  __attribute__((noinline)) void spill_step() {
-    if (!cal_inbox_.empty()) file_inbox();
-    for (unsigned l = 0; l < kLevels; ++l) {
-      if (lvl_count_[l] == 0) continue;
-      const Tick width = level_width(l);
-      // Level l's unconsumed window starts at spill_ (l == 0) or at the
-      // lower level's window end; its events guarantee the scan finds a
-      // non-empty bucket before the window end.
-      Tick pos = (l == 0) ? spill_ : end_[l - 1];
-      for (;;) {
-        std::vector<Event>& b = bucket(l, pos);
-        const Tick open = pos;
-        pos += width;
-        if (b.empty()) continue;
-        if (l == 0) {
-          // The ready run is exhausted (ensure_front()'s guard), so the
-          // bucket becomes the new run wholesale: swap the vectors (the
-          // old run's capacity becomes the bucket's — still allocation-
-          // free in steady state) and sort the run once. Events leave
-          // through ready_head_ without any heap percolation.
-          spill_ = pos;
-          cal_count_ -= b.size();
-          lvl_count_[0] -= b.size();
-          ready_head_ = 0;
-          ready_.swap(b);
-          b.clear();
-          std::sort(ready_.begin(), ready_.end(),
-                    [](const Event& x, const Event& y) {
-                      return x.before(y);
-                    });
-          return;
-        } else {
-          // The opened bucket [open, pos) becomes the whole window of
-          // every level below; its events re-bin into level l-1.
-          spill_ = open;
-          for (unsigned k = 0; k + 1 < l; ++k) end_[k] = open;
-          end_[l - 1] = pos;
-          for (const Event& e : b) {
-            bucket(l - 1, e.when).push_back(e);
-          }
-          lvl_count_[l - 1] += b.size();
-          lvl_count_[l] -= b.size();
-          b.clear();
-          return;
-        }
-      }
-    }
-    // Wheels are empty; restart the ladder at the far list's minimum and
-    // re-bucket what now fits. At least the minimum moves into a wheel,
-    // so this terminates; events far beyond the new window stay in far_
-    // for a later pass.
-    assert(!far_.empty());
-    Tick lo = far_.front().when;
-    for (const Event& e : far_) lo = std::min(lo, e.when);
-    const Tick base = lo & ~(level_width(kLevels - 1) - 1);
-    spill_ = base;
-    for (unsigned k = 0; k + 1 < kLevels; ++k) end_[k] = base;
-    end_[kLevels - 1] = base + (level_width(kLevels - 1) << kBucketBits);
-    std::size_t keep = 0;
-    for (const Event& e : far_) {
-      if (e.when < end_[kLevels - 1]) {
-        bucket(kLevels - 1, e.when).push_back(e);
-        ++lvl_count_[kLevels - 1];
-      } else {
-        far_[keep++] = e;
-      }
-    }
-    far_.resize(keep);
-  }
-
   /// Advances the clock and invokes the event's callback in place. The
   /// chunked pool gives slots stable addresses, and the slot is recycled
   /// only after the call returns, so a callback scheduling new events
@@ -606,18 +306,11 @@ class EventQueue {
 
   /// Ends a dispatch frame: the slot's payload is destroyed and the id
   /// returned to the free list. A popped event's slot is referenced by
-  /// neither tier nor the free list, so this is the single owner of
+  /// neither the heap nor the free list, so this is the single owner of
   /// that hand-back even across a mid-callback clear().
   void recycle(std::uint32_t slot, Callback& fn) {
     fn.destroy_payload();
     free_slots_.push_back(slot);
-  }
-
-  /// clear()'s per-event half of recycle(): destroys a never-dispatched
-  /// event's payload and frees its slot.
-  void release_slot(const Event& ev) {
-    slot_ref(ev.slot()).destroy_payload();
-    free_slots_.push_back(ev.slot());
   }
 
   Event pop_min() {
@@ -627,42 +320,19 @@ class EventQueue {
     if (!heap_.empty()) {
       sift_down(last);
     } else {
-      maybe_rewind_seq();
+      // FIFO only orders coexisting events, so the sequence counter can
+      // rewind whenever nothing is pending.
+      seq_ = 0;
     }
     return out;
   }
 
-  /// FIFO only orders coexisting events, so the sequence counter can
-  /// rewind whenever nothing is pending anywhere.
-  void maybe_rewind_seq() {
-    if (heap_.empty() && ready_head_ == ready_.size() && cal_count_ == 0) {
-      seq_ = 0;
-    }
-  }
-
   /// Once per ~2^40 events without a full drain: rewrites sequence
-  /// numbers 0..n-1 in current priority order. Calendar-resident events
-  /// carry sequence words too, so the calendar is folded into the heap
-  /// first; a globally sorted array is a valid d-ary min-heap, so the
-  /// heap property is restored for free (the calendar re-fills lazily).
-  /// Out of line: it is cold (once per ~2^40 events) and would otherwise
-  /// bloat every schedule() instantiation it is reachable from.
+  /// numbers 0..n-1 in current priority order. A sorted array is a valid
+  /// d-ary min-heap, so the heap property is restored for free. Out of
+  /// line: it is cold and would otherwise bloat every schedule()
+  /// instantiation it is reachable from.
   __attribute__((noinline)) void renumber() {
-    heap_.insert(heap_.end(), ready_.begin() + ready_head_, ready_.end());
-    ready_.clear();
-    ready_head_ = 0;
-    for (auto& level : buckets_) {
-      for (auto& b : level) {
-        heap_.insert(heap_.end(), b.begin(), b.end());
-        b.clear();
-      }
-    }
-    heap_.insert(heap_.end(), far_.begin(), far_.end());
-    far_.clear();
-    heap_.insert(heap_.end(), cal_inbox_.begin(), cal_inbox_.end());
-    cal_inbox_.clear();
-    lvl_count_.fill(0);
-    cal_count_ = 0;
     std::sort(heap_.begin(), heap_.end(),
               [](const Event& a, const Event& b) { return a.before(b); });
     for (std::size_t i = 0; i < heap_.size(); ++i) {
@@ -718,22 +388,6 @@ class EventQueue {
   std::uint32_t used_slots_ = 0;           ///< pool high-water mark
   Tick now_ = 0;
   std::uint64_t seq_ = 0;
-
-  // Calendar tier state (see the "calendar tier" block comment above
-  // kBucketBits for the window layout and invariants).
-  // The scalars consulted on every schedule/pop (spill_, cal_count_,
-  // the ready-run cursor) live here, on the same hot cache lines as
-  // now_/seq_, ahead of the multi-KB bucket array.
-  std::size_t cal_count_ = 0;  ///< calendar events (inbox+wheels+far_)
-  Tick spill_ = 0;             ///< no calendar event is below this tick
-  std::size_t ready_head_ = 0;  ///< next undispatched ready_ index
-  std::vector<Event> ready_;  ///< sorted spilled run, all below spill_
-  std::vector<Event> cal_inbox_;  ///< staged inserts, binned lazily
-  Tick end_[kLevels] = {};     ///< exclusive end of each level's window
-  std::array<std::size_t, kLevels> lvl_count_{};  ///< events per wheel
-  std::vector<Event> far_;                    ///< beyond end_[kLevels-1]
-  std::array<std::array<std::vector<Event>, kBucketsPerLevel>, kLevels>
-      buckets_;
 };
 
 static_assert(sizeof(void*) != 8 || sizeof(InlineCallback) == 64,

@@ -1,15 +1,26 @@
 #include "sim/simulation.h"
 
+#include <algorithm>
+
 namespace pipo {
 
-void Simulation::schedule_uncore_tick() {
-  queue_.schedule_in(uncore_period_, [this] {
-    system_.drain_prefetches(queue_.now());
-    // Keep ticking while any core still runs and prefetches may be
-    // pending; stop once all cores are done so the queue can drain.
-    if (running_cores_ > 0 && queue_.now() < run_limit_) {
-      schedule_uncore_tick();
-    }
+void Simulation::schedule_uncore_tick(Tick when) {
+  queue_.schedule(when, [this] {
+    const Tick now = queue_.now();
+    system_.drain_prefetches(now);
+    // Stop once all cores are done (or the limit is reached) so the
+    // queue can drain.
+    if (running_cores_ == 0 || now >= run_limit_) return;
+    // Re-arm at the first boundary at or after the earliest tick at which
+    // the drain or the stop check could see a change (see simulation.h
+    // for why the boundaries skipped in between are no-ops).
+    Tick wake = std::min(system_.next_drain_tick(), run_limit_);
+    if (!queue_.empty()) wake = std::min(wake, queue_.next_tick());
+    const Tick periods =
+        wake > now ? (wake - now - 1) / kUncoreTickPeriod + 1 : 1;
+    // No representable boundary lies at or after `wake`.
+    if (periods > (kNeverTick - now) / kUncoreTickPeriod) return;
+    schedule_uncore_tick(now + periods * kUncoreTickPeriod);
   });
 }
 
@@ -30,9 +41,9 @@ Tick Simulation::run(Tick max_ticks) {
     cores_.back()->start(queue_.now());
   }
   run_limit_ = max_ticks;
-  schedule_uncore_tick();
+  schedule_uncore_tick(queue_.now() + kUncoreTickPeriod);
 
-  queue_.run_active(max_ticks);
+  events_dispatched_ = queue_.run_active(max_ticks);
 
   Tick finish = 0;
   for (const auto& c : cores_) {

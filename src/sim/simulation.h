@@ -12,6 +12,21 @@
 // Tick semantics: one tick is one core cycle. The queue's clock is
 // monotone and shared by every component; it survives across runs (a
 // second run() continues from the tick where the first stopped).
+//
+// Uncore tick. Besides the cores' own events, run() keeps one uncore
+// tick in the queue that drains monitor prefetches while cores are idle.
+// It fires on the boundaries start + k * kUncoreTickPeriod of the run's
+// start tick, and only on those where it can matter: after draining at
+// boundary B it re-arms at the first boundary X > B with X >= m, where m
+// is the earliest of System::next_drain_tick(), the queue's next event
+// and the run limit. Every skipped boundary lies before any due drain
+// work and before any other event, so a tick there would have drained
+// nothing and only re-armed itself; and since no event is scheduled
+// between B and X - 64, the re-armed tick takes the same FIFO place
+// among tick-X events as a tick re-armed at X - 64 would. Simulated
+// results, the finish tick and the final clock are therefore identical
+// to draining at every boundary (tests/oracle/uncore_skip_oracle_test
+// replays that fixed chain as the reference).
 #pragma once
 
 #include <cstdint>
@@ -61,15 +76,15 @@ class Simulation {
   /// execution time, the metric of Fig 8(a)).
   ///
   /// Restartable: any events left over from a previous tick-capped run
-  /// are cleared (across both queue tiers) before the cores are rebuilt,
-  /// so stale callbacks can never fire into dead CoreModels. The drive
-  /// loop is EventQueue::run_active(max_ticks): the event that crosses
-  /// the cap still executes (a started access completes), and run_until
-  /// style clamping never applies here — see event_queue.h for the
+  /// are cleared before the cores are rebuilt, so stale callbacks can
+  /// never fire into dead CoreModels. The drive loop is
+  /// EventQueue::run_active(max_ticks): the event that crosses the cap
+  /// still executes (a started access completes), and run_until style
+  /// clamping never applies here — see event_queue.h for the
   /// clamp's precondition (time advances to a horizon only when it was
   /// actually simulated: the queue drained or the next event lies
   /// beyond it).
-  Tick run(Tick max_ticks = ~Tick{0});
+  Tick run(Tick max_ticks = kNeverTick);
 
   System& system() { return system_; }
   const System& system() const { return system_; }
@@ -85,23 +100,27 @@ class Simulation {
     return n;
   }
 
-  /// Cycles between prefetch-drain wakeups while cores may be idle;
-  /// bounds how late a monitor prefetch can land (default 64).
-  void set_uncore_tick(Tick period) { uncore_period_ = period; }
+  /// Spacing of the uncore tick's boundaries; bounds how late a monitor
+  /// prefetch can land while every core is idle.
+  static constexpr Tick kUncoreTickPeriod = 64;
+
+  /// Events the last run() dispatched: core steps and issues plus uncore
+  /// ticks. A host-cost diagnostic that goes into no record.
+  std::uint64_t events_dispatched() const { return events_dispatched_; }
 
  private:
-  void schedule_uncore_tick();
+  void schedule_uncore_tick(Tick when);
 
   SystemConfig cfg_;
   System system_;
   EventQueue queue_;
   std::vector<std::unique_ptr<Workload>> workloads_;
   std::vector<std::unique_ptr<CoreModel>> cores_;
-  Tick uncore_period_ = 64;
   Tick run_limit_ = 0;
+  std::uint64_t events_dispatched_ = 0;
   /// Cores whose workload has not finished; maintained by the CoreModels
-  /// so the periodic uncore tick decides liveness in O(1) instead of
-  /// rescanning every core.
+  /// so the uncore tick decides liveness in O(1) instead of rescanning
+  /// every core.
   std::uint32_t running_cores_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "sim/system.h"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 
@@ -738,6 +739,12 @@ std::string System::check_invariants() const {
     }
   }
   return {};
+}
+
+Tick System::next_drain_tick() const {
+  const Tick due = active_monitor_->next_due_tick();
+  if (inflight_prefetch_.empty()) return due;
+  return std::min(due, inflight_prefetch_.front().fill_at);
 }
 
 void System::drain_prefetches(Tick now) {

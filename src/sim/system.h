@@ -12,7 +12,8 @@
 // completes. PiPoMonitor prefetches are the one genuinely asynchronous
 // action, so they are modeled as scheduled events: pEvict -> delay ->
 // fetch -> DRAM latency -> LLC fill, drained at every subsequent access
-// and by the driver's periodic uncore tick.
+// and by the driver's uncore tick, which next_drain_tick() lets skip the
+// boundaries at which a drain would find nothing due.
 //
 // Coherence model. Private L1/L2 lines carry MESI states. Under the
 // default InclusionPolicy::kInclusive the L3 acts as the directory via
@@ -91,9 +92,15 @@ class System {
 
   /// Applies every due PiPoMonitor prefetch (pEvict + delay elapsed and
   /// DRAM data arrived). Called internally by access(); the simulation
-  /// driver also calls it periodically so prefetches land on time even
+  /// driver's uncore tick also calls it so prefetches land on time even
   /// while all cores are idle.
   void drain_prefetches(Tick now);
+
+  /// Earliest tick at which drain_prefetches() has work: the active
+  /// monitor's front pending prefetch or the front in-flight fill,
+  /// whichever is earlier, or kNeverTick when neither is pending. A
+  /// drain at any earlier tick changes nothing.
+  Tick next_drain_tick() const;
 
   // --- component access (attack construction, tests, benches) ---
   const SystemConfig& config() const { return cfg_; }

@@ -1,18 +1,18 @@
-// Differential oracle for the two-tier EventQueue: drives the production
-// engine (4-ary near heap + calendar wheels + sorted ready run) and the
-// seed-faithful ReferenceEventQueue through identical randomized traces
-// and asserts they dispatch the same callbacks at the same ticks in the
-// same order — including same-tick FIFO ties that straddle the
-// heap/calendar boundary.
+// Differential oracle for the EventQueue: drives the production engine
+// (4-ary heap over a callback slot pool) and the seed-faithful
+// ReferenceEventQueue through identical randomized traces and asserts
+// they dispatch the same callbacks at the same ticks in the same order —
+// including same-tick FIFO ties between events scheduled far ahead and
+// at the last minute.
 //
 // Each side owns an identically-seeded Rng for deltas drawn inside
 // callbacks, so as long as dispatch order matches, both sides generate
 // identical schedules; any ordering divergence desynchronizes the logs
 // and fails the final comparison, and clock/pending divergence is
-// asserted after every driver op. Delta magnitudes are mixed to cover
-// every tier: below kHorizon (heap), exactly at kHorizon (the first
-// calendar-eligible tick), each wheel level, the far list, and ticks at
-// the far ceiling where the engine must fall back to the heap. A single
+// asserted after every driver op. Delta magnitudes are mixed from
+// same-tick to ~2^24 ticks out (the ranges once chosen to hit every
+// level of a since-removed calendar tier, 128 ticks being its first
+// far-routed delta), plus ticks near the top of the Tick range. A single
 // divergence anywhere fails with the trace seed in the message, so
 // failures are reproducible by construction.
 #include <cstdint>
@@ -35,16 +35,16 @@ constexpr int kOpsPerTrace = 200;
 /// One dispatched event: (tick it ran at, id assigned at schedule time).
 using Log = std::vector<std::pair<Tick, int>>;
 
-/// Mixed-magnitude deltas covering every tier of the production queue.
+/// Mixed-magnitude deltas, same-tick to ~2^24 ticks out.
 Tick mixed_delta(Rng& rng) {
   switch (rng.below(8)) {
     case 0: return rng.below(2);                      // same tick / next
-    case 1: return rng.below(EventQueue::kHorizon);   // near tier
-    case 2: return EventQueue::kHorizon;              // boundary, exactly
-    case 3: return rng.below(256);                    // wheel levels 0-1
-    case 4: return rng.below(8192);                   // wheel levels 1-2
-    case 5: return rng.below(Tick{1} << 19);          // level 2 / far
-    case 6: return rng.below(Tick{1} << 24);          // far list
+    case 1: return rng.below(128);
+    case 2: return 128;
+    case 3: return rng.below(256);
+    case 4: return rng.below(8192);
+    case 5: return rng.below(Tick{1} << 19);
+    case 6: return rng.below(Tick{1} << 24);
     default: return 1 + rng.below(63);                // dense near
   }
 }
@@ -92,8 +92,7 @@ struct BigShot {
   void operator()() const { s->log.emplace_back(s->q.now(), id); }
 };
 
-/// Mid-dispatch cancellation of everything pending — including
-/// calendar-resident events on the production side.
+/// Mid-dispatch cancellation of everything pending, far events included.
 template <typename Q>
 struct ClearShot {
   Side<Q>* s;
@@ -145,7 +144,7 @@ void drive_trace(std::uint64_t seed, bool deep_bias) {
         for (unsigned i = 0; i < batch; ++i) {
           Tick delta = mixed_delta(op);
           if (deep_bias && op.below(4) != 0) {
-            delta += EventQueue::kHorizon;  // force the calendar tier
+            delta += 128;  // bias the batch far out
           }
           schedule_both(delta, static_cast<unsigned>(op.below(8) == 0
                                                          ? 2
@@ -189,7 +188,7 @@ void drive_trace(std::uint64_t seed, bool deep_bias) {
         }
         break;
       }
-      default: {  // far-ceiling fallback: absolute ticks near 2^64
+      default: {  // absolute ticks near 2^64
         const Tick when =
             ~Tick{0} - (Tick{1} << 21) + op.below(Tick{1} << 22);
         if (when >= a.q.now()) {
@@ -238,8 +237,7 @@ TEST(EventQueueDifferential, RandomTraces) {
 }
 
 TEST(EventQueueDifferential, DeepHorizonTraces) {
-  // Heavier pending depth with deltas biased past kHorizon: every event
-  // takes the calendar path, spilling and cascading constantly.
+  // Heavier pending depth with deltas biased at least 128 ticks out.
   for (int t = 0; t < kTraces; ++t) {
     drive_trace<EventQueue, oracle::ReferenceEventQueue>(
         0xD0000 + static_cast<std::uint64_t>(t), /*deep_bias=*/true);
@@ -248,13 +246,11 @@ TEST(EventQueueDifferential, DeepHorizonTraces) {
 }
 
 TEST(EventQueueDifferential, SameTickFifoAcrossTiers) {
-  // Events landing on one tick from different tiers (scheduled near =
-  // heap, scheduled early = calendar) must still dispatch in insertion
-  // order. Directed shape: for each target tick, one event scheduled
-  // far ahead and one scheduled at the last minute.
+  // Events landing on one tick, one scheduled far ahead and one at the
+  // last minute, must still dispatch in insertion order.
   Side<EventQueue> a(7);
   Side<oracle::ReferenceEventQueue> b(7);
-  constexpr Tick kStep = 300;  // > kHorizon: the early event goes far
+  constexpr Tick kStep = 300;  // the early event is scheduled far out
   for (int round = 0; round < 64; ++round) {
     const Tick target = (round + 1) * kStep;
     const int early = a.next_id++;
@@ -262,7 +258,7 @@ TEST(EventQueueDifferential, SameTickFifoAcrossTiers) {
     a.q.schedule(target, Shot<EventQueue>{&a, early});
     b.q.schedule(target, Shot<oracle::ReferenceEventQueue>{&b, early});
     // Walk the clock to just before the target, then schedule the late
-    // twin on the same tick from the near tier.
+    // twin on the same tick.
     a.q.run_until(target - 1);
     b.q.run_until(target - 1);
     const int late = a.next_id++;

@@ -7,11 +7,10 @@
 // deliberately boring style. It is the specification for scheduling
 // order and clock semantics: the differential driver in
 // event_queue_differential_test.cpp asserts that the production
-// two-tier EventQueue (4-ary near heap + calendar wheels, see
+// EventQueue (4-ary heap over a callback slot pool, see
 // src/sim/event_queue.h) dispatches the same callbacks at the same
-// ticks in the same order over randomized traces that span every wheel
-// level. This code must stay O(log n)-per-op simple and must not grow
-// any tiering of its own.
+// ticks in the same order over randomized traces with deltas up to ~2^24
+// ticks. This code must stay O(log n)-per-op simple.
 #pragma once
 
 #include <cstdint>

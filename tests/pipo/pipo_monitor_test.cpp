@@ -62,8 +62,20 @@ TEST(PiPoMonitor, MultiplePendingPrefetchesInFifoOrder) {
   ASSERT_EQ(due.size(), 2u);
   EXPECT_EQ(due[0].line, 0x1u);
   EXPECT_EQ(due[1].line, 0x2u);
-  EXPECT_TRUE(mon.has_pending_prefetch());
-  EXPECT_EQ(mon.next_prefetch_tick(), 62u);
+  EXPECT_EQ(mon.next_due_tick(), 62u);
+}
+
+TEST(PiPoMonitor, NextDueTickTellsTickZeroFromNone) {
+  // With no delay, a pEvict at tick 0 is due at tick 0 — a real tick,
+  // which must not read as "nothing pending".
+  MonitorConfig cfg = small_monitor();
+  cfg.prefetch_delay = 0;
+  PiPoMonitor mon(cfg);
+  EXPECT_EQ(mon.next_due_tick(), kNeverTick);
+  ASSERT_TRUE(mon.on_pevict(0, 0x7, /*accessed=*/true, /*demand=*/true));
+  EXPECT_EQ(mon.next_due_tick(), 0u);
+  ASSERT_EQ(mon.take_due_prefetches(0).size(), 1u);
+  EXPECT_EQ(mon.next_due_tick(), kNeverTick);
 }
 
 TEST(PiPoMonitor, PrefetchFetchNotRecordedByDefault) {

@@ -100,6 +100,23 @@ TEST(CoreModel, SecondRunAfterTickCapDiscardsStaleEvents) {
   EXPECT_GE(finish, 5000u);  // clock continues from the capped run
 }
 
+TEST(CoreModel, IdleGapCostsAHandfulOfEvents) {
+  // The uncore tick skips the boundaries at which it has nothing to do,
+  // so a million idle cycles between two accesses dispatch a few events
+  // rather than one tick per 64 cycles (~15,600).
+  SystemConfig cfg = mini();
+  cfg.num_cores = 1;
+  Simulation sim(cfg);
+  std::vector<MemRequest> trace = {
+      {0x1000, AccessType::kLoad, 0},
+      {0x2000, AccessType::kLoad, 1'000'000},
+  };
+  sim.set_workload(0, std::make_unique<TraceWorkload>(trace));
+  sim.run();
+  EXPECT_TRUE(sim.core(0).done());
+  EXPECT_LT(sim.events_dispatched(), 10u);
+}
+
 TEST(CoreModel, MissingWorkloadThrows) {
   Simulation sim(mini());
   sim.set_workload(0, std::make_unique<IdleWorkload>());

@@ -238,51 +238,52 @@ TEST(EventQueue, ScheduleInIsRelative) {
 }
 
 // ---------------------------------------------------------------------
-// Calendar-tier edge cases: the two-tier queue routes events at least
-// kHorizon ticks ahead into bucketed wheels (see event_queue.h); these
-// tests pin the seams between the tiers.
+// Far-future edge cases. An earlier two-tier queue routed events at
+// least 128 ticks ahead into calendar wheels; these tests pinned the
+// seams between its tiers and stay as ordering, clearing and clamping
+// regressions at the same ticks for the one-heap queue.
 
 TEST(EventQueue, HorizonBoundaryRoutesBothTiersInOrder) {
-  // now + kHorizon - 1 is the last heap-resident tick, now + kHorizon
-  // the first calendar-eligible one; straddling the boundary must not
-  // disturb dispatch order or the pending count.
+  // Ticks 127, 128 and 129 straddled the old tier boundary; scheduling
+  // them out of order must not disturb dispatch order or the pending
+  // count.
   EventQueue q;
   std::vector<int> order;
-  q.schedule(EventQueue::kHorizon, [&] { order.push_back(1); });      // far
-  q.schedule(EventQueue::kHorizon - 1, [&] { order.push_back(0); });  // near
-  q.schedule(EventQueue::kHorizon + 1, [&] { order.push_back(2); });  // far
+  q.schedule(128, [&] { order.push_back(1); });
+  q.schedule(128 - 1, [&] { order.push_back(0); });
+  q.schedule(128 + 1, [&] { order.push_back(2); });
   EXPECT_EQ(q.pending(), 3u);
   q.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(q.now(), EventQueue::kHorizon + 1);
+  EXPECT_EQ(q.now(), 128 + 1);
 }
 
 TEST(EventQueue, SameTickFifoAcrossTheHorizonBoundary) {
-  // Two events on one tick, scheduled from opposite tiers: the first
-  // was far-future (calendar) when scheduled, the second near (heap)
-  // after the clock advanced. Insertion order must win the tie.
+  // Two events on one tick: the first far in the future when scheduled,
+  // the second near, after the clock advanced. Insertion order must win
+  // the tie.
   EventQueue q;
   std::vector<int> order;
-  const Tick target = 10 * EventQueue::kHorizon;
-  q.schedule(target, [&] { order.push_back(0); });  // calendar resident
+  const Tick target = 10 * 128;
+  q.schedule(target, [&] { order.push_back(0); });  // far when scheduled
   q.schedule(target - 2, [&] {
-    q.schedule(target, [&] { order.push_back(1); });  // near tier now
+    q.schedule(target, [&] { order.push_back(1); });  // near now
   });
   q.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
 TEST(EventQueue, ClearDiscardsCalendarResidentEvents) {
-  // Cancellation must reach every tier: heap, wheels at each level, and
-  // the far list — destroying boxed payloads and recycling their pool
-  // slots so the queue stays usable.
+  // Cancellation must reach events at every distance, near to 2^40
+  // ticks out, destroying boxed payloads and recycling their pool slots
+  // so the queue stays usable.
   EventQueue q;
   int fired = 0;
   auto big = std::make_shared<int>(7);  // boxed path: non-trivial capture
-  q.schedule(5, [&] { ++fired; });                          // heap
-  q.schedule(EventQueue::kHorizon + 3, [&] { ++fired; });   // wheel 0/1
-  q.schedule(100'000, [&fired, big] { fired += *big; });    // deep wheel
-  q.schedule(Tick{1} << 40, [&] { ++fired; });              // far list
+  q.schedule(5, [&] { ++fired; });
+  q.schedule(128 + 3, [&] { ++fired; });
+  q.schedule(100'000, [&fired, big] { fired += *big; });
+  q.schedule(Tick{1} << 40, [&] { ++fired; });
   EXPECT_EQ(q.pending(), 4u);
   q.clear();
   EXPECT_TRUE(q.empty());
@@ -290,21 +291,21 @@ TEST(EventQueue, ClearDiscardsCalendarResidentEvents) {
   EXPECT_EQ(big.use_count(), 1) << "boxed calendar payload not destroyed";
   q.run_all();
   EXPECT_EQ(fired, 0);
-  // The queue stays usable, including the calendar tier.
-  q.schedule_in(EventQueue::kHorizon + 1, [&] { ++fired; });
+  // The queue stays usable, far scheduling included.
+  q.schedule_in(128 + 1, [&] { ++fired; });
   q.run_all();
   EXPECT_EQ(fired, 1);
 }
 
 TEST(EventQueue, RunUntilLandsInsideABucket) {
-  // A limit that falls between two events sharing one calendar bucket:
-  // the earlier one runs, the later one stays pending, and the clock
-  // parks exactly at the limit.
+  // A limit that falls between two adjacent far events (they once
+  // shared a calendar bucket): the earlier one runs, the later one stays
+  // pending, and the clock parks exactly at the limit.
   EventQueue q;
   int fired = 0;
-  const Tick base = 1000;  // deep enough that both events take a wheel
+  const Tick base = 1000;
   q.schedule(base, [&] { ++fired; });
-  q.schedule(base + 1, [&] { ++fired; });  // same width-2 level-0 bucket
+  q.schedule(base + 1, [&] { ++fired; });
   EXPECT_EQ(q.run_until(base), 1u);
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(q.now(), base);
@@ -315,9 +316,8 @@ TEST(EventQueue, RunUntilLandsInsideABucket) {
 }
 
 TEST(EventQueue, RunUntilClampWithOnlyCalendarPending) {
-  // The PR-1 clamp precondition across tiers: with the next event
-  // calendar-resident beyond the limit, time parks at the limit and the
-  // event survives untouched.
+  // The run_until clamp precondition: with the only event far beyond the
+  // limit, time parks at the limit and the event survives untouched.
   EventQueue q;
   int fired = 0;
   q.schedule(50'000, [&] { ++fired; });
@@ -335,15 +335,15 @@ TEST(EventQueue, RunUntilClampWithOnlyCalendarPending) {
 TEST(EventQueue, NextTickSeesCalendarResidentEvents) {
   EventQueue q;
   q.schedule(123'456, [] {});
-  EXPECT_EQ(q.next_tick(), 123'456u);  // may spill wheels to answer
-  EXPECT_EQ(q.pending(), 1u);          // but must not lose the event
+  EXPECT_EQ(q.next_tick(), 123'456u);
+  EXPECT_EQ(q.pending(), 1u);  // peeking must not lose the event
   q.schedule(10, [] {});
   EXPECT_EQ(q.next_tick(), 10u);
 }
 
 TEST(EventQueue, FarCeilingTicksStayOrdered) {
-  // Ticks near 2^64 can't anchor a calendar window without overflowing;
-  // the queue must fall back to the heap and still order them.
+  // Ticks near 2^64 must still order correctly (no tick arithmetic may
+  // wrap).
   EventQueue q;
   std::vector<int> order;
   const Tick huge = ~Tick{0} - 5;
@@ -357,9 +357,8 @@ TEST(EventQueue, FarCeilingTicksStayOrdered) {
 
 TEST(EventQueue, DeepStressPreservesTickThenFifoOrder) {
   // The deep-horizon twin of HeapStressPreservesTickThenFifoOrder:
-  // pseudo-random ticks spanning every wheel level and the far list,
-  // with same-tick collisions, must drain in (tick, insertion seq)
-  // order.
+  // pseudo-random ticks from a few to ~2^20 ticks out, with same-tick
+  // collisions, must drain in (tick, insertion seq) order.
   EventQueue q;
   struct Fired {
     Tick when;
@@ -370,8 +369,8 @@ TEST(EventQueue, DeepStressPreservesTickThenFifoOrder) {
   std::vector<std::pair<Tick, int>> scheduled;
   for (int i = 0; i < 5000; ++i) {
     state = state * 6364136223846793005ull + 1442695040888963407ull;
-    // Magnitudes from sub-horizon to beyond the level-2 window, dense
-    // enough to force collisions at every scale.
+    // Magnitudes from a few ticks to ~2^20, dense enough to force
+    // collisions at every scale.
     const unsigned shift = (state >> 59) & 31;
     const Tick when = (state >> 33) % ((Tick{1} << (shift % 21)) + 97);
     scheduled.push_back({when, i});
@@ -390,8 +389,8 @@ TEST(EventQueue, DeepStressPreservesTickThenFifoOrder) {
 }
 
 TEST(EventQueue, ClearFromCallbackWithCalendarResidents) {
-  // A mid-dispatch clear() while events sit in the wheels: the in-flight
-  // slot must not be double-freed and deep rescheduling must work from
+  // A mid-dispatch clear() while far events are pending: the in-flight
+  // slot must not be double-freed and far rescheduling must work from
   // inside the callback.
   EventQueue q;
   std::vector<int> fired;
@@ -401,7 +400,7 @@ TEST(EventQueue, ClearFromCallbackWithCalendarResidents) {
       q.schedule_in(500 + i, [&fired, i] { fired.push_back(i); });
     }
   });
-  q.schedule(90'000, [&fired] { fired.push_back(99); });  // wheel resident
+  q.schedule(90'000, [&fired] { fired.push_back(99); });  // far, cleared
   q.run_all();
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3}));
 }
