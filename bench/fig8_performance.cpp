@@ -3,9 +3,10 @@
 // geometries (512x8, 1024x8, 1024x16, 2048x4, 2048x8).
 //
 // Instruction budget and working-set scale are reduced together from the
-// paper's 1 billion instructions per core (see EXPERIMENTS.md): dividing
-// each component's working set by ws_divisor preserves the per-line
-// evict/re-fetch counts the false-positive rates depend on. Pass a
+// paper's 1 billion instructions per core (see make_mix's ws_divisor and
+// spec_profile() in src/workload/): dividing each component's working
+// set by ws_divisor preserves the per-line evict/re-fetch counts the
+// false-positive rates depend on. Pass a
 // different budget as argv[1] and ws_divisor as argv[2]
 // (1'000'000'000 1 reproduces the paper's full-scale setup).
 #include <cstdio>

@@ -8,11 +8,7 @@
 // engine numbers are binary v2 (the streaming capture format) and
 // framed v3 (the seekable production container; its decode rate shows
 // what the per-frame checksums and restart points cost). Also reports
-// the encoded bytes per request for every format, and a
-// prefetch-overlap shape: replaying a framed stream through
-// StreamingTraceWorkload with a fixed per-request consumer cost,
-// synchronous vs. background-prefetch decode — the speedup is the
-// decode time the prefetch thread hides.
+// the encoded bytes per request for every format.
 //
 // Human-readable by default; one JSON object with --json for
 // BENCH_engine.json (see docs/benchmarks.md).
@@ -20,12 +16,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "workload/stream_trace.h"
 #include "workload/trace_codec.h"
 
 namespace {
@@ -111,49 +105,6 @@ CodecNumbers measure(TraceFormat fmt, const std::vector<MemRequest>& stream,
   return out;
 }
 
-struct OverlapNumbers {
-  double sync_rps = 0;      ///< replay with synchronous refill
-  double prefetch_rps = 0;  ///< replay with the background decode thread
-};
-
-/// Replays a framed stream through StreamingTraceWorkload with a fixed
-/// per-request consumer cost (a few splitmix rounds — a stand-in for
-/// the simulator's per-request work), synchronous vs. prefetch decode.
-OverlapNumbers measure_overlap(const std::vector<MemRequest>& stream,
-                               int reps, std::uint64_t& sink) {
-  std::string encoded;
-  {
-    std::ostringstream os;
-    save_trace_as(os, stream, TraceFormat::kFramedV3);
-    encoded = os.str();
-  }
-  OverlapNumbers out;
-  for (int rep = 0; rep < reps; ++rep) {
-    for (const bool prefetch : {false, true}) {
-      auto is = std::make_unique<std::istringstream>(encoded);
-      StreamingTraceWorkload w(std::move(is),
-                               StreamingTraceWorkload::kDefaultChunkRequests,
-                               prefetch);
-      std::uint64_t work = sink;
-      std::uint64_t n = 0;
-      const auto t0 = std::chrono::steady_clock::now();
-      while (auto r = w.next(0)) {
-        // ~comparable to the decode cost per request, so the overlap
-        // window is real: ideal prefetch hides min(decode, consume).
-        for (int k = 0; k < 24; ++k) sink += splitmix(work);
-        sink += r->addr;
-        ++n;
-      }
-      const auto t1 = std::chrono::steady_clock::now();
-      const double rps = static_cast<double>(n) /
-                         std::chrono::duration<double>(t1 - t0).count();
-      double& slot = prefetch ? out.prefetch_rps : out.sync_rps;
-      slot = slot >= rps ? slot : rps;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -169,7 +120,6 @@ int main(int argc, char** argv) {
       measure(TraceFormat::kBinaryV2, stream, kReps, sink);
   const CodecNumbers framed =
       measure(TraceFormat::kFramedV3, stream, kReps, sink);
-  const OverlapNumbers overlap = measure_overlap(stream, kReps, sink);
 
   if (json) {
     std::printf(
@@ -181,15 +131,12 @@ int main(int argc, char** argv) {
         "\"bytes_per_req\":%.2f},"
         "\"framed_v3\":{\"decode_rps\":%.0f,\"encode_rps\":%.0f,"
         "\"bytes_per_req\":%.2f},"
-        "\"decode_speedup\":%.2f,\"size_ratio\":%.2f,"
-        "\"prefetch_overlap\":{\"sync_rps\":%.0f,\"prefetch_rps\":%.0f,"
-        "\"speedup\":%.2f},\"sink\":%llu}\n",
+        "\"decode_speedup\":%.2f,\"size_ratio\":%.2f,\"sink\":%llu}\n",
         static_cast<unsigned long long>(kRequests), kReps, text.decode_rps,
         text.encode_rps, text.bytes_per_req, bin.decode_rps, bin.encode_rps,
         bin.bytes_per_req, framed.decode_rps, framed.encode_rps,
         framed.bytes_per_req, bin.decode_rps / text.decode_rps,
-        text.bytes_per_req / bin.bytes_per_req, overlap.sync_rps,
-        overlap.prefetch_rps, overlap.prefetch_rps / overlap.sync_rps,
+        text.bytes_per_req / bin.bytes_per_req,
         static_cast<unsigned long long>(sink));
     return 0;
   }
@@ -207,9 +154,5 @@ int main(int argc, char** argv) {
   std::printf("\ndecode speedup %.2fx, size ratio %.2fx\n",
               bin.decode_rps / text.decode_rps,
               text.bytes_per_req / bin.bytes_per_req);
-  std::printf("prefetch overlap: sync %.2e req/s, prefetch %.2e req/s "
-              "(%.2fx)\n",
-              overlap.sync_rps, overlap.prefetch_rps,
-              overlap.prefetch_rps / overlap.sync_rps);
   return 0;
 }

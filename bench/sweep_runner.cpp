@@ -19,7 +19,7 @@
 //                [--seeds K] [--instr M] [--ws-div D] [--out FILE]
 //                [--llc inc|exc] [--slice-hash low|cas]
 //                [--monitor-level l1|l2|llc]
-//                [--trace PATH]... [--trace-prefetch] [--no-mixes]
+//                [--trace PATH]... [--no-mixes]
 //                [--deterministic]
 //                [--record DIR] [--record-format text|binary|framed]
 //
@@ -112,8 +112,6 @@ Options parse_args(int argc, char** argv) {
       o.out = value();
     } else if (arg == "--trace") {
       o.trace_paths.push_back(value());
-    } else if (arg == "--trace-prefetch") {
-      o.spec.trace_prefetch = true;
     } else if (arg == "--no-mixes") {
       o.spec.run_mixes = false;
     } else if (arg == "--deterministic") {

@@ -8,7 +8,7 @@
 //            [--defense pipo|dir|sharp|bitp|ric] [--l L] [--b B]
 //            [--secthr T] [--mnk K] [--seed S]
 //            [--record DIR] [--record-format text|binary|framed]
-//   pipo_sim trace <file|dir> [--core C] [--prefetch] [--from-frame K]
+//   pipo_sim trace <file|dir> [--core C] [--from-frame K]
 //            [--no-defense] [...]
 //   pipo_sim attack [--iters N] [--interval T] [--no-defense] [...]
 //
@@ -16,8 +16,8 @@
 // DIR/core<i>.trace; `trace` replays a single file on --core (default
 // 0) or a whole captured directory of core<i>.trace files across all
 // cores, streaming any trace format in O(chunk) memory
-// (docs/traces.md); --prefetch decodes on a background thread. A
-// replayed capture reproduces the live run's stats byte-identically.
+// (docs/traces.md). A replayed capture reproduces the live run's stats
+// byte-identically.
 //
 // Examples:
 //   pipo_sim mix 1 --instr 2000000 --ws-div 16
@@ -59,8 +59,6 @@ using namespace pipo;
                "         --l L --b B --secthr T --mnk K --seed S\n"
                "         --record DIR --record-format text|binary|framed "
                "(mix only)\n"
-               "         --prefetch (trace only: overlap decode with "
-               "simulation)\n"
                "         --from-frame K (trace only: seek replay of a "
                "framed trace)\n");
   std::exit(2);
@@ -75,7 +73,6 @@ struct Options {
   Tick interval = 5000;
   std::string record_dir;
   TraceFormat record_format = TraceFormat::kTextV1;
-  bool prefetch = false;  ///< trace replay: decode on a background thread
   std::uint64_t from_frame = 0;  ///< framed trace: first frame to replay
   bool from_frame_set = false;
   SystemConfig system = SystemConfig::paper_default();
@@ -141,8 +138,6 @@ Options parse_options(int argc, char** argv, int first) {
         usage();
       }
       o.record_format = *fmt;
-    } else if (a == "--prefetch") {
-      o.prefetch = true;
     } else if (a == "--from-frame") {
       o.from_frame = parse_uint(need("--from-frame"), "--from-frame");
       o.from_frame_set = true;
@@ -230,26 +225,21 @@ int run_trace_cmd(int argc, char** argv) {
                    file.frames().size());
       return 2;
     }
-    sim.set_workload(o.core,
-                     file.workload_from_frame(
-                         static_cast<std::size_t>(o.from_frame),
-                         StreamingTraceWorkload::kDefaultChunkRequests,
-                         o.prefetch));
+    sim.set_workload(o.core, file.workload_from_frame(
+                                 static_cast<std::size_t>(o.from_frame)));
     for (CoreId c = 0; c < sim.num_cores(); ++c) {
       if (c != o.core) sim.set_workload(c, std::make_unique<IdleWorkload>());
     }
     std::printf("replaying %s from frame %llu/%zu on core %u (%s), "
-                "streaming%s\n\n",
+                "streaming\n\n",
                 path.c_str(), static_cast<unsigned long long>(o.from_frame),
-                file.frames().size(), o.core, to_string(o.system.defense),
-                o.prefetch ? " + prefetch" : "");
+                file.frames().size(), o.core, to_string(o.system.defense));
   } else {
     // Same loading rules (and out-of-range/garbage-name validation) as
     // run_trace_perf / sweep_runner; --core picks the single-file target.
-    driven = assign_trace_scenario(sim, path, o.core, o.prefetch);
-    std::printf("replaying %s on %u core(s) (%s), streaming%s\n\n",
-                path.c_str(), driven, to_string(o.system.defense),
-                o.prefetch ? " + prefetch" : "");
+    driven = assign_trace_scenario(sim, path, o.core);
+    std::printf("replaying %s on %u core(s) (%s), streaming\n\n",
+                path.c_str(), driven, to_string(o.system.defense));
   }
   const Tick end = sim.run();
   std::printf("finished at tick      %llu\n",

@@ -17,7 +17,8 @@ int main(int argc, char** argv) try {
       argc > 1 ? parse_uint(argv[1], "instructions_per_core", 1) : 300'000;
 
   std::printf("Table III mixes, %llu instructions/core "
-              "(paper: 1B; see EXPERIMENTS.md for scaling)\n\n",
+              "(paper: 1B; see make_mix's ws_divisor and spec_profile() "
+              "for scaling)\n\n",
               static_cast<unsigned long long>(budget));
   std::printf("%-6s %-38s %12s %12s %10s %8s\n", "mix", "components",
               "base cycles", "pipo cycles", "norm perf", "FP/Minst");

@@ -91,9 +91,8 @@ namespace {
 /// idle core and skew every scenario stat. Direct codec users
 /// (load_trace_auto and friends) keep the permissive behavior.
 std::unique_ptr<StreamingTraceWorkload> open_scenario_trace(
-    const std::string& file, bool prefetch) {
-  auto w = std::make_unique<StreamingTraceWorkload>(
-      file, StreamingTraceWorkload::kDefaultChunkRequests, prefetch);
+    const std::string& file) {
+  auto w = std::make_unique<StreamingTraceWorkload>(file);
   if (!w->has_requests()) {
     throw std::runtime_error(
         "trace file holds zero requests (empty or truncated capture?): " +
@@ -106,8 +105,7 @@ std::unique_ptr<StreamingTraceWorkload> open_scenario_trace(
 
 std::uint32_t assign_trace_scenario(Simulation& sim,
                                     const std::string& path,
-                                    CoreId single_file_core,
-                                    bool prefetch) {
+                                    CoreId single_file_core) {
   namespace fs = std::filesystem;
   const std::uint32_t num_cores = sim.num_cores();
   std::vector<bool> driven(num_cores, false);
@@ -145,7 +143,7 @@ std::uint32_t assign_trace_scenario(Simulation& sim,
     for (CoreId c = 0; c < num_cores; ++c) {
       const std::string file = core_trace_path(path, c);
       if (!fs::exists(file)) continue;
-      sim.set_workload(c, open_scenario_trace(file, prefetch));
+      sim.set_workload(c, open_scenario_trace(file));
       driven[c] = true;
       ++n_driven;
     }
@@ -160,7 +158,7 @@ std::uint32_t assign_trace_scenario(Simulation& sim,
           " out of range (simulation has " + std::to_string(num_cores) +
           " cores)");
     }
-    sim.set_workload(single_file_core, open_scenario_trace(path, prefetch));
+    sim.set_workload(single_file_core, open_scenario_trace(path));
     driven[single_file_core] = true;
     n_driven = 1;
   }
@@ -171,9 +169,9 @@ std::uint32_t assign_trace_scenario(Simulation& sim,
 }
 
 MixPerfResult run_trace_perf(const std::string& path,
-                             const SystemConfig& config, bool prefetch) {
+                             const SystemConfig& config) {
   Simulation sim(config);
-  assign_trace_scenario(sim, path, 0, prefetch);
+  assign_trace_scenario(sim, path);
   return collect(sim, 0);
 }
 

@@ -65,28 +65,23 @@ bool is_core_trace_name(const std::string& filename,
 /// `path` is either a single trace file (drives `single_file_core`) or
 /// a directory holding per-core files named core<i>.trace — the layout
 /// TraceCapture writes, in which case `single_file_core` is ignored;
-/// formats are autodetected per file. With `prefetch`, each core's
-/// trace decodes on a background thread one chunk ahead of the
-/// simulation (byte-identical replay, see stream_trace.h). Returns the
-/// number of driven cores. Throws std::runtime_error if the directory
-/// has no core<i>.trace files, if it names a core the simulation does
-/// not have (including zero-padded spellings the loader would miss),
-/// if `single_file_core` is out of range, or if any trace file holds
-/// zero requests (empty, whitespace-only, or a bare binary header — a
+/// formats are autodetected per file. Returns the number of driven
+/// cores. Throws std::runtime_error if the directory has no
+/// core<i>.trace files, if it names a core the simulation does not have
+/// (including zero-padded spellings the loader would miss), if
+/// `single_file_core` is out of range, or if any trace file holds zero
+/// requests (empty, whitespace-only, or a bare binary header — a
 /// truncated-to-empty capture replaying as a silently idle core would
 /// produce plausible but wrong replay stats, like every other silent
 /// drop this loader rejects). Direct codec users keep the permissive
 /// empty-trace behavior.
 std::uint32_t assign_trace_scenario(Simulation& sim,
                                     const std::string& path,
-                                    CoreId single_file_core = 0,
-                                    bool prefetch = false);
+                                    CoreId single_file_core = 0);
 
 /// Replays a recorded trace scenario (see assign_trace_scenario) and
-/// collects the run's results. `prefetch` overlaps trace decode with
-/// the simulation (identical results either way).
+/// collects the run's results.
 MixPerfResult run_trace_perf(const std::string& path,
-                             const SystemConfig& config,
-                             bool prefetch = false);
+                             const SystemConfig& config);
 
 }  // namespace pipo

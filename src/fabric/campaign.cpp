@@ -242,8 +242,7 @@ ConfigResult run_campaign_config(const CampaignSpec& spec,
     cfg.monitor_level = spec.monitor_level;
     if (key.trace >= 0) {
       out.r = run_trace_perf(
-          spec.scenarios[static_cast<std::size_t>(key.trace)].path, cfg,
-          spec.trace_prefetch);
+          spec.scenarios[static_cast<std::size_t>(key.trace)].path, cfg);
     } else if (!spec.record_dir.empty()) {
       const TraceCapture capture{
           spec.record_dir + "/mix" + std::to_string(key.mix) + "_" +

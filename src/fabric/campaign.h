@@ -68,12 +68,6 @@ struct CampaignSpec {
   SliceHashKind slice_hash = SliceHashKind::kLowBits;
   MonitorLevel monitor_level = MonitorLevel::kLlc;
   std::vector<TraceScenario> scenarios;
-  /// Overlap trace decode with simulation for scenario replays
-  /// (StreamingTraceWorkload's background prefetch thread). Replay is
-  /// byte-identical either way; this is purely a throughput knob, but it
-  /// travels on the wire so a distributed sweep runs every worker with
-  /// the same decode path.
-  bool trace_prefetch = false;
   /// Fuzz-genotype cells: each runs against every defense on the
   /// campaign's hierarchy axes, scored by the multi-symbol leakage
   /// estimator with `fuzz_perm_rounds` significance shuffles.

@@ -256,9 +256,6 @@ void encode_campaign_spec(WireWriter& w, const CampaignSpec& spec) {
     w.str(c.genotype);
   }
   w.varint(spec.fuzz_perm_rounds);
-  // v4: the scenario-replay decode knob travels so every worker in a
-  // distributed sweep runs the same decode path.
-  w.u8(spec.trace_prefetch ? 1 : 0);
   // record_dir deliberately does not travel: capture campaigns are
   // standalone-only (each worker would record to its own disk), and the
   // coordinator rejects them before any worker connects.
@@ -317,9 +314,6 @@ CampaignSpec decode_campaign_spec(WireReader& r) {
   }
   spec.fuzz_perm_rounds =
       static_cast<std::uint32_t>(r.varint("spec.fuzz_perm_rounds"));
-  const std::uint8_t pf = r.u8("spec.trace_prefetch");
-  if (pf > 1) r.bad("spec.trace_prefetch", "flag must be 0 or 1");
-  spec.trace_prefetch = pf != 0;
   return spec;
 }
 

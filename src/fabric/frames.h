@@ -50,12 +50,12 @@ inline constexpr char kFabricMagic[4] = {'P', 'F', 'A', 'B'};
 /// slice_hash, monitor_level). v3: the spec additionally carries
 /// fuzz-genotype cells and their permutation-round budget. v4: the spec
 /// carries the trace_prefetch decode knob. v5: the spec drops v4's two
-/// intra-simulation sharding varints. Version mismatch is a handshake
-/// reject, so an old worker can never silently run a newer campaign
-/// with fields dropped or misread (a v2 worker receiving a fuzz
-/// campaign would otherwise run zero fuzz configs and still
-/// "complete").
-inline constexpr std::uint8_t kFabricVersion = 5;
+/// intra-simulation sharding varints. v6: the spec drops the
+/// trace_prefetch byte. Version mismatch is a handshake reject, so an
+/// old worker can never silently run a newer campaign with fields
+/// dropped or misread (a v2 worker receiving a fuzz campaign would
+/// otherwise run zero fuzz configs and still "complete").
+inline constexpr std::uint8_t kFabricVersion = 6;
 inline constexpr std::size_t kFrameHeaderBytes = 10;
 /// Payload ceiling. A real frame is tiny (the largest is a Welcome
 /// carrying a campaign spec, or a Result's JSON record — both well under

@@ -27,24 +27,12 @@ CoverageSignature coverage_signature(
     const std::vector<std::uint64_t>& obs_hist) {
   CoverageSignature sig;
   std::size_t i = 0;
-  sig.bucket[i++] = coverage_bucket(s.accesses);
-  sig.bucket[i++] = coverage_bucket(s.l1_hits);
-  sig.bucket[i++] = coverage_bucket(s.l2_hits);
-  sig.bucket[i++] = coverage_bucket(s.l3_hits);
-  sig.bucket[i++] = coverage_bucket(s.l3_misses);
-  sig.bucket[i++] = coverage_bucket(s.back_invalidations);
-  sig.bucket[i++] = coverage_bucket(s.upgrades);
-  sig.bucket[i++] = coverage_bucket(s.invalidations_for_write);
-  sig.bucket[i++] = coverage_bucket(s.l2_evictions);
-  sig.bucket[i++] = coverage_bucket(s.writebacks);
-  sig.bucket[i++] = coverage_bucket(s.prefetch_fills);
-  sig.bucket[i++] = coverage_bucket(s.prefetch_drops);
-  sig.bucket[i++] = coverage_bucket(s.pp_tag_fills);
-  sig.bucket[i++] = coverage_bucket(s.pevicts);
-  sig.bucket[i++] = coverage_bucket(s.ric_exemptions);
+#define PIPO_STATS_BUCKET(name) sig.bucket[i++] = coverage_bucket(s.name);
+  PIPO_SYSTEM_STATS(PIPO_STATS_BUCKET)
+#undef PIPO_STATS_BUCKET
   sig.bucket[i++] = coverage_bucket(captures);
   sig.bucket[i++] = coverage_bucket(prefetches);
-  for (std::size_t b = 0; b < 8; ++b) {
+  for (std::size_t b = 0; b < kCoverageObsBins; ++b) {
     sig.bucket[i++] =
         coverage_bucket(b < obs_hist.size() ? obs_hist[b] : 0);
   }

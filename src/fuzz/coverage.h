@@ -23,10 +23,17 @@
 
 namespace pipo {
 
-/// 15 System::Stats counters + captures + prefetches + 8 observation
-/// histogram bins, each as a log2 bucket (0 for zero, else
-/// 1 + floor(log2(v)), saturating at 255 — unreachable for u64).
-inline constexpr std::size_t kCoverageSlots = 25;
+/// Observation-histogram bins in a signature.
+inline constexpr std::size_t kCoverageObsBins = 8;
+
+/// The System::Stats counters (PIPO_SYSTEM_STATS order) + captures +
+/// prefetches + the observation histogram bins, each as a log2 bucket
+/// (0 for zero, else 1 + floor(log2(v)), saturating at 255 —
+/// unreachable for u64).
+inline constexpr std::size_t kCoverageSlots =
+    System::Stats::kCounters + 2 + kCoverageObsBins;
+// The rendered signature is part of every fuzz record and corpus entry.
+static_assert(kCoverageSlots == 25, "coverage signature layout changed");
 
 struct CoverageSignature {
   std::array<std::uint8_t, kCoverageSlots> bucket{};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <sstream>
+#include <string_view>
 
 namespace pipo {
 
@@ -46,39 +47,21 @@ const char* to_string(HitLevel l) {
 }
 
 void System::Stats::dump(std::ostream& os) const {
-  os << "accesses              " << accesses << '\n'
-     << "l1_hits               " << l1_hits << '\n'
-     << "l2_hits               " << l2_hits << '\n'
-     << "l3_hits               " << l3_hits << '\n'
-     << "l3_misses             " << l3_misses << '\n'
-     << "back_invalidations    " << back_invalidations << '\n'
-     << "upgrades              " << upgrades << '\n'
-     << "invalidations_for_write " << invalidations_for_write << '\n'
-     << "l2_evictions          " << l2_evictions << '\n'
-     << "writebacks            " << writebacks << '\n'
-     << "prefetch_fills        " << prefetch_fills << '\n'
-     << "prefetch_drops        " << prefetch_drops << '\n'
-     << "pp_tag_fills          " << pp_tag_fills << '\n'
-     << "pevicts               " << pevicts << '\n'
-     << "ric_exemptions        " << ric_exemptions << '\n';
+  constexpr std::size_t kNameColumns = 21;
+  const auto line = [&os](std::string_view name, std::uint64_t value) {
+    const std::size_t pad =
+        name.size() < kNameColumns ? kNameColumns - name.size() : 0;
+    os << name << std::string(pad + 1, ' ') << value << '\n';
+  };
+#define PIPO_STATS_DUMP(name) line(#name, name);
+  PIPO_SYSTEM_STATS(PIPO_STATS_DUMP)
+#undef PIPO_STATS_DUMP
 }
 
 System::Stats& System::Stats::operator+=(const Stats& o) {
-  accesses += o.accesses;
-  l1_hits += o.l1_hits;
-  l2_hits += o.l2_hits;
-  l3_hits += o.l3_hits;
-  l3_misses += o.l3_misses;
-  back_invalidations += o.back_invalidations;
-  upgrades += o.upgrades;
-  invalidations_for_write += o.invalidations_for_write;
-  l2_evictions += o.l2_evictions;
-  writebacks += o.writebacks;
-  prefetch_fills += o.prefetch_fills;
-  prefetch_drops += o.prefetch_drops;
-  pp_tag_fills += o.pp_tag_fills;
-  pevicts += o.pevicts;
-  ric_exemptions += o.ric_exemptions;
+#define PIPO_STATS_ADD(name) name += o.name;
+  PIPO_SYSTEM_STATS(PIPO_STATS_ADD)
+#undef PIPO_STATS_ADD
   return *this;
 }
 

@@ -71,6 +71,26 @@ enum class HitLevel : std::uint8_t { kL1, kL2, kL3, kMemory };
 
 const char* to_string(HitLevel l);
 
+/// The System::Stats counters, in declaration order: the one field list
+/// the struct, dump(), operator+= and the fuzzer's coverage signature
+/// are generated from. X(name) once per counter.
+#define PIPO_SYSTEM_STATS(X)                                               \
+  X(accesses)                                                              \
+  X(l1_hits)                                                               \
+  X(l2_hits)                                                               \
+  X(l3_hits)                                                               \
+  X(l3_misses)                                                             \
+  X(back_invalidations)      /* private copies killed by L3 evictions */   \
+  X(upgrades)                /* S->M directory transactions */             \
+  X(invalidations_for_write)                                               \
+  X(l2_evictions)                                                          \
+  X(writebacks)              /* dirty L3 evictions to memory */            \
+  X(prefetch_fills)          /* monitor prefetches landing in L3 */        \
+  X(prefetch_drops)          /* prefetch found line already present */    \
+  X(pp_tag_fills)            /* demand fills tagged Ping-Pong */           \
+  X(pevicts)                 /* pEvict messages sent to the monitor */     \
+  X(ric_exemptions)          /* back-invalidations skipped by RIC */
+
 class System {
  public:
   explicit System(const SystemConfig& cfg,
@@ -129,23 +149,18 @@ class System {
     return cfg_.l3.latency + cfg_.mem.dram_latency / 2;
   }
 
-  /// Aggregate event counters.
+  /// Aggregate event counters (fields: PIPO_SYSTEM_STATS).
   struct Stats {
-    std::uint64_t accesses = 0;
-    std::uint64_t l1_hits = 0;
-    std::uint64_t l2_hits = 0;
-    std::uint64_t l3_hits = 0;
-    std::uint64_t l3_misses = 0;
-    std::uint64_t back_invalidations = 0;  ///< private copies killed by L3 evictions
-    std::uint64_t upgrades = 0;            ///< S->M directory transactions
-    std::uint64_t invalidations_for_write = 0;
-    std::uint64_t l2_evictions = 0;
-    std::uint64_t writebacks = 0;          ///< dirty L3 evictions to memory
-    std::uint64_t prefetch_fills = 0;      ///< monitor prefetches landing in L3
-    std::uint64_t prefetch_drops = 0;      ///< prefetch found line already present
-    std::uint64_t pp_tag_fills = 0;        ///< demand fills tagged Ping-Pong
-    std::uint64_t pevicts = 0;             ///< pEvict messages sent to the monitor
-    std::uint64_t ric_exemptions = 0;      ///< back-invalidations skipped by RIC
+#define PIPO_STATS_FIELD(name) std::uint64_t name = 0;
+    PIPO_SYSTEM_STATS(PIPO_STATS_FIELD)
+#undef PIPO_STATS_FIELD
+#define PIPO_STATS_COUNT(name) +1
+    static constexpr std::size_t kCounters =
+        0 PIPO_SYSTEM_STATS(PIPO_STATS_COUNT);
+#undef PIPO_STATS_COUNT
+
+    /// One "name value" line per counter, each name left-justified to
+    /// 21 columns and followed by one space.
     void dump(std::ostream& os) const;
     /// Field-wise sum, for callers that total the counters of several
     /// runs or Systems.

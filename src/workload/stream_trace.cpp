@@ -1,11 +1,7 @@
 #include "workload/stream_trace.h"
 
-#include <condition_variable>
-#include <exception>
 #include <fstream>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 
 namespace pipo {
 
@@ -42,146 +38,33 @@ std::size_t TraceReader::fill(MemRequest* out, std::size_t max) {
   return n;
 }
 
-// ---------------------------------------------------------- prefetcher
-
-/// One background thread decoding chunks a step ahead of the consumer.
-/// Double-buffered: the worker fills `spare_`, parks it in the `ready_`
-/// slot, and the consumer swap()s it out — all three buffers (including
-/// the workload's chunk) keep the configured chunk capacity, so the
-/// O(chunk) memory property survives prefetching. Decode exceptions are
-/// captured and rethrown (sticky) from fetch() on the consumer thread.
-class TracePrefetcher {
- public:
-  TracePrefetcher(TraceReader& reader, std::size_t chunk_requests)
-      : reader_(reader) {
-    spare_.resize(chunk_requests);
-    spare_.shrink_to_fit();
-    ready_.resize(chunk_requests);
-    ready_.shrink_to_fit();
-    thread_ = std::thread([this] { run(); });
-  }
-
-  ~TracePrefetcher() {
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      stop_ = true;
-    }
-    slot_free_.notify_all();
-    thread_.join();
-  }
-
-  /// Swaps the next decoded chunk into `chunk`; returns the number of
-  /// valid requests (0 = clean end of trace). Rethrows any decode error
-  /// the worker hit, every call — identical to the synchronous path.
-  std::size_t fetch(std::vector<MemRequest>& chunk) {
-    std::unique_lock<std::mutex> lk(m_);
-    chunk_ready_.wait(lk, [this] { return ready_valid_ || done_; });
-    if (error_) std::rethrow_exception(error_);
-    if (!ready_valid_) return 0;  // done_: clean end of trace
-    chunk.swap(ready_);
-    const std::size_t n = ready_len_;
-    ready_valid_ = false;
-    lk.unlock();
-    slot_free_.notify_one();
-    return n;
-  }
-
- private:
-  void run() {
-    try {
-      for (;;) {
-        const std::size_t n = reader_.fill(spare_.data(), spare_.size());
-        std::unique_lock<std::mutex> lk(m_);
-        slot_free_.wait(lk, [this] { return !ready_valid_ || stop_; });
-        if (stop_) return;
-        if (n == 0) break;  // end of trace
-        spare_.swap(ready_);
-        ready_len_ = n;
-        ready_valid_ = true;
-        lk.unlock();
-        chunk_ready_.notify_one();
-      }
-    } catch (...) {
-      std::lock_guard<std::mutex> lk(m_);
-      error_ = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      done_ = true;
-    }
-    chunk_ready_.notify_one();
-  }
-
-  TraceReader& reader_;
-  std::vector<MemRequest> spare_;  ///< the worker's fill buffer
-  std::vector<MemRequest> ready_;  ///< the parked, decoded chunk
-  std::size_t ready_len_ = 0;
-  bool ready_valid_ = false;
-  bool done_ = false;   ///< worker exited (EOF or error)
-  bool stop_ = false;   ///< consumer tearing down
-  std::exception_ptr error_;
-  std::mutex m_;
-  std::condition_variable chunk_ready_;  ///< signals the consumer
-  std::condition_variable slot_free_;    ///< signals the worker
-  std::thread thread_;
-};
-
-// ------------------------------------------------------------ workload
-
 StreamingTraceWorkload::StreamingTraceWorkload(const std::string& path,
-                                               std::size_t chunk_requests,
-                                               bool prefetch)
-    : reader_(path) {
-  init(chunk_requests, prefetch);
-}
+                                               std::size_t chunk_requests)
+    : StreamingTraceWorkload(TraceReader(path), chunk_requests) {}
 
 StreamingTraceWorkload::StreamingTraceWorkload(
-    std::unique_ptr<std::istream> is, std::size_t chunk_requests,
-    bool prefetch)
-    : reader_(std::move(is)) {
-  init(chunk_requests, prefetch);
-}
+    std::unique_ptr<std::istream> is, std::size_t chunk_requests)
+    : StreamingTraceWorkload(TraceReader(std::move(is)), chunk_requests) {}
 
 StreamingTraceWorkload::StreamingTraceWorkload(TraceReader reader,
-                                               std::size_t chunk_requests,
-                                               bool prefetch)
+                                               std::size_t chunk_requests)
     : reader_(std::move(reader)) {
-  init(chunk_requests, prefetch);
-}
-
-StreamingTraceWorkload::~StreamingTraceWorkload() = default;
-
-void StreamingTraceWorkload::init(std::size_t chunk_requests,
-                                  bool prefetch) {
-  if (chunk_requests == 0) chunk_requests = 1;
   // Fixed-size once: resize() here, never push_back, so the buffer's
   // capacity stays at the configured chunk for the life of the replay.
-  chunk_.resize(chunk_requests);
+  chunk_.resize(chunk_requests == 0 ? 1 : chunk_requests);
   chunk_.shrink_to_fit();
-  if (prefetch) {
-    prefetcher_ = std::make_unique<TracePrefetcher>(reader_, chunk_requests);
-  }
-}
-
-std::size_t StreamingTraceWorkload::refill() {
-  if (prefetcher_) return prefetcher_->fetch(chunk_);
-  return reader_.fill(chunk_.data(), chunk_.size());
 }
 
 bool StreamingTraceWorkload::has_requests() {
   if (pos_ >= len_) {
-    len_ = refill();
+    len_ = reader_.fill(chunk_.data(), chunk_.size());
     pos_ = 0;
   }
   return pos_ < len_;
 }
 
 std::optional<MemRequest> StreamingTraceWorkload::next(Tick) {
-  if (pos_ >= len_) {
-    len_ = refill();
-    pos_ = 0;
-    if (len_ == 0) return std::nullopt;
-  }
+  if (!has_requests()) return std::nullopt;
   ++replayed_;
   return chunk_[pos_++];
 }

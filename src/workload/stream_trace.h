@@ -10,12 +10,7 @@
 //   * `StreamingTraceWorkload` — a Workload that refills a fixed-size
 //     request chunk from a TraceReader, so replay memory is O(chunk)
 //     regardless of trace length (the chunk buffer's capacity is pinned
-//     by tests/workload/stream_trace_test.cpp). With `prefetch` set, a
-//     background thread decodes the next chunk while the simulation
-//     consumes the current one (double-buffered), hiding decode latency
-//     entirely — the replayed request stream is byte-identical to the
-//     synchronous path at every chunk size (stream_trace_test.cpp and
-//     tests/e2e/trace_replay_e2e_test.cpp pin this);
+//     by tests/workload/stream_trace_test.cpp);
 //   * `TraceRecorder` — wraps any Workload and captures exactly the
 //     requests the simulation consumed to any trace format, so a
 //     synthetic mix can be snapshotted once and replayed
@@ -62,33 +57,22 @@ class TraceReader {
   std::unique_ptr<TraceDecoder> decoder_;
 };
 
-class TracePrefetcher;  // background decode thread (stream_trace.cpp)
-
 /// Replays a trace file/stream through the simulator in O(chunk)
-/// memory. Drop-in for TraceWorkload on traces of any length. With
-/// `prefetch`, decode runs on a background thread one chunk ahead of
-/// the simulation (memory becomes O(3 x chunk): the consumer chunk,
-/// the ready slot and the decoder's working buffer); decode errors are
-/// captured on the worker and rethrown from next() on the simulation
-/// thread, so diagnostics are identical to the synchronous path.
+/// memory. Drop-in for TraceWorkload on traces of any length.
 class StreamingTraceWorkload final : public Workload {
  public:
   static constexpr std::size_t kDefaultChunkRequests = 4096;
 
   explicit StreamingTraceWorkload(
       const std::string& path,
-      std::size_t chunk_requests = kDefaultChunkRequests,
-      bool prefetch = false);
+      std::size_t chunk_requests = kDefaultChunkRequests);
   explicit StreamingTraceWorkload(
       std::unique_ptr<std::istream> is,
-      std::size_t chunk_requests = kDefaultChunkRequests,
-      bool prefetch = false);
+      std::size_t chunk_requests = kDefaultChunkRequests);
   /// Replays an already-positioned reader (e.g. a framed seek reader
   /// from FramedTraceFile::reader_from_frame, trace_frame.h).
   explicit StreamingTraceWorkload(
-      TraceReader reader, std::size_t chunk_requests = kDefaultChunkRequests,
-      bool prefetch = false);
-  ~StreamingTraceWorkload() override;  // joins the prefetch thread
+      TraceReader reader, std::size_t chunk_requests = kDefaultChunkRequests);
 
   std::optional<MemRequest> next(Tick) override;
 
@@ -100,20 +84,13 @@ class StreamingTraceWorkload final : public Workload {
   bool has_requests();
 
   TraceFormat format() const { return reader_.format(); }
-  bool prefetching() const { return prefetcher_ != nullptr; }
   std::uint64_t replayed() const { return replayed_; }
   /// The chunk buffer's capacity — never grows past the configured
   /// chunk size (the O(chunk)-memory property the unit test pins).
   std::size_t chunk_capacity() const { return chunk_.capacity(); }
 
  private:
-  void init(std::size_t chunk_requests, bool prefetch);
-  /// Next chunk into chunk_ (synchronously or from the prefetcher);
-  /// returns the number of valid requests.
-  std::size_t refill();
-
   TraceReader reader_;
-  std::unique_ptr<TracePrefetcher> prefetcher_;
   std::vector<MemRequest> chunk_;
   std::size_t pos_ = 0;   ///< next unreturned request in chunk_
   std::size_t len_ = 0;   ///< valid requests in chunk_

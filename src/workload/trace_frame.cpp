@@ -505,9 +505,9 @@ TraceReader FramedTraceFile::reader_from_frame(std::size_t k) const {
 }
 
 std::unique_ptr<StreamingTraceWorkload> FramedTraceFile::workload_from_frame(
-    std::size_t k, std::size_t chunk_requests, bool prefetch) const {
+    std::size_t k, std::size_t chunk_requests) const {
   return std::make_unique<StreamingTraceWorkload>(reader_from_frame(k),
-                                                  chunk_requests, prefetch);
+                                                  chunk_requests);
 }
 
 }  // namespace pipo

@@ -215,8 +215,8 @@ class FramedTraceFile {
   /// [k, end) is stats-identical to the tail of a full replay.
   std::unique_ptr<StreamingTraceWorkload> workload_from_frame(
       std::size_t k,
-      std::size_t chunk_requests = StreamingTraceWorkload::kDefaultChunkRequests,
-      bool prefetch = false) const;
+      std::size_t chunk_requests =
+          StreamingTraceWorkload::kDefaultChunkRequests) const;
 
  private:
   std::string path_;

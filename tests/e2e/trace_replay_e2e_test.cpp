@@ -1,7 +1,7 @@
 // End-to-end capture/replay oracle: a live mix run recorded via
 // TraceRecorder and replayed via StreamingTraceWorkload must reproduce
 // the live run's System::Stats, exec_time and retired-instruction count
-// byte-identically — for both trace formats, and after a text<->binary
+// byte-identically — for all three trace formats, and after a text<->binary
 // conversion round trip. This is the differential-oracle pattern of
 // docs/testing.md applied to the capture/replay loop: the live run is
 // the reference, the recorded artifact plus the streaming reader is the
@@ -31,23 +31,6 @@ constexpr std::uint64_t kInstrBudget = 5000;
 constexpr std::uint64_t kWsDivisor = 16;
 constexpr std::uint64_t kSeed = 2026;
 
-#define PIPO_REPLAY_STATS_FIELDS(X) \
-  X(accesses)                       \
-  X(l1_hits)                        \
-  X(l2_hits)                        \
-  X(l3_hits)                        \
-  X(l3_misses)                      \
-  X(back_invalidations)             \
-  X(upgrades)                       \
-  X(invalidations_for_write)        \
-  X(l2_evictions)                   \
-  X(writebacks)                     \
-  X(prefetch_fills)                 \
-  X(prefetch_drops)                 \
-  X(pp_tag_fills)                   \
-  X(pevicts)                        \
-  X(ric_exemptions)
-
 void expect_identical(const MixPerfResult& replay, const MixPerfResult& live,
                       const std::string& label) {
   EXPECT_EQ(replay.exec_time, live.exec_time) << label;
@@ -56,7 +39,7 @@ void expect_identical(const MixPerfResult& replay, const MixPerfResult& live,
   EXPECT_EQ(replay.captures, live.captures) << label;
 #define PIPO_X(field) \
   EXPECT_EQ(replay.stats.field, live.stats.field) << label << ": " << #field;
-  PIPO_REPLAY_STATS_FIELDS(PIPO_X)
+  PIPO_SYSTEM_STATS(PIPO_X)
 #undef PIPO_X
 }
 
@@ -94,10 +77,6 @@ TEST(TraceReplayE2E, RecordedRunReplaysByteIdentically) {
                        &capture);
       const MixPerfResult replay = run_trace_perf(dir, cfg);
       expect_identical(replay, live, label);
-      // Prefetch decode must be invisible to the simulated outcome.
-      const MixPerfResult prefetched =
-          run_trace_perf(dir, cfg, /*prefetch=*/true);
-      expect_identical(prefetched, live, label + "/prefetch");
       fs::remove_all(dir);
     }
   }
@@ -185,16 +164,12 @@ TEST(TraceReplayE2E, CapturedTracePacksAndSeekReplays) {
     return r;
   };
   const MixPerfResult want = replay(std::make_unique<TraceWorkload>(tail));
-  for (const bool prefetch : {false, true}) {
-    const MixPerfResult got = replay(file.workload_from_frame(
-        k, StreamingTraceWorkload::kDefaultChunkRequests, prefetch));
-    EXPECT_EQ(got.exec_time, want.exec_time) << prefetch;
-    EXPECT_EQ(got.instructions, want.instructions) << prefetch;
-#define PIPO_X(field) \
-  EXPECT_EQ(got.stats.field, want.stats.field) << #field;
-    PIPO_REPLAY_STATS_FIELDS(PIPO_X)
+  const MixPerfResult got = replay(file.workload_from_frame(k));
+  EXPECT_EQ(got.exec_time, want.exec_time);
+  EXPECT_EQ(got.instructions, want.instructions);
+#define PIPO_X(field) EXPECT_EQ(got.stats.field, want.stats.field) << #field;
+  PIPO_SYSTEM_STATS(PIPO_X)
 #undef PIPO_X
-  }
   fs::remove_all(dir);
 }
 

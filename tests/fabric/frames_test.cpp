@@ -39,7 +39,6 @@ CampaignSpec sample_spec() {
                         "obs_bins=4"},
                {"g0_1", "genotype text travels as opaque bytes"}};
   spec.fuzz_perm_rounds = 73;
-  spec.trace_prefetch = true;  // v4: must survive the wire round trip
   return spec;
 }
 
@@ -174,11 +173,13 @@ TEST(FabricFramesMalformed, UnsupportedVersionAtByte4) {
   auto bytes = encode_frame(make_heartbeat());
   bytes[4] = kFabricVersion + 1;
   expect_rejected(bytes, 4, "unsupported version");
-  // An older peer is refused as well: its spec layout differs (v4 still
-  // carried two intra-simulation sharding varints), so decoding it
-  // would misread every later field.
-  bytes[4] = kFabricVersion - 1;
-  expect_rejected(bytes, 4, "unsupported version");
+  // Older peers are refused as well: their spec layouts differ (v4
+  // still carried two intra-simulation sharding varints, v5 a trailing
+  // trace-decode flag byte), so decoding one would misread the spec.
+  for (const std::uint8_t old_version : {4, 5}) {
+    bytes[4] = old_version;
+    expect_rejected(bytes, 4, "unsupported version");
+  }
 }
 
 TEST(FabricFramesMalformed, UnknownFrameTypeAtByte5) {
@@ -312,17 +313,6 @@ TEST(FabricFrames, FuzzOnlyCampaignSpecRoundTrips) {
   ASSERT_EQ(back.fuzz.size(), 1u);
   EXPECT_EQ(back.fuzz[0].name, "gen3_cand11");
   EXPECT_EQ(back.fuzz_perm_rounds, 199u);
-}
-
-// v4 appends the trace_prefetch flag as the final byte of the spec; a
-// value other than 0/1 is a malformed peer, not a silent bool cast.
-TEST(FabricFramesMalformed, CampaignSpecBadPrefetchFlag) {
-  WireWriter w;
-  encode_campaign_spec(w, sample_spec());
-  auto bytes = w.take();
-  bytes.back() = 2;
-  WireReader r(bytes);
-  EXPECT_THROW(decode_campaign_spec(r), std::invalid_argument);
 }
 
 TEST(FabricFramesMalformed, CampaignSpecBadDefenseKind) {

@@ -100,26 +100,6 @@ TEST(TraceFrameDifferential, FramedAgreesWithFlatBinaryReference) {
 
 // ------------------------------------------------------- seek vs. tail
 
-/// The replay-stats fields the e2e tier compares; the seek oracle
-/// compares the same set so "stats-identical" means the same thing in
-/// both tiers.
-#define PIPO_REPLAY_STATS_FIELDS(X) \
-  X(accesses)                       \
-  X(l1_hits)                        \
-  X(l2_hits)                        \
-  X(l3_hits)                        \
-  X(l3_misses)                      \
-  X(back_invalidations)             \
-  X(upgrades)                       \
-  X(invalidations_for_write)        \
-  X(l2_evictions)                   \
-  X(writebacks)                     \
-  X(prefetch_fills)                 \
-  X(prefetch_drops)                 \
-  X(pp_tag_fills)                   \
-  X(pevicts)                        \
-  X(ric_exemptions)
-
 struct ReplayResult {
   Tick exec_time;
   System::Stats stats;
@@ -142,7 +122,7 @@ void expect_stats_identical(const ReplayResult& got, const ReplayResult& want,
   EXPECT_EQ(got.exec_time, want.exec_time) << label;
 #define PIPO_X(field) \
   EXPECT_EQ(got.stats.field, want.stats.field) << label << ": " << #field;
-  PIPO_REPLAY_STATS_FIELDS(PIPO_X)
+  PIPO_SYSTEM_STATS(PIPO_X)
 #undef PIPO_X
 }
 
@@ -211,16 +191,11 @@ TEST_F(TraceFrameSeekOracle, SeekReplayEqualsTailOfFullReplay) {
     got.resize(reader.fill(got.data(), got.size()));
     expect_equal(got, tail, label);
 
-    // Axis 2: the simulated stats, seek replay vs. materialized tail —
-    // with and without prefetch decode.
+    // Axis 2: the simulated stats, seek replay vs. materialized tail.
     const ReplayResult want =
         replay_on_core0(std::make_unique<TraceWorkload>(tail));
-    for (const bool prefetch : {false, true}) {
-      const ReplayResult got_stats = replay_on_core0(file.workload_from_frame(
-          k, StreamingTraceWorkload::kDefaultChunkRequests, prefetch));
-      expect_stats_identical(got_stats, want,
-                             label + (prefetch ? " prefetch" : " sync"));
-    }
+    expect_stats_identical(
+        replay_on_core0(file.workload_from_frame(k)), want, label);
   }
 }
 

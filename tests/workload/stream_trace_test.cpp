@@ -1,5 +1,5 @@
 // Streaming trace subsystem (workload/stream_trace.h): chunked replay
-// equals whole-vector replay for both formats, the chunk buffer stays
+// equals whole-vector replay for all three formats, the chunk buffer stays
 // at its configured size on traces much larger than it (the O(chunk)
 // memory property — the ASan CI leg additionally watches this test for
 // leaks/overflows), and TraceRecorder captures exactly the stream the
@@ -17,6 +17,7 @@
 #include "workload/profile.h"
 #include "workload/synthetic.h"
 #include "workload/trace.h"
+#include "workload/trace_frame.h"
 
 namespace pipo {
 namespace {
@@ -33,20 +34,39 @@ std::vector<MemRequest> random_trace(std::size_t n, std::uint64_t seed) {
   return t;
 }
 
+constexpr TraceFormat kAllFormats[] = {
+    TraceFormat::kTextV1, TraceFormat::kBinaryV2, TraceFormat::kFramedV3};
+
+/// Framed traces are packed 50 requests per frame: against the tests'
+/// 64-request chunk, refills straddle frame boundaries.
+constexpr std::size_t kFrameRequests = 50;
+
 std::unique_ptr<std::istream> encoded_stream(
     const std::vector<MemRequest>& t, TraceFormat fmt) {
   auto ss = std::make_unique<std::stringstream>();
-  save_trace_as(*ss, t, fmt);
+  if (fmt == TraceFormat::kFramedV3) {
+    FramedTraceOptions opts;
+    opts.frame_requests = kFrameRequests;
+    FramedTraceEncoder enc(*ss, opts);
+    for (const MemRequest& r : t) enc.put(r);
+    enc.finish();
+  } else {
+    save_trace_as(*ss, t, fmt);
+  }
   return ss;
 }
 
 TEST(StreamingTrace, MatchesVectorReplayBothFormats) {
   const auto t = random_trace(777, 1);
-  for (TraceFormat fmt : {TraceFormat::kTextV1, TraceFormat::kBinaryV2}) {
+  for (TraceFormat fmt : kAllFormats) {
     StreamingTraceWorkload streaming(encoded_stream(t, fmt),
                                      /*chunk_requests=*/64);
     TraceWorkload vec(t);
     EXPECT_EQ(streaming.format(), fmt);
+    // Priming the first chunk consumes nothing: next() below must still
+    // start at request 0.
+    ASSERT_TRUE(streaming.has_requests()) << to_string(fmt);
+    EXPECT_EQ(streaming.replayed(), 0u) << to_string(fmt);
     for (std::size_t i = 0;; ++i) {
       const auto a = streaming.next(0);
       const auto b = vec.next(0);
@@ -72,7 +92,7 @@ TEST(StreamingTrace, ChunkBufferStaysFixedOnLargeTrace) {
   constexpr std::size_t kChunk = 64;
   constexpr std::size_t kRequests = 100 * kChunk + 13;  // non-multiple
   const auto t = random_trace(kRequests, 2);
-  for (TraceFormat fmt : {TraceFormat::kTextV1, TraceFormat::kBinaryV2}) {
+  for (TraceFormat fmt : kAllFormats) {
     StreamingTraceWorkload w(encoded_stream(t, fmt), kChunk);
     std::size_t n = 0;
     while (w.next(0)) {
@@ -82,70 +102,6 @@ TEST(StreamingTrace, ChunkBufferStaysFixedOnLargeTrace) {
     EXPECT_EQ(n, kRequests) << to_string(fmt);
     EXPECT_EQ(w.chunk_capacity(), kChunk) << to_string(fmt);
   }
-}
-
-// ---------------------------------------------------------- prefetch
-
-// Prefetch decode must be invisible: the replayed stream equals the
-// synchronous path request-for-request in every format, and the
-// workload's chunk buffer keeps its configured capacity (the worker
-// swaps equally-sized buffers, never grows them).
-TEST(StreamingTracePrefetch, MatchesSynchronousReplayAllFormats) {
-  constexpr std::size_t kChunk = 32;
-  const auto t = random_trace(10 * kChunk + 7, 3);
-  for (TraceFormat fmt : {TraceFormat::kTextV1, TraceFormat::kBinaryV2,
-                          TraceFormat::kFramedV3}) {
-    StreamingTraceWorkload sync(encoded_stream(t, fmt), kChunk,
-                                /*prefetch=*/false);
-    StreamingTraceWorkload pre(encoded_stream(t, fmt), kChunk,
-                               /*prefetch=*/true);
-    EXPECT_FALSE(sync.prefetching());
-    EXPECT_TRUE(pre.prefetching());
-    for (std::size_t i = 0;; ++i) {
-      const auto a = pre.next(0);
-      const auto b = sync.next(0);
-      ASSERT_EQ(a.has_value(), b.has_value())
-          << to_string(fmt) << " req " << i;
-      if (!a) break;
-      ASSERT_EQ(a->addr, b->addr) << to_string(fmt) << " req " << i;
-      ASSERT_EQ(a->type, b->type) << to_string(fmt) << " req " << i;
-      ASSERT_EQ(a->pre_delay, b->pre_delay)
-          << to_string(fmt) << " req " << i;
-      ASSERT_LE(pre.chunk_capacity(), kChunk) << to_string(fmt);
-    }
-    EXPECT_EQ(pre.replayed(), t.size()) << to_string(fmt);
-  }
-}
-
-// A decode error on the worker thread must surface on the consumer
-// thread, and stay sticky — every next() after the first throw throws
-// again, exactly like the synchronous path.
-TEST(StreamingTracePrefetch, WorkerDecodeErrorRethrownSticky) {
-  auto ss = std::make_unique<std::stringstream>(
-      "1000 L 0\n2000 S 1\nbogus\n");
-  StreamingTraceWorkload w(std::move(ss), /*chunk_requests=*/1,
-                           /*prefetch=*/true);
-  // The two good requests may or may not be consumed before the error
-  // chunk arrives (chunk=1 pipelines them); drain until the throw.
-  std::size_t good = 0;
-  try {
-    while (w.next(0)) ++good;
-    FAIL() << "malformed line must throw";
-  } catch (const std::invalid_argument&) {
-  }
-  EXPECT_LE(good, 2u);
-  EXPECT_THROW(w.next(0), std::invalid_argument);  // sticky
-}
-
-// Tearing down mid-trace (consumer stops early) must join the worker
-// cleanly — no hang, no use-after-free. ASan/TSan CI legs watch this.
-TEST(StreamingTracePrefetch, EarlyDestructionJoinsWorker) {
-  const auto t = random_trace(5000, 4);
-  auto w = std::make_unique<StreamingTraceWorkload>(
-      encoded_stream(t, TraceFormat::kBinaryV2), /*chunk_requests=*/8,
-      /*prefetch=*/true);
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(w->next(0).has_value());
-  w.reset();  // worker mid-stream: stop flag + join
 }
 
 TEST(StreamingTrace, MalformedStreamThrowsFromNext) {

@@ -11,8 +11,8 @@
 //                    [--seeds K] [--instr M] [--ws-div D]
 //                    [--llc inc|exc] [--slice-hash low|cas]
 //                    [--monitor-level l1|l2|llc]
-//                    [--trace PATH]... [--trace-prefetch]
-//                    [--no-mixes] [--out FILE] [--verbose]
+//                    [--trace PATH]... [--no-mixes] [--out FILE]
+//                    [--verbose]
 //
 // --workers N runs N in-process worker threads alongside (or instead
 // of) the fleet; with --port 0 and no --port-file the kernel still
@@ -93,8 +93,6 @@ Options parse_args(int argc, char** argv) {
       o.spec.monitor_level = parse_monitor_level(value());
     } else if (arg == "--trace") {
       o.trace_paths.push_back(value());
-    } else if (arg == "--trace-prefetch") {
-      o.spec.trace_prefetch = true;
     } else if (arg == "--no-mixes") {
       o.spec.run_mixes = false;
     } else if (arg == "--out") {
