@@ -1,14 +1,11 @@
-// Replacement-policy microbenchmark: the O(1) bitmask/linked-list
-// policies vs. the seed's naive O(ways)-scan implementations. The
-// baseline classes are the differential oracle's references
-// (tests/oracle/reference_replacement.h) — the bench measures exactly
-// the legacy code the oracle proves the fast path equivalent to.
+// Replacement microbenchmark: the O(1) linked-list LruPolicy vs. the
+// seed's naive O(ways)-scan LRU. The baseline class is the differential
+// oracle's reference (tests/oracle/reference_replacement.h) — the bench
+// measures exactly the legacy code the oracle proves the fast path
+// equivalent to.
 //
-// Two workloads per policy, both at LLC-slice geometry (1024 sets,
-// 16 ways):
-//  * thrash — every op asks for a victim and fills it (miss storm; for
-//    SRRIP this exercises the aging path on every selection, the seed's
-//    worst case: two full scans plus a whole-set rewrite per victim);
+// Two workloads, both at LLC-slice geometry (1024 sets, 16 ways):
+//  * thrash — every op asks for a victim and fills it (miss storm);
 //  * mixed  — 70% hits, 30% victim+fill (steady state with locality).
 //
 // Reports ops/sec, human-readable by default, one JSON object with
@@ -27,7 +24,6 @@ namespace {
 using namespace pipo;
 
 using LegacyLru = oracle::ReferenceLru;
-using LegacySrrip = oracle::ReferenceSrrip;
 
 constexpr std::size_t kSets = 1024;
 constexpr std::uint32_t kWays = 16;
@@ -98,7 +94,7 @@ int main(int argc, char** argv) {
   struct Cell {
     double legacy = 0, engine = 0;
   };
-  Cell lru_thrash, lru_mixed, srrip_thrash, srrip_mixed;
+  Cell lru_thrash, lru_mixed;
   std::uint64_t sink = 0;
   auto max = [](double a, double b) { return a >= b ? a : b; };
   for (int r = 0; r < kReps; ++r) {
@@ -106,12 +102,6 @@ int main(int argc, char** argv) {
     lru_thrash.engine = max(lru_thrash.engine, thrash<LruPolicy>(kTotal, sink));
     lru_mixed.legacy = max(lru_mixed.legacy, mixed<LegacyLru>(kTotal, sink));
     lru_mixed.engine = max(lru_mixed.engine, mixed<LruPolicy>(kTotal, sink));
-    srrip_thrash.legacy =
-        max(srrip_thrash.legacy, thrash<LegacySrrip>(kTotal, sink));
-    srrip_thrash.engine =
-        max(srrip_thrash.engine, thrash<SrripPolicy>(kTotal, sink));
-    srrip_mixed.legacy = max(srrip_mixed.legacy, mixed<LegacySrrip>(kTotal, sink));
-    srrip_mixed.engine = max(srrip_mixed.engine, mixed<SrripPolicy>(kTotal, sink));
   }
 
   if (json) {
@@ -121,18 +111,11 @@ int main(int argc, char** argv) {
         "\"lru_thrash\":{\"legacy_ops\":%.0f,\"engine_ops\":%.0f,"
         "\"speedup\":%.2f},"
         "\"lru_mixed\":{\"legacy_ops\":%.0f,\"engine_ops\":%.0f,"
-        "\"speedup\":%.2f},"
-        "\"srrip_thrash\":{\"legacy_ops\":%.0f,\"engine_ops\":%.0f,"
-        "\"speedup\":%.2f},"
-        "\"srrip_mixed\":{\"legacy_ops\":%.0f,\"engine_ops\":%.0f,"
         "\"speedup\":%.2f},\"sink\":%llu}\n",
         static_cast<unsigned long long>(kTotal), kSets, kWays,
         lru_thrash.legacy, lru_thrash.engine,
         lru_thrash.engine / lru_thrash.legacy, lru_mixed.legacy,
         lru_mixed.engine, lru_mixed.engine / lru_mixed.legacy,
-        srrip_thrash.legacy, srrip_thrash.engine,
-        srrip_thrash.engine / srrip_thrash.legacy, srrip_mixed.legacy,
-        srrip_mixed.engine, srrip_mixed.engine / srrip_mixed.legacy,
         static_cast<unsigned long long>(sink));
     return 0;
   }
@@ -147,7 +130,5 @@ int main(int argc, char** argv) {
   };
   row("lru    thrash", lru_thrash);
   row("lru    mixed", lru_mixed);
-  row("srrip  thrash", srrip_thrash);
-  row("srrip  mixed", srrip_mixed);
   return 0;
 }

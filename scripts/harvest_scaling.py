@@ -15,11 +15,11 @@ Usage:
 
 Each SWEEP_JSON is a sweep_runner output file. Files without a scaling
 record (single-core hosts, --deterministic runs) are skipped with a
-notice — the dev container is 1-CPU, so an empty trajectory is the
-honest local state. Entries are deduplicated on the full scaling record
-(re-running the harvester on the same files is idempotent). --check
-verifies the harvested entries are already present (CI mode: proves the
-channel works without mutating the tree).
+notice, so the trajectory only holds multi-core measurements. Entries
+are deduplicated on the full scaling record (re-running the harvester
+on the same files is idempotent). --check verifies the harvested
+entries are already present (CI mode: proves the channel works without
+mutating the tree).
 """
 import argparse
 import datetime

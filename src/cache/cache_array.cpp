@@ -7,22 +7,30 @@
 
 namespace pipo {
 
-CacheArray::CacheArray(const CacheConfig& cfg, unsigned index_shift,
-                       std::uint64_t seed)
-    : cfg_(cfg),
-      index_shift_(index_shift),
-      sets_(cfg.num_sets()),
-      set_mask_(sets_ - 1),
-      lines_(sets_ * cfg.ways),
-      tags_(sets_ * cfg.ways, 0),
-      occ_(sets_, 0),
-      repl_(ReplacementPolicy::create(cfg.repl, sets_, cfg.ways, seed)) {
+namespace {
+
+/// Runs from the first member initializer, so a bad geometry throws
+/// before num_sets() divides by the way count.
+const CacheConfig& validated(const CacheConfig& cfg) {
   cfg.validate();
   if (cfg.ways > 64) {
     throw std::invalid_argument(
         "CacheArray: the packed occupancy mask supports at most 64 ways");
   }
+  return cfg;
 }
+
+}  // namespace
+
+CacheArray::CacheArray(const CacheConfig& cfg, unsigned index_shift)
+    : cfg_(validated(cfg)),
+      index_shift_(index_shift),
+      sets_(cfg_.num_sets()),
+      set_mask_(sets_ - 1),
+      lines_(sets_ * cfg_.ways),
+      tags_(sets_ * cfg_.ways, 0),
+      occ_(sets_, 0),
+      repl_(sets_, cfg_.ways) {}
 
 std::optional<CacheSlot> CacheArray::lookup(LineAddr line) const {
   const std::size_t set = set_of(line);
@@ -53,7 +61,7 @@ CacheArray::FillResult CacheArray::fill(LineAddr line_addr,
       override_way = chooser->choose(&lines_[set * cfg_.ways], cfg_.ways);
       assert(!override_way || *override_way < cfg_.ways);
     }
-    way = override_way ? *override_way : repl_->victim(set);
+    way = override_way ? *override_way : repl_.victim(set);
     evicted = snapshot(lines_[set * cfg_.ways + way]);
   } else {
     ++valid_count_;
@@ -65,7 +73,7 @@ CacheArray::FillResult CacheArray::fill(LineAddr line_addr,
   l.addr = line_addr;
   tags_[set * cfg_.ways + way] = line_addr;
   occ_[set] |= std::uint64_t{1} << way;
-  repl_->on_fill(set, way);
+  repl_.on_fill(set, way);
   return FillResult{CacheSlot{set, way}, evicted};
 }
 
@@ -77,7 +85,7 @@ std::optional<EvictedLine> CacheArray::invalidate(LineAddr line_addr) {
   l = CacheLine{};
   occ_[slot->set] &= ~(std::uint64_t{1} << slot->way);
   --valid_count_;
-  repl_->on_invalidate(slot->set, slot->way);
+  repl_.on_invalidate(slot->set, slot->way);
   return out;
 }
 

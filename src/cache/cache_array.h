@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -49,7 +48,7 @@ struct CacheSlot {
 /// Pluggable victim-selection override (e.g. SHARP's hierarchy-aware
 /// policy). `choose` sees one set's lines and returns the way to victimize
 /// (an invalid way means a free fill), or nullopt to defer to the array's
-/// configured replacement policy.
+/// LRU victim.
 class VictimChooser {
  public:
   virtual ~VictimChooser() = default;
@@ -70,8 +69,9 @@ struct EvictedLine {
 
 class CacheArray {
  public:
-  explicit CacheArray(const CacheConfig& cfg, unsigned index_shift = 0,
-                      std::uint64_t seed = 1);
+  /// Throws std::invalid_argument for an invalid geometry or more than
+  /// 64 ways, before any storage is sized.
+  explicit CacheArray(const CacheConfig& cfg, unsigned index_shift = 0);
 
   const CacheConfig& config() const { return cfg_; }
   std::size_t num_sets() const { return sets_; }
@@ -86,7 +86,7 @@ class CacheArray {
   std::optional<CacheSlot> lookup(LineAddr line) const;
 
   /// Replacement-policy update on a hit.
-  void touch(const CacheSlot& slot) { repl_->on_access(slot.set, slot.way); }
+  void touch(const CacheSlot& slot) { repl_.on_access(slot.set, slot.way); }
 
   CacheLine& line(const CacheSlot& slot) {
     return lines_[slot.set * cfg_.ways + slot.way];
@@ -102,7 +102,7 @@ class CacheArray {
   };
 
   /// Inserts `line_addr`, preferring a free way, otherwise evicting the
-  /// policy's victim. A non-null `chooser` overrides victim selection
+  /// LRU victim. A non-null `chooser` overrides victim selection
   /// (SHARP). The caller initializes the returned line's state.
   /// Precondition: the line is not already resident (double-fill is a
   /// protocol bug and asserts in debug builds).
@@ -145,7 +145,7 @@ class CacheArray {
   std::vector<LineAddr> tags_;       ///< per-(set,way) line address
   std::vector<std::uint64_t> occ_;   ///< per-set valid bitmask (ways <= 64)
   std::uint64_t valid_count_ = 0;
-  std::unique_ptr<ReplacementPolicy> repl_;
+  LruPolicy repl_;
 };
 
 }  // namespace pipo

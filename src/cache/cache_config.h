@@ -15,17 +15,11 @@
 
 namespace pipo {
 
-/// Replacement policy selector (see cache/replacement.h).
-enum class ReplPolicy : std::uint8_t { kLru, kRandom, kTreePlru, kSrrip };
-
-const char* to_string(ReplPolicy p);
-
 struct CacheConfig {
   std::string name = "cache";
   std::uint64_t size_bytes = 64 * 1024;
   std::uint32_t ways = 4;
   std::uint32_t latency = 2;  ///< access (hit) latency in cycles
-  ReplPolicy repl = ReplPolicy::kLru;
 
   std::uint64_t num_lines() const { return size_bytes / kLineSizeBytes; }
   std::uint64_t num_sets() const { return num_lines() / ways; }
@@ -43,11 +37,11 @@ struct CacheConfig {
   }
 
   // Table II presets.
-  static CacheConfig l1i() { return {"l1i", 64 * 1024, 4, 2, ReplPolicy::kLru}; }
-  static CacheConfig l1d() { return {"l1d", 64 * 1024, 4, 2, ReplPolicy::kLru}; }
-  static CacheConfig l2() { return {"l2", 256 * 1024, 8, 18, ReplPolicy::kLru}; }
+  static CacheConfig l1i() { return {"l1i", 64 * 1024, 4, 2}; }
+  static CacheConfig l1d() { return {"l1d", 64 * 1024, 4, 2}; }
+  static CacheConfig l2() { return {"l2", 256 * 1024, 8, 18}; }
   /// Total shared L3 (all slices together).
-  static CacheConfig l3() { return {"l3", 4 * 1024 * 1024, 16, 35, ReplPolicy::kLru}; }
+  static CacheConfig l3() { return {"l3", 4 * 1024 * 1024, 16, 35}; }
 };
 
 }  // namespace pipo

@@ -3,55 +3,17 @@
 #include <stdexcept>
 #include <string>
 
-#include "common/bitutil.h"
-
 namespace pipo {
-
-const char* to_string(ReplPolicy p) {
-  switch (p) {
-    case ReplPolicy::kLru: return "lru";
-    case ReplPolicy::kRandom: return "random";
-    case ReplPolicy::kTreePlru: return "tree-plru";
-    case ReplPolicy::kSrrip: return "srrip";
-  }
-  return "?";
-}
-
-std::unique_ptr<ReplacementPolicy> ReplacementPolicy::create(
-    ReplPolicy kind, std::size_t sets, std::uint32_t ways,
-    std::uint64_t seed) {
-  switch (kind) {
-    case ReplPolicy::kLru:
-      return std::make_unique<LruPolicy>(sets, ways);
-    case ReplPolicy::kRandom:
-      return std::make_unique<RandomPolicy>(ways, seed);
-    case ReplPolicy::kTreePlru:
-      return std::make_unique<TreePlruPolicy>(sets, ways);
-    case ReplPolicy::kSrrip:
-      return std::make_unique<SrripPolicy>(sets, ways);
-  }
-  throw std::invalid_argument("unknown replacement policy");
-}
 
 namespace {
 
-std::uint32_t checked_pow2_ways(std::uint32_t ways) {
-  // Validate before log2_exact: its debug assertion would fire first in
-  // the member-initializer list and turn the contracted throw into abort.
-  if (ways == 0 || !is_pow2(ways)) {
-    throw std::invalid_argument("TreePLRU requires power-of-two ways");
-  }
-  return ways;
-}
-
-/// The bitmask-summarized policies keep one bit per way in a 64-bit
-/// per-set word (CacheArray's packed-occupancy limit).
-std::uint32_t checked_mask_ways(std::uint32_t ways, const char* policy) {
+/// The looks-oldest mask keeps one bit per way in a 64-bit per-set word
+/// (CacheArray's packed-occupancy limit).
+std::uint32_t checked_mask_ways(std::uint32_t ways) {
   if (ways == 0 || ways > 64) {
     // Appends rather than operator+ chains: gcc 12's -Wrestrict trips a
     // known false positive on the temporary-concatenation pattern.
-    std::string msg = policy;
-    msg += " requires 1..64 ways, got ";
+    std::string msg = "LruPolicy requires 1..64 ways, got ";
     msg += std::to_string(ways);
     throw std::invalid_argument(msg);
   }
@@ -61,7 +23,7 @@ std::uint32_t checked_mask_ways(std::uint32_t ways, const char* policy) {
 }  // namespace
 
 LruPolicy::LruPolicy(std::size_t sets, std::uint32_t ways)
-    : ways_(checked_mask_ways(ways, "LruPolicy")),
+    : ways_(checked_mask_ways(ways)),
       sets_(sets),
       // Every way starts "oldest-looking" (the seed's stamp 0) and
       // unlinked; the recency lists start empty.
@@ -80,50 +42,6 @@ std::vector<std::uint64_t> LruPolicy::snapshot() const {
     }
   }
   return s;
-}
-
-TreePlruPolicy::TreePlruPolicy(std::size_t sets, std::uint32_t ways)
-    : ways_(checked_pow2_ways(ways)),
-      levels_(log2_exact(ways)),
-      bits_(sets * (ways - 1), 0) {}
-
-void TreePlruPolicy::touch(std::size_t set, std::uint32_t way) {
-  if (ways_ == 1) return;  // no tree nodes: bits_ is empty
-  // Walk from the root toward `way`, pointing every node AWAY from it.
-  std::uint8_t* tree = &bits_[set * (ways_ - 1)];
-  std::uint32_t node = 0;
-  for (std::uint32_t level = 0; level < levels_; ++level) {
-    const std::uint32_t bit = (way >> (levels_ - 1 - level)) & 1u;
-    tree[node] = static_cast<std::uint8_t>(bit ^ 1u);  // point to sibling
-    node = 2 * node + 1 + bit;
-  }
-}
-
-std::uint32_t TreePlruPolicy::victim(std::size_t set) {
-  if (ways_ == 1) return 0;  // no tree nodes: bits_ is empty
-  // Follow the pointers from the root; they indicate the PLRU leaf.
-  const std::uint8_t* tree = &bits_[set * (ways_ - 1)];
-  std::uint32_t node = 0;
-  std::uint32_t way = 0;
-  for (std::uint32_t level = 0; level < levels_; ++level) {
-    const std::uint32_t bit = tree[node];
-    way = (way << 1) | bit;
-    node = 2 * node + 1 + bit;
-  }
-  return way;
-}
-
-std::vector<std::uint64_t> TreePlruPolicy::snapshot() const {
-  return std::vector<std::uint64_t>(bits_.begin(), bits_.end());
-}
-
-SrripPolicy::SrripPolicy(std::size_t sets, std::uint32_t ways)
-    : level_(sets * kLevels, 0) {
-  checked_mask_ways(ways, "SrripPolicy");
-  // Every way starts at RRPV = kMax (empty lines are immediate victims).
-  for (std::size_t set = 0; set < sets; ++set) {
-    level_[set * kLevels + kMax] = low_mask(ways);
-  }
 }
 
 }  // namespace pipo

@@ -1,62 +1,28 @@
-// Replacement policies for set-associative caches.
+// LRU replacement for set-associative caches.
 //
-// The paper's gem5 baseline uses LRU; we additionally provide Random,
-// Tree-PLRU and SRRIP so the sensitivity of the attack/defense to the
-// LLC replacement policy can be studied (the Prime+Probe literature's
-// eviction strategies assume LRU-like behaviour).
+// The paper's gem5 baseline uses LRU, and the Prime+Probe attacker's
+// zig-zag probe order assumes it; every cache array in the simulator
+// holds one LruPolicy by value.
 //
-// A policy instance owns the metadata for ALL sets of one cache array and
-// is driven by three events: on_fill, on_access (hit), and victim
-// selection. Way indices returned by victim() are always valid ways; the
-// caller is responsible for preferring invalid (free) ways before asking
-// for a victim.
+// An LruPolicy owns the recency state of ALL sets of one cache array
+// and is driven by four events: on_fill, on_access (hit), on_invalidate
+// and victim selection. Way indices returned by victim() are always
+// valid ways; the caller is responsible for preferring invalid (free)
+// ways before asking for a victim.
 //
-// Every operation on every policy is O(1) (amortized O(1) for SRRIP's
-// aging, which shifts four per-set level masks instead of rewriting every
-// way). LRU and SRRIP store one bit per way in 64-bit set-level words —
-// the same packed-occupancy trick CacheArray uses — so both require
-// ways <= 64. Decision-for-decision equivalence with the seed's naive
-// O(ways)-scan implementations is enforced by the differential oracle
-// suite in tests/oracle/.
+// Every operation is O(1). The policy keeps one bit per way in a 64-bit
+// per-set word — the same packed-occupancy trick CacheArray uses — so it
+// requires ways <= 64. Decision-for-decision equivalence with the seed's
+// naive O(ways)-scan implementation is enforced by the differential
+// oracle in tests/oracle/.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/bitutil.h"
-#include "common/rng.h"
-#include "cache/cache_config.h"
 
 namespace pipo {
-
-class ReplacementPolicy {
- public:
-  virtual ~ReplacementPolicy() = default;
-
-  /// A line was filled into (set, way).
-  virtual void on_fill(std::size_t set, std::uint32_t way) = 0;
-  /// A line at (set, way) was hit.
-  virtual void on_access(std::size_t set, std::uint32_t way) = 0;
-  /// Chooses the way to evict from `set`.
-  virtual std::uint32_t victim(std::size_t set) = 0;
-  /// A line at (set, way) was invalidated (back-invalidation / coherence).
-  virtual void on_invalidate(std::size_t set, std::uint32_t way) {
-    (void)set; (void)way;
-  }
-
-  /// Canonical serialization of the policy state, for the oracle layer's
-  /// serialize/replay equality checks: two instances of the same policy
-  /// with equal snapshots behave identically forever after. The encoding
-  /// is policy-specific (documented at each override); policies whose
-  /// decisions draw on hidden RNG state return {}.
-  virtual std::vector<std::uint64_t> snapshot() const { return {}; }
-
-  static std::unique_ptr<ReplacementPolicy> create(ReplPolicy kind,
-                                                   std::size_t sets,
-                                                   std::uint32_t ways,
-                                                   std::uint64_t seed);
-};
 
 /// True LRU with O(1) victim selection: a doubly-linked recency list per
 /// set (head = oldest, tail = most recent) plus a bitmask of ways that
@@ -64,30 +30,35 @@ class ReplacementPolicy {
 /// seed implementation's tie-breaking exactly: stamp-0 ways are all
 /// minimal, and the first-index scan picks the lowest such way — here
 /// the mask's lowest set bit.
-class LruPolicy final : public ReplacementPolicy {
+class LruPolicy {
  public:
   LruPolicy(std::size_t sets, std::uint32_t ways);
 
-  void on_fill(std::size_t set, std::uint32_t way) override { touch(set, way); }
-  void on_access(std::size_t set, std::uint32_t way) override {
-    touch(set, way);
-  }
-  std::uint32_t victim(std::size_t set) override {
+  /// A line was filled into (set, way).
+  void on_fill(std::size_t set, std::uint32_t way) { touch(set, way); }
+  /// A line at (set, way) was hit.
+  void on_access(std::size_t set, std::uint32_t way) { touch(set, way); }
+  /// Chooses the way to evict from `set`.
+  std::uint32_t victim(std::size_t set) const {
     if (zero_[set]) {
       return static_cast<std::uint32_t>(std::countr_zero(zero_[set]));
     }
     return heads_[set];
   }
-  void on_invalidate(std::size_t set, std::uint32_t way) override {
+  /// A line at (set, way) was invalidated (back-invalidation / coherence).
+  void on_invalidate(std::size_t set, std::uint32_t way) {
     const std::uint64_t bit = std::uint64_t{1} << way;
     if (zero_[set] & bit) return;  // already looks oldest
     unlink(set, way);
     zero_[set] |= bit;
   }
 
-  /// Encoding: sets*ways words; word (set, way) is 0 when the way looks
-  /// oldest, else 1 + its recency rank from the LRU end.
-  std::vector<std::uint64_t> snapshot() const override;
+  /// Canonical serialization of the recency state, for the oracle
+  /// layer's serialize/replay equality checks: two instances with equal
+  /// snapshots behave identically forever after. Encoding: sets*ways
+  /// words; word (set, way) is 0 when the way looks oldest, else 1 + its
+  /// recency rank from the LRU end.
+  std::vector<std::uint64_t> snapshot() const;
 
  private:
   static constexpr std::uint8_t kNil = 0xFF;
@@ -125,112 +96,6 @@ class LruPolicy final : public ReplacementPolicy {
   std::vector<std::uint8_t> tails_;   ///< per-set MRU end (kNil = empty)
   std::vector<std::uint8_t> prev_;    ///< per-(set,way) list links
   std::vector<std::uint8_t> next_;
-};
-
-/// Uniform-random victim selection.
-class RandomPolicy final : public ReplacementPolicy {
- public:
-  RandomPolicy(std::uint32_t ways, std::uint64_t seed)
-      : ways_(ways), rng_(seed) {}
-  void on_fill(std::size_t, std::uint32_t) override {}
-  void on_access(std::size_t, std::uint32_t) override {}
-  std::uint32_t victim(std::size_t) override {
-    return static_cast<std::uint32_t>(rng_.below(ways_));
-  }
-
- private:
-  std::uint32_t ways_;
-  Rng rng_;
-};
-
-/// Tree pseudo-LRU (binary decision tree per set), the policy most
-/// commercial L1/L2 caches implement. Requires power-of-two ways.
-/// Already O(log2 ways) = O(1) for any realizable associativity.
-class TreePlruPolicy final : public ReplacementPolicy {
- public:
-  TreePlruPolicy(std::size_t sets, std::uint32_t ways);
-  void on_fill(std::size_t set, std::uint32_t way) override { touch(set, way); }
-  void on_access(std::size_t set, std::uint32_t way) override { touch(set, way); }
-  std::uint32_t victim(std::size_t set) override;
-
-  /// Encoding: one word per internal tree node (sets * (ways-1)), the
-  /// node's direction bit.
-  std::vector<std::uint64_t> snapshot() const override;
-
- private:
-  void touch(std::size_t set, std::uint32_t way);
-  std::uint32_t ways_;
-  std::uint32_t levels_;
-  // One bit per internal tree node, ways_-1 nodes per set.
-  std::vector<std::uint8_t> bits_;
-};
-
-/// Static RRIP (SRRIP-HP, Jaleel et al. ISCA'10) with 2-bit re-reference
-/// prediction values: insert at RRPV=2 (long), promote to 0 on hit, evict
-/// the first way with RRPV=3, aging all ways until one appears.
-///
-/// Representation: four per-set level masks, mask v = the ways whose RRPV
-/// is exactly v. A way's RRPV update moves one bit between masks; victim
-/// selection is the lowest set bit of mask kMax; and the seed's aging
-/// loop — +1 to every way, rescan, repeat — collapses to one shift of
-/// the four masks by d = kMax - (highest occupied level), because
-/// exactly the ways at that level are first to reach kMax. RRPVs can
-/// never leave [0, kMax] (the seed's unsaturated `++rrpv_` relied on
-/// aging being unreachable with a way already at kMax to stay bounded);
-/// state is canonical by construction.
-class SrripPolicy final : public ReplacementPolicy {
- public:
-  SrripPolicy(std::size_t sets, std::uint32_t ways);
-
-  void on_fill(std::size_t set, std::uint32_t way) override {
-    move_to(set, way, kLong);
-  }
-  void on_access(std::size_t set, std::uint32_t way) override {
-    move_to(set, way, 0);
-  }
-  std::uint32_t victim(std::size_t set) override {
-    std::uint64_t* lv = &level_[set * kLevels];
-    if (!lv[kMax]) {
-      // Age the set: shift every level up by the distance from the
-      // highest occupied level to kMax. The masks partition the ways,
-      // so an occupied level below kMax exists whenever kMax is empty.
-      unsigned v = kMax - 1;
-      while (!lv[v]) --v;
-      const unsigned d = kMax - v;
-      for (unsigned i = kLevels; i-- > 0;) {
-        lv[i] = i >= d ? lv[i - d] : 0;
-      }
-    }
-    return static_cast<std::uint32_t>(std::countr_zero(lv[kMax]));
-  }
-  void on_invalidate(std::size_t set, std::uint32_t way) override {
-    move_to(set, way, kMax);
-  }
-
-  /// Encoding: kLevels (= 4) words per set; word (set, v) is the bitmask
-  /// of ways whose RRPV is exactly v. The four masks of a set always
-  /// partition its ways.
-  std::vector<std::uint64_t> snapshot() const override { return level_; }
-
- private:
-  static constexpr std::uint8_t kMax = 3;
-  static constexpr std::uint8_t kLong = 2;
-  static constexpr unsigned kLevels = kMax + 1;
-
-  void move_to(std::size_t set, std::uint32_t way, unsigned level) {
-    // Branchless: clear the way's bit from every level (it is set in
-    // exactly one — one 32-byte cache line of straight-line RMWs beats
-    // a search with an unpredictable exit level), then set the target.
-    std::uint64_t* lv = &level_[set * kLevels];
-    const std::uint64_t keep = ~(std::uint64_t{1} << way);
-    lv[0] &= keep;
-    lv[1] &= keep;
-    lv[2] &= keep;
-    lv[3] &= keep;
-    lv[level] |= ~keep;
-  }
-
-  std::vector<std::uint64_t> level_;  ///< kLevels masks per set
 };
 
 }  // namespace pipo

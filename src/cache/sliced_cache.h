@@ -22,7 +22,6 @@ class SlicedCache {
   /// `total` describes the aggregate LLC (e.g. 4 MB / 16-way / 35 cycles);
   /// each of the `num_slices` slices gets total.size_bytes / num_slices.
   SlicedCache(const CacheConfig& total, std::uint32_t num_slices,
-              std::uint64_t seed = 1,
               SliceHashKind hash = SliceHashKind::kLowBits)
       : total_cfg_(total), num_slices_(num_slices), hash_(hash) {
     if (!is_pow2(num_slices) || num_slices == 0) {
@@ -48,7 +47,7 @@ class SlicedCache {
     per_slice.name = total.name + ".slice";
     slices_.reserve(num_slices);
     for (std::uint32_t i = 0; i < num_slices; ++i) {
-      slices_.emplace_back(per_slice, slice_bits, seed + i);
+      slices_.emplace_back(per_slice, slice_bits);
     }
   }
 

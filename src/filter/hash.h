@@ -4,21 +4,16 @@
 // modules: Hash1 (address -> bucket index), fPrintHash (address ->
 // fingerprint) and the fingerprint re-hash used to derive the alternate
 // bucket (h2(x) = h1(x) XOR hash(fp)). All three must be cheap enough for
-// single-cycle hardware. We provide two families:
+// single-cycle hardware. Two forms of one hash family are provided:
 //
-//  * MixHash      — a SplitMix64/Murmur3-style finalizer. 3 multiplies +
-//                   shifts; the software default (excellent avalanche).
-//  * TabulationHash — classic H3 hashing: XOR of seeded table lookups per
-//                   input byte. This is the textbook hardware-friendly
-//                   construction (pure XOR trees after table lookup) and is
-//                   3-independent; used by tests to show the filter's
-//                   behaviour does not depend on the hash family.
+//  * MixHash — a seeded SplitMix64/Murmur3-style finalizer: 3 multiplies
+//              plus shifts, with excellent avalanche.
+//  * mix2    — two MixHash streams over one key in a single fused pass,
+//              bit-identical to two separate MixHash calls; the filter's
+//              front end (BucketArray::candidates) uses it.
 #pragma once
 
-#include <array>
 #include <cstdint>
-
-#include "common/rng.h"
 
 namespace pipo {
 
@@ -61,62 +56,5 @@ inline HashPair mix2(std::uint64_t x, std::uint64_t seed_a,
   zb = (zb ^ (zb >> 27)) * 0x94D049BB133111EBull;
   return HashPair{za ^ (za >> 31), zb ^ (zb >> 31)};
 }
-
-/// H3 tabulation hashing over the 8 bytes of a 64-bit key:
-/// h(x) = T0[x&0xff] ^ T1[(x>>8)&0xff] ^ ... ^ T7[(x>>56)&0xff].
-/// Each table holds 256 random 64-bit words derived from the seed.
-class TabulationHash {
- public:
-  explicit TabulationHash(std::uint64_t seed = 0x243F6A8885A308D3ull) {
-    Rng rng(seed);
-    for (auto& table : tables_) {
-      for (auto& word : table) word = rng.next();
-    }
-  }
-
-  std::uint64_t operator()(std::uint64_t x) const {
-    std::uint64_t h = 0;
-    for (unsigned i = 0; i < 8; ++i) {
-      h ^= tables_[i][(x >> (8 * i)) & 0xFF];
-    }
-    return h;
-  }
-
- private:
-  std::array<std::array<std::uint64_t, 256>, 8> tables_;
-};
-
-/// Two tabulation hashes fused into one pass: the per-byte tables of both
-/// seeds are interleaved ({T_a[i][v], T_b[i][v]} adjacent), so one walk
-/// over the key's 8 bytes feeds both XOR trees from the same cache lines
-/// instead of two full TabulationHash passes over disjoint tables.
-/// Bit-identical to TabulationHash(seed_a)(x) / TabulationHash(seed_b)(x).
-/// Like TabulationHash itself, this family is test support (the
-/// hash-equivalence oracle shows the fusion trick is hash-agnostic); the
-/// production filter path is MixHash-based via BucketArray::candidates.
-class DualTabulationHash {
- public:
-  DualTabulationHash(std::uint64_t seed_a, std::uint64_t seed_b) {
-    // Reproduce each seed's table stream exactly as TabulationHash draws
-    // it, then interleave.
-    Rng rng_a(seed_a), rng_b(seed_b);
-    for (auto& table : tables_) {
-      for (auto& pair : table) pair = {rng_a.next(), rng_b.next()};
-    }
-  }
-
-  HashPair operator()(std::uint64_t x) const {
-    std::uint64_t ha = 0, hb = 0;
-    for (unsigned i = 0; i < 8; ++i) {
-      const auto& [wa, wb] = tables_[i][(x >> (8 * i)) & 0xFF];
-      ha ^= wa;
-      hb ^= wb;
-    }
-    return HashPair{ha, hb};
-  }
-
- private:
-  std::array<std::array<std::array<std::uint64_t, 2>, 256>, 8> tables_;
-};
 
 }  // namespace pipo

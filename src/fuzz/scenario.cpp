@@ -106,10 +106,10 @@ SystemConfig fuzz_system_config(const FuzzCellAxes& axes) {
   // The testcfg::mini machine (tests/sim/test_configs.h): Table II's
   // structure, scaled so a candidate scenario runs in milliseconds.
   SystemConfig cfg;
-  cfg.l1i = {"l1i", 2 * 1024, 2, 2, ReplPolicy::kLru};
-  cfg.l1d = {"l1d", 2 * 1024, 2, 2, ReplPolicy::kLru};
-  cfg.l2 = {"l2", 8 * 1024, 4, 18, ReplPolicy::kLru};
-  cfg.l3 = {"l3", 32 * 1024, 8, 35, ReplPolicy::kLru};
+  cfg.l1i = {"l1i", 2 * 1024, 2, 2};
+  cfg.l1d = {"l1d", 2 * 1024, 2, 2};
+  cfg.l2 = {"l2", 8 * 1024, 4, 18};
+  cfg.l3 = {"l3", 32 * 1024, 8, 35};
   cfg.l3_slices = 4;
   cfg.monitor.filter.l = 64;
   cfg.monitor.filter.b = 4;

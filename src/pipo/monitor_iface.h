@@ -38,9 +38,6 @@ class MonitorIface {
   /// A demand Access from the LLC to memory for `line`.
   virtual MonitorAccessResult on_access(LineAddr line) = 0;
 
-  /// A monitor-generated prefetch fetch reaching memory.
-  virtual void on_prefetch_fetch(LineAddr line) { (void)line; }
-
   /// pEvict from the LLC: a tagged line was evicted. Returns whether a
   /// prefetch was scheduled.
   virtual bool on_pevict(Tick now, LineAddr line, bool accessed,

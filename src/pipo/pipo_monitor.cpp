@@ -10,11 +10,6 @@ PiPoMonitor::AccessResult PiPoMonitor::on_access(LineAddr line) {
   return AccessResult{resp.security, resp.ping_pong};
 }
 
-void PiPoMonitor::on_prefetch_fetch(LineAddr line) {
-  if (!cfg_.enabled || !cfg_.record_prefetch_accesses) return;
-  filter_.access(line);
-}
-
 bool PiPoMonitor::on_pevict(Tick now, LineAddr line, bool accessed,
                             bool demand_caused) {
   if (!cfg_.enabled) return false;

@@ -68,11 +68,6 @@ struct MonitorConfig {
   std::uint32_t prefetch_delay = 32;
   /// Re-prefetch policy for evicted-but-not-reaccessed prefetched lines.
   PrefetchGate gate = PrefetchGate::kCapturedInFilter;
-  /// Whether monitor-issued prefetch fetches are themselves recorded in
-  /// the filter. Off by default: the paper's monitor observes "memory
-  /// access requests from LLC", and counting self-generated traffic would
-  /// only re-saturate already-captured lines.
-  bool record_prefetch_accesses = false;
 
   static MonitorConfig paper_default() { return MonitorConfig{}; }
 };
@@ -93,10 +88,6 @@ class PiPoMonitor final : public MonitorIface {
   /// Query/insert and returns whether the line is captured as Ping-Pong.
   /// When the monitor is disabled this is a no-op returning no capture.
   AccessResult on_access(LineAddr line) override;
-
-  /// Observes a monitor-generated prefetch fetch (only recorded when
-  /// `record_prefetch_accesses` is set).
-  void on_prefetch_fetch(LineAddr line) override;
 
   /// pEvict message from the LLC: a Ping-Pong-tagged line was evicted at
   /// `now`; `accessed` is the line's accessed-since-tag/prefetch bit and

@@ -69,14 +69,12 @@ System::System(const SystemConfig& cfg, FilterObserver* filter_observer)
     : cfg_(cfg) {
   cfg_.validate();
   for (CoreId c = 0; c < cfg_.num_cores; ++c) {
-    l1i_.push_back(std::make_unique<CacheArray>(cfg_.l1i, 0, cfg_.seed + c));
-    l1d_.push_back(
-        std::make_unique<CacheArray>(cfg_.l1d, 0, cfg_.seed + 100 + c));
-    l2_.push_back(
-        std::make_unique<CacheArray>(cfg_.l2, 0, cfg_.seed + 200 + c));
+    l1i_.push_back(std::make_unique<CacheArray>(cfg_.l1i));
+    l1d_.push_back(std::make_unique<CacheArray>(cfg_.l1d));
+    l2_.push_back(std::make_unique<CacheArray>(cfg_.l2));
   }
   l3_ = std::make_unique<SlicedCache>(cfg_.l3, cfg_.l3_slices,
-                                      cfg_.seed + 300, cfg_.slice_hash);
+                                      cfg_.slice_hash);
   mem_ = std::make_unique<MemController>(cfg_.mem);
 
   // Defense wiring: the PiPoMonitor object always exists (tests and the
@@ -747,7 +745,6 @@ void System::drain_prefetches(Tick now) {
       ++stats_.prefetch_drops;
       continue;
     }
-    active_monitor_->on_prefetch_fetch(req.line);
     const Tick done =
         mem_->fetch(req.ready, req.line, MemController::Reason::kPrefetch);
     inflight_prefetch_.push_back(InflightPrefetch{done, req.line, req.tag});

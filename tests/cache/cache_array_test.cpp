@@ -1,13 +1,17 @@
 #include "cache/cache_array.h"
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
+
+#include "cache/sliced_cache.h"
 
 namespace pipo {
 namespace {
 
 CacheConfig tiny_cache() {
   // 4 sets x 2 ways.
-  return CacheConfig{"tiny", 8 * kLineSizeBytes, 2, 1, ReplPolicy::kLru};
+  return CacheConfig{"tiny", 8 * kLineSizeBytes, 2, 1};
 }
 
 TEST(CacheArray, FillThenLookup) {
@@ -131,6 +135,18 @@ TEST(CacheArray, FullAddressStoredNotJustTag) {
   ASSERT_TRUE(s0 && s1);
   EXPECT_EQ(c.line(*s0).addr, 0x00u);
   EXPECT_EQ(c.line(*s1).addr, 0x100u);
+}
+
+TEST(CacheArray, RejectsBadWayCountsBeforeSizing) {
+  // 0 ways: num_sets() would divide by zero if it ran before validation.
+  const CacheConfig zero{"zero", 64 * kLineSizeBytes, 0, 1};
+  EXPECT_THROW(CacheArray{zero}, std::invalid_argument);
+  // SlicedCache hands the per-slice config straight to CacheArray.
+  EXPECT_THROW(SlicedCache(zero, 4), std::invalid_argument);
+  // 65 ways in one set: a valid geometry past the 64-bit occupancy mask.
+  const CacheConfig wide{"wide", 65 * kLineSizeBytes, 65, 1};
+  EXPECT_NO_THROW(wide.validate());
+  EXPECT_THROW(CacheArray{wide}, std::invalid_argument);
 }
 
 }  // namespace

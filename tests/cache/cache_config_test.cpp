@@ -46,12 +46,5 @@ TEST(CacheConfig, ValidateRejectsNonPow2Sets) {
   EXPECT_NO_THROW(c.validate());
 }
 
-TEST(CacheConfig, ReplPolicyNames) {
-  EXPECT_STREQ(to_string(ReplPolicy::kLru), "lru");
-  EXPECT_STREQ(to_string(ReplPolicy::kRandom), "random");
-  EXPECT_STREQ(to_string(ReplPolicy::kTreePlru), "tree-plru");
-  EXPECT_STREQ(to_string(ReplPolicy::kSrrip), "srrip");
-}
-
 }  // namespace
 }  // namespace pipo

@@ -82,8 +82,8 @@ TEST(SliceHash, SlicedCacheRoutesThroughTheConfiguredHash) {
   CacheConfig total;
   total.size_bytes = 32 * 1024;
   total.ways = 8;
-  SlicedCache low(total, 4, /*seed=*/1, SliceHashKind::kLowBits);
-  SlicedCache cas(total, 4, /*seed=*/1, SliceHashKind::kIntelCas);
+  SlicedCache low(total, 4, SliceHashKind::kLowBits);
+  SlicedCache cas(total, 4, SliceHashKind::kIntelCas);
   EXPECT_EQ(low.hash_kind(), SliceHashKind::kLowBits);
   EXPECT_EQ(cas.hash_kind(), SliceHashKind::kIntelCas);
   for (LineAddr line = 0; line < 512; ++line) {
@@ -101,7 +101,7 @@ TEST(SliceHash, CasSlicesKeepFullSetIndexRange) {
   CacheConfig total;
   total.size_bytes = 32 * 1024;
   total.ways = 8;
-  SlicedCache cas(total, 4, /*seed=*/1, SliceHashKind::kIntelCas);
+  SlicedCache cas(total, 4, SliceHashKind::kIntelCas);
   // Consecutive lines routed to the same slice must spread over sets.
   EXPECT_EQ(cas.slice(0).index_shift(), 0u)
       << "CAS slices must index sets from the full low address";
@@ -123,8 +123,8 @@ TEST(SliceHash, SlicedCacheRejectsCasWithTooManySlices) {
   CacheConfig total;
   total.size_bytes = 64 * 1024;
   total.ways = 8;
-  EXPECT_NO_THROW(SlicedCache(total, 16, 1, SliceHashKind::kLowBits));
-  EXPECT_THROW(SlicedCache(total, 16, 1, SliceHashKind::kIntelCas),
+  EXPECT_NO_THROW(SlicedCache(total, 16, SliceHashKind::kLowBits));
+  EXPECT_THROW(SlicedCache(total, 16, SliceHashKind::kIntelCas),
                std::invalid_argument);
 }
 

@@ -7,7 +7,7 @@ namespace {
 
 CacheConfig small_l3() {
   // 64 lines total, 2 ways -> with 4 slices: 16 lines, 8 sets per slice.
-  return CacheConfig{"l3", 64 * kLineSizeBytes, 2, 35, ReplPolicy::kLru};
+  return CacheConfig{"l3", 64 * kLineSizeBytes, 2, 35};
 }
 
 TEST(SlicedCache, SliceSelectionByLowLineBits) {

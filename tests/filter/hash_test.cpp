@@ -1,7 +1,6 @@
 #include "filter/hash.h"
 
 #include <map>
-#include <set>
 
 #include <gtest/gtest.h>
 
@@ -42,34 +41,6 @@ TEST(MixHash, LowBitsWellDistributed) {
   for (int i = 0; i < n; ++i) ++buckets[h(i) & 0x3F];
   ASSERT_EQ(buckets.size(), 64u);
   for (const auto& [_, c] : buckets) EXPECT_NEAR(c, n / 64, n / 64 / 3);
-}
-
-TEST(TabulationHash, Deterministic) {
-  TabulationHash h(9);
-  TabulationHash h2(9);
-  for (std::uint64_t x : {0ull, 1ull, 0xFFFFull, ~0ull}) {
-    EXPECT_EQ(h(x), h2(x));
-  }
-}
-
-TEST(TabulationHash, FewCollisionsOnSequentialKeys) {
-  TabulationHash h(11);
-  std::set<std::uint64_t> outs;
-  const int n = 10000;
-  for (int i = 0; i < n; ++i) outs.insert(h(i));
-  EXPECT_EQ(outs.size(), static_cast<std::size_t>(n));  // w.h.p.
-}
-
-TEST(TabulationHash, AvalancheSingleBitFlip) {
-  TabulationHash h(13);
-  double total = 0;
-  const int n = 500;
-  for (int i = 0; i < n; ++i) {
-    const std::uint64_t x = 0x9E37ull * (i + 1);
-    const std::uint64_t d = h(x) ^ h(x ^ (1ull << (i % 64)));
-    total += __builtin_popcountll(d);
-  }
-  EXPECT_NEAR(total / n, 32.0, 3.0);
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 // Covers, exhaustively where the domain is small and randomized where it
 // is not:
 //  * mix2() vs two separately-constructed MixHash finalizers;
-//  * DualTabulationHash vs two separately-seeded TabulationHash tables;
 //  * BucketArray::candidates() / alt_bucket() (fused pass + precomputed
 //    fprint->alt-bucket XOR table) vs ReferenceFilterHash (three full
 //    MixHash passes), across fingerprint widths on both sides of the
@@ -43,25 +42,6 @@ TEST(HashEquivalence, Mix2MatchesOnStructuredKeys) {
     const HashPair got = mix2(x, 1, 0xFFFFFFFFFFFFFFFFull);
     ASSERT_EQ(got.a, ha(x));
     ASSERT_EQ(got.b, hb(x));
-  }
-}
-
-TEST(HashEquivalence, DualTabulationMatchesTwoTables) {
-  Rng rng(0x7A);
-  const std::uint64_t sa = 0x243F6A8885A308D3ull;
-  const std::uint64_t sb = 0x13198A2E03707344ull;
-  const TabulationHash ta(sa), tb(sb);
-  const DualTabulationHash dual(sa, sb);
-  for (std::uint64_t x : {0ull, 1ull, 0xFFull, 0xFFFFFFFFFFFFFFFFull}) {
-    const HashPair got = dual(x);
-    ASSERT_EQ(got.a, ta(x));
-    ASSERT_EQ(got.b, tb(x));
-  }
-  for (int i = 0; i < 10'000; ++i) {
-    const std::uint64_t x = rng.next();
-    const HashPair got = dual(x);
-    ASSERT_EQ(got.a, ta(x)) << "key " << x;
-    ASSERT_EQ(got.b, tb(x)) << "key " << x;
   }
 }
 

@@ -1,27 +1,22 @@
-// Property tests for every replacement policy, alongside the
-// differential oracles:
+// Property tests for LRU replacement, alongside the differential
+// oracle:
 //  * victim() always returns a valid way, whatever the preceding trace;
-//  * a way just filled is never the immediately following victim for the
-//    recency-ordered policies (LRU, Tree-PLRU; with >= 2 ways) — SRRIP
-//    deliberately lacks this property (a fresh long-re-reference line
-//    can be the first way to age out) and Random trivially lacks it;
+//  * a way just filled is never the immediately following victim (with
+//    >= 2 ways);
 //  * replaying a recorded trace into a fresh instance reproduces the
 //    policy state exactly (snapshot() equality plus identical future
-//    victim sequences) — policies are pure functions of their op trace;
-//  * SRRIP state stays canonical: the per-set RRPV-level masks are a
-//    partition of the set's ways (every way at exactly one level in
-//    [0, kMax] — the saturation guarantee the seed's unbounded aging
-//    increment lacked).
+//    victim sequences) — the policy is a pure function of its op trace;
+//  * construction rejects more ways than the 64-bit looks-oldest mask
+//    holds.
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
-#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cache/replacement.h"
-#include "common/bitutil.h"
 #include "common/rng.h"
 
 namespace pipo {
@@ -55,8 +50,7 @@ std::vector<Op> random_trace(Rng& rng, std::size_t sets, std::uint32_t ways,
 }
 
 /// Applies the trace, returning every victim produced.
-std::vector<std::uint32_t> drive(ReplacementPolicy& p,
-                                 const std::vector<Op>& trace) {
+std::vector<std::uint32_t> drive(LruPolicy& p, const std::vector<Op>& trace) {
   std::vector<std::uint32_t> victims;
   for (const Op& op : trace) {
     switch (op.kind) {
@@ -69,69 +63,49 @@ std::vector<std::uint32_t> drive(ReplacementPolicy& p,
   return victims;
 }
 
-std::uint32_t ways_for(ReplPolicy kind, Rng& rng) {
-  constexpr std::uint32_t pow2[] = {2, 4, 8, 16, 64};
+std::uint32_t random_ways(Rng& rng) {
   constexpr std::uint32_t any[] = {1, 2, 3, 4, 7, 8, 16, 33, 64};
-  return kind == ReplPolicy::kTreePlru ? pow2[rng.below(std::size(pow2))]
-                                       : any[rng.below(std::size(any))];
+  return any[rng.below(std::size(any))];
 }
 
-class PolicyProperty : public testing::TestWithParam<ReplPolicy> {};
-
-TEST_P(PolicyProperty, VictimIsAlwaysAValidWay) {
+TEST(LruProperty, VictimIsAlwaysAValidWay) {
   for (int t = 0; t < kTraces; ++t) {
     Rng rng(0x11000 + t);
     const std::size_t sets = std::size_t{1} << rng.below(4);
-    const std::uint32_t ways = ways_for(GetParam(), rng);
-    auto p = ReplacementPolicy::create(GetParam(), sets, ways, t);
+    const std::uint32_t ways = random_ways(rng);
+    LruPolicy p(sets, ways);
     const auto trace = random_trace(rng, sets, ways, kOpsPerTrace);
-    for (std::uint32_t v : drive(*p, trace)) {
+    for (std::uint32_t v : drive(p, trace)) {
       ASSERT_LT(v, ways) << "trace " << t << " (sets=" << sets
                          << ", ways=" << ways << ")";
     }
   }
 }
 
-TEST_P(PolicyProperty, ReplayedTraceReproducesStateAndFutureVictims) {
+TEST(LruProperty, ReplayedTraceReproducesStateAndFutureVictims) {
   for (int t = 0; t < kTraces; ++t) {
     Rng rng(0x22000 + t);
     const std::size_t sets = std::size_t{1} << rng.below(4);
-    const std::uint32_t ways = ways_for(GetParam(), rng);
+    const std::uint32_t ways = random_ways(rng);
     const auto trace = random_trace(rng, sets, ways, kOpsPerTrace);
 
-    auto a = ReplacementPolicy::create(GetParam(), sets, ways, t);
-    auto b = ReplacementPolicy::create(GetParam(), sets, ways, t);
-    const auto victims_a = drive(*a, trace);
-    const auto victims_b = drive(*b, trace);
+    LruPolicy a(sets, ways);
+    LruPolicy b(sets, ways);
+    const auto victims_a = drive(a, trace);
+    const auto victims_b = drive(b, trace);
     ASSERT_EQ(victims_a, victims_b) << "trace " << t;
-    ASSERT_EQ(a->snapshot(), b->snapshot()) << "trace " << t;
+    ASSERT_EQ(a.snapshot(), b.snapshot()) << "trace " << t;
 
     // The replayed instance continues identically.
     for (std::size_t set = 0; set < sets; ++set) {
-      ASSERT_EQ(a->victim(set), b->victim(set))
+      ASSERT_EQ(a.victim(set), b.victim(set))
           << "trace " << t << ", set " << set;
     }
-    ASSERT_EQ(a->snapshot(), b->snapshot()) << "trace " << t;
+    ASSERT_EQ(a.snapshot(), b.snapshot()) << "trace " << t;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyProperty,
-                         testing::Values(ReplPolicy::kLru, ReplPolicy::kRandom,
-                                         ReplPolicy::kTreePlru,
-                                         ReplPolicy::kSrrip),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case ReplPolicy::kLru: return "Lru";
-                             case ReplPolicy::kRandom: return "Random";
-                             case ReplPolicy::kTreePlru: return "TreePlru";
-                             case ReplPolicy::kSrrip: return "Srrip";
-                           }
-                           return "Unknown";
-                         });
-
-class RecencyPolicyProperty : public testing::TestWithParam<ReplPolicy> {};
-
-TEST_P(RecencyPolicyProperty, FilledWayNeverImmediatelyReVictimized) {
+TEST(LruProperty, FilledWayNeverImmediatelyReVictimized) {
   // Fill-pressure discipline: ask for a victim, fill it, ask again — the
   // just-filled way is most-recent and must not come straight back.
   for (int t = 0; t < kTraces; ++t) {
@@ -139,69 +113,29 @@ TEST_P(RecencyPolicyProperty, FilledWayNeverImmediatelyReVictimized) {
     const std::size_t sets = std::size_t{1} << rng.below(3);
     // A 1-way set trivially re-victimizes its only way; the property
     // needs at least two.
-    const std::uint32_t ways = std::max(2u, ways_for(GetParam(), rng));
-    auto p = ReplacementPolicy::create(GetParam(), sets, ways, t);
+    const std::uint32_t ways = std::max(2u, random_ways(rng));
+    LruPolicy p(sets, ways);
     for (std::size_t set = 0; set < sets; ++set) {
-      for (std::uint32_t w = 0; w < ways; ++w) p->on_fill(set, w);
+      for (std::uint32_t w = 0; w < ways; ++w) p.on_fill(set, w);
     }
     for (int i = 0; i < kOpsPerTrace; ++i) {
       const std::size_t set = rng.below(sets);
       if (rng.chance(0.5)) {
-        p->on_access(set, static_cast<std::uint32_t>(rng.below(ways)));
+        p.on_access(set, static_cast<std::uint32_t>(rng.below(ways)));
       } else {
-        const std::uint32_t v = p->victim(set);
-        p->on_fill(set, v);
-        ASSERT_NE(p->victim(set), v)
+        const std::uint32_t v = p.victim(set);
+        p.on_fill(set, v);
+        ASSERT_NE(p.victim(set), v)
             << "trace " << t << ", step " << i << ", set " << set;
       }
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RecencyOrdered, RecencyPolicyProperty,
-                         testing::Values(ReplPolicy::kLru,
-                                         ReplPolicy::kTreePlru),
-                         [](const auto& info) {
-                           return info.param == ReplPolicy::kLru ? "Lru"
-                                                                 : "TreePlru";
-                         });
-
-TEST(SrripProperty, LevelMasksPartitionTheSet) {
-  // snapshot() encoding (documented in replacement.h): 4 words per set,
-  // word v = bitmask of ways whose RRPV is exactly v. Canonical state
-  // means the four masks partition the set's ways after ANY trace — no
-  // way above kMax, no way in two levels, no way missing.
-  for (int t = 0; t < kTraces; ++t) {
-    Rng rng(0x44000 + t);
-    const std::size_t sets = std::size_t{1} << rng.below(4);
-    constexpr std::uint32_t kWays[] = {1, 3, 8, 16, 64};
-    const std::uint32_t ways = kWays[rng.below(std::size(kWays))];
-    SrripPolicy p(sets, ways);
-    drive(p, random_trace(rng, sets, ways, kOpsPerTrace));
-
-    const std::vector<std::uint64_t> snap = p.snapshot();
-    ASSERT_EQ(snap.size(), sets * 4);
-    for (std::size_t set = 0; set < sets; ++set) {
-      std::uint64_t seen = 0;
-      for (int v = 0; v < 4; ++v) {
-        const std::uint64_t mask = snap[set * 4 + v];
-        ASSERT_EQ(seen & mask, 0u)
-            << "way at two RRPV levels: trace " << t << ", set " << set;
-        seen |= mask;
-      }
-      ASSERT_EQ(seen, low_mask(ways))
-          << "ways missing from the level partition: trace " << t << ", set "
-          << set;
-    }
-  }
-}
-
-TEST(SrripProperty, RejectsMoreThan64Ways) {
-  // The level-mask representation holds one bit per way in a 64-bit
-  // word, matching CacheArray's packed-occupancy limit.
-  EXPECT_THROW(SrripPolicy(1, 65), std::invalid_argument);
+TEST(LruProperty, RejectsMoreThan64Ways) {
+  // The looks-oldest mask holds one bit per way in a 64-bit word,
+  // matching CacheArray's packed-occupancy limit.
   EXPECT_THROW(LruPolicy(1, 65), std::invalid_argument);
-  EXPECT_NO_THROW(SrripPolicy(1, 64));
   EXPECT_NO_THROW(LruPolicy(1, 64));
 }
 

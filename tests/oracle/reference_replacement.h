@@ -1,42 +1,29 @@
-// Straight-from-the-paper reference replacement policies for the
-// differential oracle layer.
+// Straight-from-the-paper reference LRU for the differential oracle
+// layer.
 //
-// Each Reference* class is the seed repository's original naive
-// implementation, kept deliberately simple and scan-based: per-line
-// metadata, O(ways) victim scans, no packed summaries. The production
-// policies in src/cache/replacement.h are optimized (O(1)-amortized
-// victim selection); the differential drivers in
-// replacement_differential_test.cpp assert that both produce identical
-// victim sequences over randomized traces, so the reference code here is
-// the specification and must stay boring.
-//
-// One deliberate divergence from the seed text: ReferenceSrrip's aging
-// loop saturates RRPVs at kMax instead of incrementing unbounded. In
-// states reachable through the public interface the two are identical
-// (aging only runs while every RRPV < kMax), but saturation keeps the
-// state canonical — every RRPV in [0, kMax] — which is what makes
-// policy states comparable across implementations.
+// ReferenceLru is the seed repository's original naive implementation,
+// kept deliberately simple and scan-based: per-line access stamps,
+// O(ways) victim scans, no packed summaries. The production LruPolicy in
+// src/cache/replacement.h is optimized (O(1) victim selection); the
+// differential drivers in replacement_differential_test.cpp assert that
+// both produce identical victim sequences over randomized traces, so the
+// reference code here is the specification and must stay boring.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "cache/replacement.h"
-#include "common/rng.h"
-
 namespace pipo::oracle {
 
 /// Seed LruPolicy: true LRU via per-line monotonically increasing access
 /// stamps; victim is the first way with the minimal stamp.
-class ReferenceLru final : public ReplacementPolicy {
+class ReferenceLru {
  public:
   ReferenceLru(std::size_t sets, std::uint32_t ways)
       : ways_(ways), stamp_(sets * ways, 0) {}
-  void on_fill(std::size_t set, std::uint32_t way) override { touch(set, way); }
-  void on_access(std::size_t set, std::uint32_t way) override {
-    touch(set, way);
-  }
-  std::uint32_t victim(std::size_t set) override {
+  void on_fill(std::size_t set, std::uint32_t way) { touch(set, way); }
+  void on_access(std::size_t set, std::uint32_t way) { touch(set, way); }
+  std::uint32_t victim(std::size_t set) const {
     std::uint32_t best = 0;
     std::uint64_t best_stamp = stamp_[set * ways_];
     for (std::uint32_t w = 1; w < ways_; ++w) {
@@ -47,7 +34,7 @@ class ReferenceLru final : public ReplacementPolicy {
     }
     return best;
   }
-  void on_invalidate(std::size_t set, std::uint32_t way) override {
+  void on_invalidate(std::size_t set, std::uint32_t way) {
     stamp_[set * ways_ + way] = 0;  // invalid lines look oldest
   }
 
@@ -58,105 +45,6 @@ class ReferenceLru final : public ReplacementPolicy {
   std::uint32_t ways_;
   std::uint64_t clock_ = 0;
   std::vector<std::uint64_t> stamp_;
-};
-
-/// Seed RandomPolicy: uniform victim from a seeded Xoshiro stream.
-class ReferenceRandom final : public ReplacementPolicy {
- public:
-  ReferenceRandom(std::uint32_t ways, std::uint64_t seed)
-      : ways_(ways), rng_(seed) {}
-  void on_fill(std::size_t, std::uint32_t) override {}
-  void on_access(std::size_t, std::uint32_t) override {}
-  std::uint32_t victim(std::size_t) override {
-    return static_cast<std::uint32_t>(rng_.below(ways_));
-  }
-
- private:
-  std::uint32_t ways_;
-  Rng rng_;
-};
-
-/// Seed TreePlruPolicy: binary decision tree per set, touch points every
-/// node on the path away from the touched way.
-class ReferenceTreePlru final : public ReplacementPolicy {
- public:
-  ReferenceTreePlru(std::size_t sets, std::uint32_t ways)
-      : ways_(ways), bits_(sets * (ways - 1), 0) {
-    levels_ = 0;
-    while ((1u << levels_) < ways) ++levels_;
-  }
-  void on_fill(std::size_t set, std::uint32_t way) override { touch(set, way); }
-  void on_access(std::size_t set, std::uint32_t way) override {
-    touch(set, way);
-  }
-  std::uint32_t victim(std::size_t set) override {
-    if (ways_ == 1) return 0;  // no tree nodes: bits_ is empty
-    const std::uint8_t* tree = &bits_[set * (ways_ - 1)];
-    std::uint32_t node = 0;
-    std::uint32_t way = 0;
-    for (std::uint32_t level = 0; level < levels_; ++level) {
-      const std::uint32_t bit = tree[node];
-      way = (way << 1) | bit;
-      node = 2 * node + 1 + bit;
-    }
-    return way;
-  }
-
- private:
-  void touch(std::size_t set, std::uint32_t way) {
-    if (ways_ == 1) return;  // no tree nodes: bits_ is empty
-    std::uint8_t* tree = &bits_[set * (ways_ - 1)];
-    std::uint32_t node = 0;
-    for (std::uint32_t level = 0; level < levels_; ++level) {
-      const std::uint32_t bit = (way >> (levels_ - 1 - level)) & 1u;
-      tree[node] = static_cast<std::uint8_t>(bit ^ 1u);
-      node = 2 * node + 1 + bit;
-    }
-  }
-  std::uint32_t ways_;
-  std::uint32_t levels_;
-  std::vector<std::uint8_t> bits_;
-};
-
-/// Seed SrripPolicy (SRRIP-HP): per-way 2-bit RRPVs, victim scans for the
-/// first way at kMax, aging the whole set until one appears — with the
-/// aging increment saturating at kMax (see the file comment).
-class ReferenceSrrip final : public ReplacementPolicy {
- public:
-  ReferenceSrrip(std::size_t sets, std::uint32_t ways)
-      : ways_(ways), rrpv_(sets * ways, kMax) {}
-  void on_fill(std::size_t set, std::uint32_t way) override {
-    rrpv_[set * ways_ + way] = kLong;
-  }
-  void on_access(std::size_t set, std::uint32_t way) override {
-    rrpv_[set * ways_ + way] = 0;
-  }
-  std::uint32_t victim(std::size_t set) override {
-    for (;;) {
-      for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (rrpv_[set * ways_ + w] >= kMax) return w;
-      }
-      for (std::uint32_t w = 0; w < ways_; ++w) {
-        std::uint8_t& r = rrpv_[set * ways_ + w];
-        if (r < kMax) ++r;
-      }
-    }
-  }
-  void on_invalidate(std::size_t set, std::uint32_t way) override {
-    rrpv_[set * ways_ + way] = kMax;
-  }
-
-  /// Raw RRPV (canonicality checks in the property tests).
-  std::uint8_t rrpv(std::size_t set, std::uint32_t way) const {
-    return rrpv_[set * ways_ + way];
-  }
-
-  static constexpr std::uint8_t kMax = 3;
-  static constexpr std::uint8_t kLong = 2;
-
- private:
-  std::uint32_t ways_;
-  std::vector<std::uint8_t> rrpv_;
 };
 
 }  // namespace pipo::oracle

@@ -1,9 +1,9 @@
-// Differential oracle for the replacement policies: drives the
-// optimized production policy and the naive reference implementation
-// through identical randomized traces and asserts every victim decision
+// Differential oracle for LRU replacement: drives the optimized
+// production LruPolicy and the naive reference implementation through
+// identical randomized traces and asserts every victim decision
 // matches, step by step.
 //
-// Two trace shapes per policy:
+// Two trace shapes:
 //  * adversarial — uniformly random on_fill / on_access / on_invalidate /
 //    victim ops over random (set, way) pairs, including degenerate
 //    sequences a real cache would never issue (double invalidates,
@@ -11,12 +11,11 @@
 //  * cache-like — the CacheArray discipline: victim() is consulted, the
 //    returned way is filled, resident ways get hit with locality.
 //
-// 1000+ traces per policy per shape; a single divergent victim anywhere
-// in any trace fails with the trace seed in the message, so failures are
-// reproducible by construction.
+// 1000 traces per shape; a single divergent victim anywhere in any trace
+// fails with the trace seed in the message, so failures are reproducible
+// by construction.
 #include <cstdint>
 #include <iterator>
-#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,60 +28,29 @@ namespace pipo {
 namespace {
 
 using oracle::ReferenceLru;
-using oracle::ReferenceRandom;
-using oracle::ReferenceSrrip;
-using oracle::ReferenceTreePlru;
 
 constexpr int kTraces = 1000;
 constexpr int kOpsPerTrace = 160;
 
-struct PolicyPair {
-  std::unique_ptr<ReplacementPolicy> fast;
-  std::unique_ptr<ReplacementPolicy> ref;
-};
-
-PolicyPair make_pair_for(ReplPolicy kind, std::size_t sets,
-                         std::uint32_t ways, std::uint64_t seed) {
-  PolicyPair p;
-  p.fast = ReplacementPolicy::create(kind, sets, ways, seed);
-  switch (kind) {
-    case ReplPolicy::kLru:
-      p.ref = std::make_unique<ReferenceLru>(sets, ways);
-      break;
-    case ReplPolicy::kRandom:
-      p.ref = std::make_unique<ReferenceRandom>(ways, seed);
-      break;
-    case ReplPolicy::kTreePlru:
-      p.ref = std::make_unique<ReferenceTreePlru>(sets, ways);
-      break;
-    case ReplPolicy::kSrrip:
-      p.ref = std::make_unique<ReferenceSrrip>(sets, ways);
-      break;
-  }
-  return p;
-}
-
 /// Geometry for one trace: small enough that sets refill and age many
-/// times within kOpsPerTrace. TreePLRU needs power-of-two ways.
+/// times within kOpsPerTrace.
 struct Geometry {
   std::size_t sets;
   std::uint32_t ways;
 };
 
-Geometry random_geometry(Rng& rng, bool pow2_ways) {
-  constexpr std::uint32_t pow2[] = {1, 2, 4, 8, 16, 64};
+Geometry random_geometry(Rng& rng) {
   constexpr std::uint32_t any[] = {1, 2, 3, 4, 5, 7, 8, 12, 16, 33, 64};
   const std::size_t sets = std::size_t{1} << rng.below(4);  // 1..8
-  const std::uint32_t ways =
-      pow2_ways ? pow2[rng.below(std::size(pow2))]
-                : any[rng.below(std::size(any))];
+  const std::uint32_t ways = any[rng.below(std::size(any))];
   return Geometry{sets, ways};
 }
 
-void adversarial_trace(ReplPolicy kind, std::uint64_t trace_seed) {
+void adversarial_trace(std::uint64_t trace_seed) {
   Rng rng(trace_seed);
-  const Geometry g = random_geometry(rng, kind == ReplPolicy::kTreePlru);
-  PolicyPair p = make_pair_for(kind, g.sets, g.ways, trace_seed);
+  const Geometry g = random_geometry(rng);
+  LruPolicy fast(g.sets, g.ways);
+  ReferenceLru ref(g.sets, g.ways);
 
   for (int op = 0; op < kOpsPerTrace; ++op) {
     const std::size_t set = rng.below(g.sets);
@@ -91,37 +59,38 @@ void adversarial_trace(ReplPolicy kind, std::uint64_t trace_seed) {
       case 0:
       case 1:
       case 2:
-        p.fast->on_fill(set, way);
-        p.ref->on_fill(set, way);
+        fast.on_fill(set, way);
+        ref.on_fill(set, way);
         break;
       case 3:
       case 4:
       case 5:
       case 6:
-        p.fast->on_access(set, way);
-        p.ref->on_access(set, way);
+        fast.on_access(set, way);
+        ref.on_access(set, way);
         break;
       case 7:
-        p.fast->on_invalidate(set, way);
-        p.ref->on_invalidate(set, way);
+        fast.on_invalidate(set, way);
+        ref.on_invalidate(set, way);
         break;
       default: {
-        const std::uint32_t got = p.fast->victim(set);
-        const std::uint32_t want = p.ref->victim(set);
+        const std::uint32_t got = fast.victim(set);
+        const std::uint32_t want = ref.victim(set);
         ASSERT_EQ(got, want)
-            << to_string(kind) << " diverged: trace seed " << trace_seed
-            << ", op " << op << ", set " << set << " (sets=" << g.sets
-            << ", ways=" << g.ways << ")";
+            << "LRU diverged: trace seed " << trace_seed << ", op " << op
+            << ", set " << set << " (sets=" << g.sets << ", ways=" << g.ways
+            << ")";
         break;
       }
     }
   }
 }
 
-void cache_like_trace(ReplPolicy kind, std::uint64_t trace_seed) {
+void cache_like_trace(std::uint64_t trace_seed) {
   Rng rng(trace_seed);
-  const Geometry g = random_geometry(rng, kind == ReplPolicy::kTreePlru);
-  PolicyPair p = make_pair_for(kind, g.sets, g.ways, trace_seed);
+  const Geometry g = random_geometry(rng);
+  LruPolicy fast(g.sets, g.ways);
+  ReferenceLru ref(g.sets, g.ways);
 
   // Per-set fill count models the free-way preference: the caller only
   // asks for a victim once the set is full.
@@ -130,65 +99,49 @@ void cache_like_trace(ReplPolicy kind, std::uint64_t trace_seed) {
     const std::size_t set = rng.below(g.sets);
     if (filled[set] < g.ways) {
       const std::uint32_t way = filled[set]++;
-      p.fast->on_fill(set, way);
-      p.ref->on_fill(set, way);
+      fast.on_fill(set, way);
+      ref.on_fill(set, way);
     } else if (rng.chance(0.6)) {
       // Hit a resident way (with front-of-set locality bias).
       const auto way = static_cast<std::uint32_t>(
           rng.below(rng.chance(0.5) ? g.ways : (g.ways + 1) / 2));
-      p.fast->on_access(set, way);
-      p.ref->on_access(set, way);
+      fast.on_access(set, way);
+      ref.on_access(set, way);
     } else if (rng.chance(0.1)) {
       const auto way = static_cast<std::uint32_t>(rng.below(g.ways));
-      p.fast->on_invalidate(set, way);
-      p.ref->on_invalidate(set, way);
+      fast.on_invalidate(set, way);
+      ref.on_invalidate(set, way);
       // The array would reuse the freed way before asking for victims
       // again; modelling that via refill keeps the trace cache-faithful.
-      p.fast->on_fill(set, way);
-      p.ref->on_fill(set, way);
+      fast.on_fill(set, way);
+      ref.on_fill(set, way);
     } else {
-      const std::uint32_t got = p.fast->victim(set);
-      const std::uint32_t want = p.ref->victim(set);
+      const std::uint32_t got = fast.victim(set);
+      const std::uint32_t want = ref.victim(set);
       ASSERT_EQ(got, want)
-          << to_string(kind) << " diverged: trace seed " << trace_seed
-          << ", op " << op << ", set " << set << " (sets=" << g.sets
-          << ", ways=" << g.ways << ")";
+          << "LRU diverged: trace seed " << trace_seed << ", op " << op
+          << ", set " << set << " (sets=" << g.sets << ", ways=" << g.ways
+          << ")";
       ASSERT_LT(got, g.ways);
-      p.fast->on_fill(set, got);
-      p.ref->on_fill(set, want);
+      fast.on_fill(set, got);
+      ref.on_fill(set, want);
     }
   }
 }
 
-class ReplacementDifferential : public testing::TestWithParam<ReplPolicy> {};
-
-TEST_P(ReplacementDifferential, AdversarialTracesMatchReference) {
+TEST(LruDifferential, AdversarialTracesMatchReference) {
   for (int t = 0; t < kTraces; ++t) {
-    adversarial_trace(GetParam(), 0xAD0000 + t);
+    adversarial_trace(0xAD0000 + t);
     if (HasFatalFailure()) return;
   }
 }
 
-TEST_P(ReplacementDifferential, CacheLikeTracesMatchReference) {
+TEST(LruDifferential, CacheLikeTracesMatchReference) {
   for (int t = 0; t < kTraces; ++t) {
-    cache_like_trace(GetParam(), 0xCA0000 + t);
+    cache_like_trace(0xCA0000 + t);
     if (HasFatalFailure()) return;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(AllPolicies, ReplacementDifferential,
-                         testing::Values(ReplPolicy::kLru, ReplPolicy::kRandom,
-                                         ReplPolicy::kTreePlru,
-                                         ReplPolicy::kSrrip),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case ReplPolicy::kLru: return "Lru";
-                             case ReplPolicy::kRandom: return "Random";
-                             case ReplPolicy::kTreePlru: return "TreePlru";
-                             case ReplPolicy::kSrrip: return "Srrip";
-                           }
-                           return "Unknown";
-                         });
 
 }  // namespace
 }  // namespace pipo

@@ -78,20 +78,6 @@ TEST(PiPoMonitor, NextDueTickTellsTickZeroFromNone) {
   EXPECT_EQ(mon.next_due_tick(), kNeverTick);
 }
 
-TEST(PiPoMonitor, PrefetchFetchNotRecordedByDefault) {
-  PiPoMonitor mon(small_monitor());
-  mon.on_prefetch_fetch(0xDDD);
-  EXPECT_FALSE(mon.filter().contains(0xDDD));
-}
-
-TEST(PiPoMonitor, PrefetchFetchRecordedWhenConfigured) {
-  MonitorConfig cfg = small_monitor();
-  cfg.record_prefetch_accesses = true;
-  PiPoMonitor mon(cfg);
-  mon.on_prefetch_fetch(0xEEE);
-  EXPECT_TRUE(mon.filter().contains(0xEEE));
-}
-
 TEST(PiPoMonitor, PaperDefaultConfig) {
   const MonitorConfig cfg = MonitorConfig::paper_default();
   EXPECT_TRUE(cfg.enabled);

@@ -11,10 +11,10 @@ namespace pipo::testcfg {
 /// (16 sets/slice); tiny Auto-Cuckoo filter.
 inline SystemConfig mini() {
   SystemConfig cfg;
-  cfg.l1i = {"l1i", 2 * 1024, 2, 2, ReplPolicy::kLru};
-  cfg.l1d = {"l1d", 2 * 1024, 2, 2, ReplPolicy::kLru};
-  cfg.l2 = {"l2", 8 * 1024, 4, 18, ReplPolicy::kLru};
-  cfg.l3 = {"l3", 32 * 1024, 8, 35, ReplPolicy::kLru};
+  cfg.l1i = {"l1i", 2 * 1024, 2, 2};
+  cfg.l1d = {"l1d", 2 * 1024, 2, 2};
+  cfg.l2 = {"l2", 8 * 1024, 4, 18};
+  cfg.l3 = {"l3", 32 * 1024, 8, 35};
   cfg.l3_slices = 4;
   cfg.monitor.filter.l = 64;
   cfg.monitor.filter.b = 4;
