@@ -32,20 +32,27 @@ CacheArray::CacheArray(const CacheConfig& cfg, unsigned index_shift)
       occ_(sets_, 0),
       repl_(sets_, cfg_.ways) {}
 
-std::optional<CacheSlot> CacheArray::lookup(LineAddr line) const {
+CacheProbe CacheArray::probe(LineAddr line) const {
+  ++probes_;
   const std::size_t set = set_of(line);
   const std::uint64_t occ = occ_[set];
   const LineAddr* tags = &tags_[set * cfg_.ways];
   for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    if (((occ >> w) & 1u) && tags[w] == line) return CacheSlot{set, w};
+    if (((occ >> w) & 1u) && tags[w] == line) {
+      return CacheProbe{set, w, true, fills_};
+    }
   }
-  return std::nullopt;
+  return CacheProbe{set, 0, false, fills_};
 }
 
 CacheArray::FillResult CacheArray::fill(LineAddr line_addr,
+                                        const CacheProbe& miss,
                                         VictimChooser* chooser) {
-  assert(!lookup(line_addr) && "fill() of an already-resident line");
-  const std::size_t set = set_of(line_addr);
+  assert(!miss.hit && miss.set == set_of(line_addr) &&
+         miss.fills == fills_ &&
+         "fill() needs a miss probe of the line's set since the last fill");
+  const std::size_t set = miss.set;
+  ++fills_;
 
   // Prefer a free way: first zero bit of the occupancy mask.
   const std::uint64_t occ = occ_[set];
@@ -77,16 +84,20 @@ CacheArray::FillResult CacheArray::fill(LineAddr line_addr,
   return FillResult{CacheSlot{set, way}, evicted};
 }
 
-std::optional<EvictedLine> CacheArray::invalidate(LineAddr line_addr) {
-  const auto slot = lookup(line_addr);
-  if (!slot) return std::nullopt;
-  CacheLine& l = line(*slot);
+EvictedLine CacheArray::invalidate(const CacheSlot& slot) {
+  CacheLine& l = line(slot);
   EvictedLine out = snapshot(l);
   l = CacheLine{};
-  occ_[slot->set] &= ~(std::uint64_t{1} << slot->way);
+  occ_[slot.set] &= ~(std::uint64_t{1} << slot.way);
   --valid_count_;
-  repl_.on_invalidate(slot->set, slot->way);
+  repl_.on_invalidate(slot.set, slot.way);
   return out;
+}
+
+std::optional<EvictedLine> CacheArray::invalidate(LineAddr line_addr) {
+  const CacheProbe p = probe(line_addr);
+  if (!p.hit) return std::nullopt;
+  return invalidate(p.slot());
 }
 
 std::uint32_t CacheArray::valid_in_set(std::size_t set) const {
@@ -125,8 +136,15 @@ void CacheArray::clear() {
 
 EvictedLine CacheArray::snapshot(const CacheLine& l) {
   assert(l.valid);
-  return EvictedLine{l.addr,     l.state,  l.dirty,      l.presence,
-                     l.pp_tag,   l.pp_accessed, l.ever_written};
+  return EvictedLine{.line = l.addr,
+                     .state = l.state,
+                     .dirty = l.dirty,
+                     .inner = l.inner,
+                     .outer_way = l.outer_way,
+                     .presence = l.presence,
+                     .pp_tag = l.pp_tag,
+                     .pp_accessed = l.pp_accessed,
+                     .ever_written = l.ever_written};
 }
 
 }  // namespace pipo

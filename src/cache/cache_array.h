@@ -37,12 +37,35 @@ struct CacheLine {
   /// inclusion exempts never-written (read-only-in-practice) lines from
   /// back-invalidation.
   bool ever_written = false;
+  // --- private-hierarchy residency: the L2 is each core's directory ---
+  /// L2: which of the core's L1s hold the line (kInnerL1i | kInnerL1d).
+  std::uint8_t inner = 0;
+  /// L1: the way of this line's copy in the core's L2 (its set follows
+  /// from the address).
+  std::uint8_t outer_way = 0;
 };
+
+/// CacheLine::inner bits.
+inline constexpr std::uint8_t kInnerL1i = 1u << 0;
+inline constexpr std::uint8_t kInnerL1d = 1u << 1;
+
+// The residency fields sit in padding: a line record stays 32 bytes.
+static_assert(sizeof(CacheLine) <= 32);
 
 /// Identifies a resident line.
 struct CacheSlot {
   std::size_t set = 0;
   std::uint32_t way = 0;
+};
+
+/// One scan of a line's set (CacheArray::probe).
+struct CacheProbe {
+  std::size_t set = 0;
+  std::uint32_t way = 0;  ///< the hit way; meaningless on a miss
+  bool hit = false;
+  std::uint64_t fills = 0;  ///< the array's fill count at probe time
+
+  CacheSlot slot() const { return CacheSlot{set, way}; }
 };
 
 /// Pluggable victim-selection override (e.g. SHARP's hierarchy-aware
@@ -61,11 +84,15 @@ struct EvictedLine {
   LineAddr line = 0;
   Mesi state = Mesi::kInvalid;
   bool dirty = false;
+  std::uint8_t inner = 0;      ///< L2 victim: the L1s that held it
+  std::uint8_t outer_way = 0;  ///< L1 victim: its L2 copy's way
   std::uint32_t presence = 0;
   bool pp_tag = false;
   bool pp_accessed = false;
   bool ever_written = false;
 };
+
+static_assert(sizeof(EvictedLine) <= 24);
 
 class CacheArray {
  public:
@@ -82,8 +109,16 @@ class CacheArray {
     return static_cast<std::size_t>((line >> index_shift_) & set_mask_);
   }
 
-  /// Finds the line without updating replacement state.
-  std::optional<CacheSlot> lookup(LineAddr line) const;
+  /// Scans the line's set once, without updating replacement state.
+  /// Every scan of the array is a probe, and each one is counted.
+  CacheProbe probe(LineAddr line) const;
+
+  /// probe() for callers that need only the hit slot.
+  std::optional<CacheSlot> lookup(LineAddr line) const {
+    const CacheProbe p = probe(line);
+    if (!p.hit) return std::nullopt;
+    return p.slot();
+  }
 
   /// Replacement-policy update on a hit.
   void touch(const CacheSlot& slot) { repl_.on_access(slot.set, slot.way); }
@@ -101,15 +136,32 @@ class CacheArray {
     std::optional<EvictedLine> evicted;
   };
 
-  /// Inserts `line_addr`, preferring a free way, otherwise evicting the
-  /// LRU victim. A non-null `chooser` overrides victim selection
-  /// (SHARP). The caller initializes the returned line's state.
+  /// Inserts `line_addr` into the set `miss` scanned, preferring a free
+  /// way, otherwise evicting the LRU victim. A non-null `chooser`
+  /// overrides victim selection (SHARP). The caller initializes the
+  /// returned line's state.
   /// Precondition: the line is not already resident (double-fill is a
-  /// protocol bug and asserts in debug builds).
-  FillResult fill(LineAddr line_addr, VictimChooser* chooser = nullptr);
+  /// protocol bug). The miss probe is that check: it must be a miss for
+  /// the line's set, taken since the array's last fill. Only fill makes
+  /// a line resident, so an unchanged fill count proves the line is
+  /// still absent. Asserted in every build that compiles asserts.
+  FillResult fill(LineAddr line_addr, const CacheProbe& miss,
+                  VictimChooser* chooser = nullptr);
+
+  /// fill() for callers holding no probe: probes first.
+  FillResult fill(LineAddr line_addr, VictimChooser* chooser = nullptr) {
+    return fill(line_addr, probe(line_addr), chooser);
+  }
+
+  /// Removes the resident line at `slot`, returning its final metadata.
+  EvictedLine invalidate(const CacheSlot& slot);
 
   /// Removes the line if present, returning its final metadata.
   std::optional<EvictedLine> invalidate(LineAddr line_addr);
+
+  /// Set scans (probe() calls) since construction: a deterministic
+  /// count of the array's lookup work.
+  std::uint64_t probes() const { return probes_; }
 
   /// Number of valid lines in `set` (attack-analysis helper).
   std::uint32_t valid_in_set(std::size_t set) const;
@@ -135,7 +187,7 @@ class CacheArray {
   std::size_t sets_;
   std::uint64_t set_mask_;
   std::vector<CacheLine> lines_;
-  // Structure-of-arrays mirror of the placement state. lookup() and the
+  // Structure-of-arrays mirror of the placement state. probe() and the
   // free-way scan in fill() touch only these packed vectors — one
   // 64-bit occupancy word per set plus a contiguous tag row — instead of
   // striding through the full CacheLine records. The CacheLine valid /
@@ -145,6 +197,8 @@ class CacheArray {
   std::vector<LineAddr> tags_;       ///< per-(set,way) line address
   std::vector<std::uint64_t> occ_;   ///< per-set valid bitmask (ways <= 64)
   std::uint64_t valid_count_ = 0;
+  std::uint64_t fills_ = 0;
+  mutable std::uint64_t probes_ = 0;
   LruPolicy repl_;
 };
 

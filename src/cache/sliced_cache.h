@@ -88,6 +88,13 @@ class SlicedCache {
     return n;
   }
 
+  /// Set scans across all slices (CacheArray::probes).
+  std::uint64_t probes() const {
+    std::uint64_t n = 0;
+    for (const auto& s : slices_) n += s.probes();
+    return n;
+  }
+
   void clear() {
     for (auto& s : slices_) s.clear();
   }

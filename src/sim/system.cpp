@@ -118,9 +118,10 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
     // LLC-direct probe access: reads served by (and filling) the shared
     // L3 only. Stores are not meaningful in this mode.
     CacheArray& slice = l3_->slice_for(line);
-    if (auto slot = slice.lookup(line)) {
-      slice.touch(*slot);
-      CacheLine& l3l = slice.line(*slot);
+    const CacheProbe l3p = slice.probe(line);
+    if (l3p.hit) {
+      slice.touch(l3p.slot());
+      CacheLine& l3l = slice.line(l3p.slot());
       if (l3l.pp_tag) l3l.pp_accessed = true;
       ++stats_.l3_hits;
       const std::uint32_t lat = cfg_.l3.latency;
@@ -141,27 +142,29 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
     const Tick done = mem_->fetch(now, line, MemController::Reason::kDemand);
     const std::uint32_t lat =
         cfg_.l3.latency + static_cast<std::uint32_t>(done - now);
-    fill_l3(now, line, mres.ping_pong, /*from_prefetch=*/false,
-            kInvalidCore);
+    CacheLine& l3l = fill_l3(now, l3p, line, mres.ping_pong,
+                             /*from_prefetch=*/false, kInvalidCore);
     if (cfg_.defense == DefenseKind::kRic && !exclusive()) {
       // The probe's fill re-establishes an LLC entry that knows about no
       // holders, but RIC orphans of the line may survive in private
       // caches: re-register them as sharers so a later writer going
       // through this entry cannot miss them.
-      auto slot = l3_->lookup(line);
       reconcile_ric_orphans(now, line, kInvalidCore, /*is_store=*/false,
-                            l3_->line_for(line, *slot));
+                            l3l);
     }
     ++stats_.l3_misses;
     return AccessOutcome{now + lat, lat, HitLevel::kMemory};
   }
 
-  CacheArray& l1 = (type == AccessType::kInstFetch) ? *l1i_[core] : *l1d_[core];
+  const bool ifetch = type == AccessType::kInstFetch;
+  CacheArray& l1 = ifetch ? *l1i_[core] : *l1d_[core];
+  const std::uint8_t l1_bit = ifetch ? kInnerL1i : kInnerL1d;
 
   // ---- L1 ----
-  if (auto slot = l1.lookup(line)) {
-    l1.touch(*slot);
-    CacheLine& cl = l1.line(*slot);
+  const CacheProbe l1p = l1.probe(line);
+  if (l1p.hit) {
+    l1.touch(l1p.slot());
+    CacheLine& cl = l1.line(l1p.slot());
     if (cfg_.monitor_level == MonitorLevel::kL1 && cl.pp_tag) {
       cl.pp_accessed = true;  // demanded since tagging (attach level hit)
     }
@@ -174,7 +177,7 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
         lat += cfg_.l3.latency;
       }
       cl.state = Mesi::kModified;
-      set_l2_state(core, line, Mesi::kModified);
+      l2_copy(core, line, cl.outer_way).state = Mesi::kModified;
     }
     ++stats_.l1_hits;
     return AccessOutcome{now + lat, lat, HitLevel::kL1};
@@ -187,17 +190,18 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
   std::uint32_t lat = 0;
   HitLevel level;
   Mesi fill_state;
-  bool l2_has = false;
   bool tag_l2 = false;  ///< set the Ping-Pong tag on the L2 fill
 
   // ---- L2 ----
-  if (auto slot = l2_[core]->lookup(line)) {
-    l2_[core]->touch(*slot);
-    CacheLine& cl = l2_[core]->line(*slot);
+  CacheArray& l2 = *l2_[core];
+  const CacheProbe l2p = l2.probe(line);
+  if (l2p.hit) {
+    l2.touch(l2p.slot());
+    CacheLine& cl = l2.line(l2p.slot());
     if (cfg_.monitor_level == MonitorLevel::kL2 && cl.pp_tag) {
       cl.pp_accessed = true;
     }
-    lat = l2_[core]->config().latency;
+    lat = l2.config().latency;
     if (type == AccessType::kStore && !can_write(cl.state)) {
       upgrade_for_store(now, core, line);
       ++stats_.upgrades;
@@ -206,7 +210,6 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
     if (type == AccessType::kStore) cl.state = Mesi::kModified;
     fill_state = cl.state;
     level = HitLevel::kL2;
-    l2_has = true;
     ++stats_.l2_hits;
   } else if (!exclusive()) {
     // An L2-attached defense observes every L2 miss.
@@ -215,9 +218,10 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
     tag_l2 = l2_mres.ping_pong;
     // ---- L3 (shared, sliced, inclusive, directory) ----
     CacheArray& slice = l3_->slice_for(line);
-    if (auto slot = slice.lookup(line)) {
-      slice.touch(*slot);
-      CacheLine& l3l = slice.line(*slot);
+    const CacheProbe l3p = slice.probe(line);
+    if (l3p.hit) {
+      slice.touch(l3p.slot());
+      CacheLine& l3l = slice.line(l3p.slot());
       lat = cfg_.l3.latency;
       if (type == AccessType::kStore) {
         make_exclusive(now, core, line, l3l);
@@ -239,7 +243,8 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
       const Tick done =
           mem_->fetch(now, line, MemController::Reason::kDemand);
       lat = cfg_.l3.latency + static_cast<std::uint32_t>(done - now);
-      fill_l3(now, line, mres.ping_pong, /*from_prefetch=*/false, core);
+      CacheLine& l3l = fill_l3(now, l3p, line, mres.ping_pong,
+                               /*from_prefetch=*/false, core);
       fill_state =
           (type == AccessType::kStore) ? Mesi::kModified : Mesi::kExclusive;
       if (cfg_.defense == DefenseKind::kRic) {
@@ -248,14 +253,10 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
         // directory), and the fill reconciles any orphan copies other
         // cores kept across the old LLC entry's eviction.
         if (type != AccessType::kStore) fill_state = Mesi::kShared;
-        auto slot = l3_->lookup(line);
         reconcile_ric_orphans(now, line, core, type == AccessType::kStore,
-                              l3_->line_for(line, *slot));
+                              l3l);
       }
-      if (type == AccessType::kStore) {
-        auto slot = l3_->lookup(line);
-        if (slot) l3_->line_for(line, *slot).ever_written = true;
-      }
+      if (type == AccessType::kStore) l3l.ever_written = true;
       level = HitLevel::kMemory;
       ++stats_.l3_misses;
     }
@@ -264,18 +265,18 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
     MonitorAccessResult l2_mres;
     if (cfg_.monitor_level == MonitorLevel::kL2) l2_mres = mon.on_access(line);
     tag_l2 = l2_mres.ping_pong;
-    if (other_core_holds(core, line)) {
-      // Cache-to-cache transfer at LLC latency: holders downgrade (read)
-      // or die (write). The LLC itself never sees the line.
-      snoop_transfer(now, core, line, type == AccessType::kStore);
+    CacheArray& slice = l3_->slice_for(line);
+    if (snoop_transfer(now, core, line, type == AccessType::kStore)) {
+      // Cache-to-cache transfer at LLC latency: holders downgraded (read)
+      // or died (write). The LLC itself never sees the line.
       fill_state =
           (type == AccessType::kStore) ? Mesi::kModified : Mesi::kShared;
       lat = cfg_.l3.latency;
       level = HitLevel::kL3;
       ++stats_.l3_hits;
-    } else if (l3_->lookup(line)) {
+    } else if (const CacheProbe l3p = slice.probe(line); l3p.hit) {
       // Victim-cache hit: the line MOVES back into the private caches.
-      const EvictedLine mv = *l3_->invalidate(line);
+      const EvictedLine mv = slice.invalidate(l3p.slot());
       lat = cfg_.l3.latency;
       level = HitLevel::kL3;
       ++stats_.l3_hits;
@@ -313,58 +314,83 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
     }
   }
 
-  fill_private(now, core, l1, line, fill_state, l2_has);
+  const PrivateSlots at =
+      fill_private(now, core, l1, l1_bit, l1p, l2p, line, fill_state);
   // Attach-level tagging of the fresh fill. An L2/LLC tag lives on the
   // L2 line (in exclusive mode it rides back to the LLC on victim-fill);
   // an L1 tag lives on the just-filled L1 line.
-  if (!l2_has && tag_l2) {
-    if (auto slot = l2_[core]->lookup(line)) {
-      CacheLine& cl = l2_[core]->line(*slot);
-      cl.pp_tag = true;
-      cl.pp_accessed = true;  // a demand fill is by definition accessed
-      if (cfg_.monitor_level == MonitorLevel::kL2) ++stats_.pp_tag_fills;
-    }
+  if (!l2p.hit && tag_l2) {
+    CacheLine& cl = l2.line(at.l2);
+    cl.pp_tag = true;
+    cl.pp_accessed = true;  // a demand fill is by definition accessed
+    if (cfg_.monitor_level == MonitorLevel::kL2) ++stats_.pp_tag_fills;
   }
   if (cfg_.monitor_level == MonitorLevel::kL1 && l1_mres.ping_pong) {
-    if (auto slot = l1.lookup(line)) {
-      CacheLine& cl = l1.line(*slot);
-      cl.pp_tag = true;
-      cl.pp_accessed = true;
-      ++stats_.pp_tag_fills;
-    }
+    CacheLine& cl = l1.line(at.l1);
+    cl.pp_tag = true;
+    cl.pp_accessed = true;
+    ++stats_.pp_tag_fills;
   }
   return AccessOutcome{now + lat, lat, level};
 }
 
-void System::fill_private(Tick now, CoreId core, CacheArray& l1,
-                          LineAddr line, Mesi state, bool l2_already_has) {
-  if (!l2_already_has) {
-    auto r = l2_[core]->fill(line);
+System::PrivateSlots System::fill_private(Tick now, CoreId core,
+                                          CacheArray& l1, std::uint8_t l1_bit,
+                                          const CacheProbe& l1_miss,
+                                          const CacheProbe& l2_probe,
+                                          LineAddr line, Mesi state) {
+  CacheArray& l2 = *l2_[core];
+  CacheSlot l2slot = l2_probe.slot();
+  if (!l2_probe.hit) {
+    auto r = l2.fill(line, l2_probe);
     if (r.evicted) handle_l2_eviction(now, core, *r.evicted);
-    l2_[core]->line(r.slot).state = state;
+    l2slot = r.slot;
+    l2.line(l2slot).state = state;
   }
-  auto r = l1.fill(line);
+  auto r = l1.fill(line, l1_miss);
   if (r.evicted) {
-    if (r.evicted->state == Mesi::kModified) {
-      // Dirty L1 victim folds its data (and M state) into the L2 copy.
-      set_l2_state(core, r.evicted->line, Mesi::kModified);
-    }
+    // The victim's L2 copy stops naming this L1, and a dirty victim
+    // folds its data (and M state) into it.
+    CacheLine& outer = l2_copy(core, r.evicted->line, r.evicted->outer_way);
+    outer.inner &= static_cast<std::uint8_t>(~l1_bit);
+    if (r.evicted->state == Mesi::kModified) outer.state = Mesi::kModified;
     note_private_removal(now, MonitorLevel::kL1, *r.evicted);
   }
-  l1.line(r.slot).state = state;
+  CacheLine& l1l = l1.line(r.slot);
+  l1l.state = state;
+  l1l.outer_way = static_cast<std::uint8_t>(l2slot.way);
+  l2.line(l2slot).inner |= l1_bit;
+  return PrivateSlots{l2slot, r.slot};
+}
+
+CacheLine& System::l2_copy(CoreId core, LineAddr line,
+                           std::uint8_t outer_way) {
+  CacheArray& l2 = *l2_[core];
+  CacheLine& l = l2.line(CacheSlot{l2.set_of(line), outer_way});
+  assert(l.valid && l.addr == line && "outer_way must name the L2 copy");
+  return l;
+}
+
+bool System::invalidate_inner(Tick now, CoreId core, LineAddr line,
+                              std::uint8_t inner) {
+  bool was_m = false;
+  for (const InnerL1& in : inner_l1s(core)) {
+    if (!(inner & in.bit)) continue;
+    const CacheProbe p = in.array->probe(line);
+    assert(p.hit && "an L2 residency bit names an L1 without the line");
+    const EvictedLine e = in.array->invalidate(p.slot());
+    was_m = was_m || e.state == Mesi::kModified;
+    note_private_removal(now, MonitorLevel::kL1, e);
+  }
+  return was_m;
 }
 
 void System::handle_l2_eviction(Tick now, CoreId core,
                                 const EvictedLine& ev) {
   ++stats_.l2_evictions;
-  bool dirty = ev.state == Mesi::kModified;
   // L2 is inclusive of both L1s: back-invalidate the core's own copies.
-  for (CacheArray* l1 : {l1i_[core].get(), l1d_[core].get()}) {
-    if (auto e = l1->invalidate(ev.line)) {
-      dirty = dirty || e->state == Mesi::kModified;
-      note_private_removal(now, MonitorLevel::kL1, *e);
-    }
-  }
+  const bool dirty = invalidate_inner(now, core, ev.line, ev.inner) ||
+                     ev.state == Mesi::kModified;
   note_private_removal(now, MonitorLevel::kL2, ev);
   if (exclusive()) {
     // Victim-cache fill: the LLC receives the line only when this was
@@ -413,13 +439,15 @@ void System::victim_fill_l3(Tick now, const EvictedLine& ev, bool dirty) {
   l3l.pp_accessed = l3l.pp_tag && ev.pp_accessed;
 }
 
-void System::fill_l3(Tick now, LineAddr line, bool pp_tagged,
-                     bool from_prefetch, CoreId requester) {
-  auto r = l3_->fill(line, sharp_.get());
+CacheLine& System::fill_l3(Tick now, const CacheProbe& miss, LineAddr line,
+                           bool pp_tagged, bool from_prefetch,
+                           CoreId requester) {
+  CacheArray& slice = l3_->slice_for(line);
+  auto r = slice.fill(line, miss, sharp_.get());
   if (r.evicted) {
     handle_l3_eviction(now, *r.evicted, /*demand_caused=*/!from_prefetch);
   }
-  CacheLine& l3l = l3_->line_for(line, r.slot);
+  CacheLine& l3l = slice.line(r.slot);
   l3l.presence =
       (from_prefetch || requester == kInvalidCore) ? 0u : bit(requester);
   l3l.dirty = false;
@@ -429,6 +457,7 @@ void System::fill_l3(Tick now, LineAddr line, bool pp_tagged,
   // (the paper's anti-over-protection rule).
   l3l.pp_accessed = pp_tagged && !from_prefetch;
   if (pp_tagged && !from_prefetch) ++stats_.pp_tag_fills;
+  return l3l;
 }
 
 void System::handle_l3_eviction(Tick now, const EvictedLine& ev,
@@ -466,16 +495,35 @@ void System::handle_l3_eviction(Tick now, const EvictedLine& ev,
 }
 
 bool System::invalidate_private(Tick now, CoreId core, LineAddr line) {
+  const CacheProbe p = l2_[core]->probe(line);
+  return p.hit && invalidate_private(now, core, line, p.slot());
+}
+
+bool System::invalidate_private(Tick now, CoreId core, LineAddr line,
+                                const CacheSlot& l2slot) {
+  CacheArray& l2 = *l2_[core];
+  const bool l1_was_m =
+      invalidate_inner(now, core, line, l2.line(l2slot).inner);
+  const EvictedLine e = l2.invalidate(l2slot);
+  note_private_removal(now, MonitorLevel::kL2, e);
+  return l1_was_m || e.state == Mesi::kModified;
+}
+
+bool System::share_private(CoreId core, LineAddr line,
+                           const CacheSlot& l2slot) {
   bool was_m = false;
-  for (CacheArray* arr :
-       {l1i_[core].get(), l1d_[core].get(), l2_[core].get()}) {
-    if (auto e = arr->invalidate(line)) {
-      was_m = was_m || e->state == Mesi::kModified;
-      note_private_removal(
-          now, arr == l2_[core].get() ? MonitorLevel::kL2 : MonitorLevel::kL1,
-          *e);
-    }
+  const auto share = [&was_m](CacheLine& cl) {
+    was_m = was_m || cl.state == Mesi::kModified;
+    if (cl.state != Mesi::kInvalid) cl.state = Mesi::kShared;
+  };
+  CacheLine& outer = l2_[core]->line(l2slot);
+  for (const InnerL1& in : inner_l1s(core)) {
+    if (!(outer.inner & in.bit)) continue;
+    const CacheProbe p = in.array->probe(line);
+    assert(p.hit && "an L2 residency bit names an L1 without the line");
+    share(in.array->line(p.slot()));
   }
+  share(outer);
   return was_m;
 }
 
@@ -491,16 +539,7 @@ void System::note_private_removal(Tick now, MonitorLevel level,
 }
 
 bool System::core_holds(CoreId core, LineAddr line) const {
-  return l2_[core]->lookup(line).has_value() ||
-         l1d_[core]->lookup(line).has_value() ||
-         l1i_[core]->lookup(line).has_value();
-}
-
-bool System::other_core_holds(CoreId core, LineAddr line) const {
-  for (CoreId c = 0; c < cfg_.num_cores; ++c) {
-    if (c != core && core_holds(c, line)) return true;
-  }
-  return false;
+  return l2_[core]->probe(line).hit;
 }
 
 bool System::privately_held(LineAddr line) const {
@@ -510,32 +549,28 @@ bool System::privately_held(LineAddr line) const {
   return false;
 }
 
-void System::snoop_transfer(Tick now, CoreId requester, LineAddr line,
+bool System::snoop_transfer(Tick now, CoreId requester, LineAddr line,
                             bool is_store) {
+  bool held = false;
   for (CoreId c = 0; c < cfg_.num_cores; ++c) {
-    if (c == requester || !core_holds(c, line)) continue;
+    if (c == requester) continue;
+    const CacheProbe p = l2_[c]->probe(line);
+    if (!p.hit) continue;
+    held = true;
     if (is_store) {
       // The holder's dirty data (if any) travels to the new M copy.
-      invalidate_private(now, c, line);
+      invalidate_private(now, c, line, p.slot());
       ++stats_.invalidations_for_write;
       continue;
     }
     // Read snoop: the holder degrades to S; an M holder's dirty data
     // goes home first so every surviving S copy is clean.
-    bool was_m = false;
-    for (CacheArray* arr :
-         {l1i_[c].get(), l1d_[c].get(), l2_[c].get()}) {
-      if (auto slot = arr->lookup(line)) {
-        CacheLine& cl = arr->line(*slot);
-        was_m = was_m || cl.state == Mesi::kModified;
-        if (cl.state != Mesi::kInvalid) cl.state = Mesi::kShared;
-      }
-    }
-    if (was_m) {
+    if (share_private(c, line, p.slot())) {
       mem_->writeback(now, line);
       ++stats_.writebacks;
     }
   }
+  return held;
 }
 
 void System::upgrade_for_store(Tick now, CoreId core, LineAddr line) {
@@ -544,20 +579,21 @@ void System::upgrade_for_store(Tick now, CoreId core, LineAddr line) {
     snoop_transfer(now, core, line, /*is_store=*/true);
     return;
   }
-  auto l3slot = l3_->lookup(line);
-  if (!l3slot) {
-    // RIC orphan: the private copy outlived its LLC line (relaxed
-    // inclusion). Re-establish the LLC entry before granting ownership —
-    // the write ends the line's read-only exemption. The fresh entry
-    // knows only about this writer, so sibling orphan copies (which
-    // make_exclusive's presence walk cannot see) must be reconciled
-    // away here or a stale S copy survives next to the new M.
-    fill_l3(now, line, false, false, core);
-    l3slot = l3_->lookup(line);
-    reconcile_ric_orphans(now, line, core, /*is_store=*/true,
-                          l3_->line_for(line, *l3slot));
+  CacheArray& slice = l3_->slice_for(line);
+  const CacheProbe l3p = slice.probe(line);
+  if (l3p.hit) {
+    make_exclusive(now, core, line, slice.line(l3p.slot()));
+    return;
   }
-  make_exclusive(now, core, line, l3_->line_for(line, *l3slot));
+  // RIC orphan: the private copy outlived its LLC line (relaxed
+  // inclusion). Re-establish the LLC entry before granting ownership —
+  // the write ends the line's read-only exemption. The fresh entry
+  // knows only about this writer, so sibling orphan copies (which
+  // make_exclusive's presence walk cannot see) must be reconciled away
+  // here or a stale S copy survives next to the new M.
+  CacheLine& l3l = fill_l3(now, l3p, line, false, false, core);
+  reconcile_ric_orphans(now, line, core, /*is_store=*/true, l3l);
+  make_exclusive(now, core, line, l3l);
 }
 
 void System::make_exclusive(Tick now, CoreId writer, LineAddr line,
@@ -575,26 +611,12 @@ void System::downgrade_owners(CoreId reader, LineAddr line,
                               CacheLine& l3_line) {
   for (CoreId c = 0; c < cfg_.num_cores; ++c) {
     if (c == reader || !(l3_line.presence & bit(c))) continue;
-    for (CacheArray* arr :
-         {l1i_[c].get(), l1d_[c].get(), l2_[c].get()}) {
-      if (auto slot = arr->lookup(line)) {
-        CacheLine& cl = arr->line(*slot);
-        if (cl.state == Mesi::kModified) {
-          l3_line.dirty = true;
-          l3_line.ever_written = true;
-        }
-        if (cl.state != Mesi::kInvalid) cl.state = Mesi::kShared;
-      }
+    const CacheProbe p = l2_[c]->probe(line);
+    if (p.hit && share_private(c, line, p.slot())) {
+      l3_line.dirty = true;
+      l3_line.ever_written = true;
     }
   }
-}
-
-void System::set_l2_state(CoreId core, LineAddr line, Mesi state) {
-  if (auto slot = l2_[core]->lookup(line)) {
-    l2_[core]->line(*slot).state = state;
-  }
-  // A missing L2 copy would violate L2-inclusive-of-L1; tolerated here
-  // only because invalidations clear L1 and L2 together.
 }
 
 void System::reconcile_ric_orphans(Tick now, LineAddr line,
@@ -602,20 +624,14 @@ void System::reconcile_ric_orphans(Tick now, LineAddr line,
                                    CacheLine& l3_line) {
   for (CoreId c = 0; c < cfg_.num_cores; ++c) {
     if (c == requester) continue;
-    bool holds = false;
-    for (CacheArray* arr :
-         {l1i_[c].get(), l1d_[c].get(), l2_[c].get()}) {
-      if (auto slot = arr->lookup(line)) {
-        holds = true;
-        if (!is_store) arr->line(*slot).state = Mesi::kShared;
-      }
-    }
-    if (!holds) continue;
+    const CacheProbe p = l2_[c]->probe(line);
+    if (!p.hit) continue;
     if (is_store) {
       // orphans are clean: nothing to merge
-      invalidate_private(now, c, line);
+      invalidate_private(now, c, line, p.slot());
       ++stats_.invalidations_for_write;
     } else {
+      share_private(c, line, p.slot());
       l3_line.presence |= bit(c);
     }
   }
@@ -635,23 +651,47 @@ std::string System::check_invariants() const {
     if (std::string m = l3_->slice(s).check_mirror(); !m.empty()) return m;
   }
   for (CoreId c = 0; c < cfg_.num_cores; ++c) {
-    for (const CacheArray* l1 : {l1i_[c].get(), l1d_[c].get()}) {
+    const CacheArray& l2 = *l2_[c];
+    for (const auto& [l1, l1_bit] : inner_l1s(c)) {
       for (std::size_t set = 0; set < l1->num_sets(); ++set) {
         for (std::uint32_t w = 0; w < l1->ways(); ++w) {
           const CacheLine& l = l1->line(CacheSlot{set, w});
           if (!l.valid) continue;
-          if (!l2_[c]->lookup(l.addr)) {
+          const CacheProbe p = l2.probe(l.addr);
+          if (!p.hit) {
             err << "L1 line " << std::hex << l.addr << std::dec
                 << " of core " << unsigned(c) << " missing from its L2";
+            return err.str();
+          }
+          // Residency, from the L1 side: the back-pointer names the L2
+          // copy, and that copy names this L1.
+          const std::uint8_t inner = l2.line(p.slot()).inner;
+          if (p.way != l.outer_way || !(inner & l1_bit)) {
+            err << l1->config().name << " line " << std::hex << l.addr
+                << std::dec << " of core " << unsigned(c)
+                << " residency mismatch: outer_way " << unsigned(l.outer_way)
+                << ", L2 copy in way " << p.way << " with bits "
+                << unsigned(inner);
             return err.str();
           }
         }
       }
     }
-    for (std::size_t set = 0; set < l2_[c]->num_sets(); ++set) {
-      for (std::uint32_t w = 0; w < l2_[c]->ways(); ++w) {
-        const CacheLine& l = l2_[c]->line(CacheSlot{set, w});
+    for (std::size_t set = 0; set < l2.num_sets(); ++set) {
+      for (std::uint32_t w = 0; w < l2.ways(); ++w) {
+        const CacheLine& l = l2.line(CacheSlot{set, w});
         if (!l.valid) continue;
+        // Residency, from the L2 side: the bits are exactly the L1s
+        // that hold the line.
+        const std::uint8_t held =
+            (l1i_[c]->probe(l.addr).hit ? kInnerL1i : 0) |
+            (l1d_[c]->probe(l.addr).hit ? kInnerL1d : 0);
+        if (l.inner != held) {
+          err << "L2 line " << std::hex << l.addr << std::dec << " of core "
+              << unsigned(c) << " has residency bits " << unsigned(l.inner)
+              << " but its L1s hold " << unsigned(held);
+          return err.str();
+        }
         const auto l3slot = l3_->lookup(l.addr);
         if (exclusive()) {
           // Mutual exclusion: a privately held line must not also live
@@ -722,6 +762,14 @@ std::string System::check_invariants() const {
   return {};
 }
 
+std::uint64_t System::probes() const {
+  std::uint64_t n = l3_->probes();
+  for (CoreId c = 0; c < cfg_.num_cores; ++c) {
+    n += l1i_[c]->probes() + l1d_[c]->probes() + l2_[c]->probes();
+  }
+  return n;
+}
+
 Tick System::next_drain_tick() const {
   const Tick due = active_monitor_->next_due_tick();
   if (inflight_prefetch_.empty()) return due;
@@ -754,12 +802,12 @@ void System::drain_prefetches(Tick now) {
          inflight_prefetch_.front().fill_at <= now) {
     const InflightPrefetch pf = inflight_prefetch_.front();
     inflight_prefetch_.pop_front();
-    if (l3_->lookup(pf.line) ||
-        (exclusive() && privately_held(pf.line))) {
+    const CacheProbe l3p = l3_->slice_for(pf.line).probe(pf.line);
+    if (l3p.hit || (exclusive() && privately_held(pf.line))) {
       ++stats_.prefetch_drops;  // a demand fetch beat the prefetch back
       continue;
     }
-    fill_l3(pf.fill_at, pf.line, /*pp_tagged=*/pf.tag,
+    fill_l3(pf.fill_at, l3p, pf.line, /*pp_tagged=*/pf.tag,
             /*from_prefetch=*/true, kInvalidCore);
     ++stats_.prefetch_fills;
   }

@@ -22,9 +22,9 @@
 //     downgraded to S, LLC marked dirty (data merged).
 //   * write to an S line: directory upgrade, all other sharers
 //     invalidated (charged one LLC round-trip).
-//   * L2 eviction: back-invalidates that core's L1 copies (L2 is
-//     inclusive of L1), clears the directory presence bit, merges dirty
-//     data into the LLC.
+//   * L2 eviction: back-invalidates the L1 copies its residency bits
+//     name (L2 is inclusive of L1), clears the directory presence bit,
+//     merges dirty data into the LLC.
 //   * L3 eviction: back-invalidates EVERY private copy (the inclusive-LLC
 //     property cross-core attacks exploit), writes back dirty data, and —
 //     when the line is Ping-Pong-tagged and was accessed — sends pEvict
@@ -39,6 +39,11 @@
 // back-invalidation channel — the attack surface the inclusive golden
 // matrix measures simply does not exist here.
 //
+// Each core's L2 is that core's directory: an L2 line's
+// CacheLine::inner bits name the L1s holding it, and an L1 line's
+// outer_way names its L2 copy's way. Every per-core coherence action
+// probes the L2 once and visits only the L1s its bits name.
+//
 // The active defense attaches at cfg.monitor_level: it observes misses
 // at that level, tags that level's fills, and receives pEvict when a
 // tagged line is involuntarily removed from that level (capacity
@@ -46,6 +51,7 @@
 // restorative prefetches always land in the LLC.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -169,12 +175,18 @@ class System {
   const Stats& stats() const { return stats_; }
   void reset_stats() { stats_ = Stats{}; }
 
+  /// Set scans across every cache array (CacheArray::probes): a
+  /// deterministic work count, deliberately not one of the Stats.
+  std::uint64_t probes() const;
+
   /// Structural-invariant audit (test/diagnostic hook). Walks every
   /// array and returns a description of the first violation found, or an
   /// empty string when the machine state is consistent:
   ///  * inclusion — every private L1/L2 line is present in the L3
   ///    (except under RIC, whose relaxed inclusion permits clean
   ///    orphans), and every L1 line is present in its core's L2;
+  ///  * residency — every L1 line's outer_way names its L2 copy's way,
+  ///    and every L2 line's inner bits name exactly the L1s holding it;
   ///  * single writer — at most one core holds a line in M or E, and no
   ///    other core holds any copy of an M/E line;
   ///  * directory — the L3 presence bit of every privately held line's
@@ -188,23 +200,55 @@ class System {
     return cfg_.inclusion == InclusionPolicy::kExclusive;
   }
 
-  void fill_l3(Tick now, LineAddr line, bool pp_tagged, bool from_prefetch,
-               CoreId requester);
+  /// Fills `line` into its LLC slice, consuming that slice's miss
+  /// probe, and returns the new line.
+  CacheLine& fill_l3(Tick now, const CacheProbe& miss, LineAddr line,
+                     bool pp_tagged, bool from_prefetch, CoreId requester);
   /// `demand_caused`: the eviction was triggered by a demand fill rather
   /// than a monitor prefetch fill (forwarded in the pEvict message).
   void handle_l3_eviction(Tick now, const EvictedLine& ev,
                           bool demand_caused);
   void handle_l2_eviction(Tick now, CoreId core, const EvictedLine& ev);
-  void fill_private(Tick now, CoreId core, CacheArray& l1, LineAddr line,
-                    Mesi state, bool l2_already_has);
+  /// Where fill_private left the line.
+  struct PrivateSlots {
+    CacheSlot l2;
+    CacheSlot l1;
+  };
+  /// Fills `line` into `core`'s L2 unless `l2_probe` hit, then into
+  /// `l1` (whose CacheLine::inner bit is `l1_bit`), consuming both
+  /// probes and keeping the L2's residency records.
+  PrivateSlots fill_private(Tick now, CoreId core, CacheArray& l1,
+                            std::uint8_t l1_bit, const CacheProbe& l1_miss,
+                            const CacheProbe& l2_probe, LineAddr line,
+                            Mesi state);
+  /// One of a core's L1s and its CacheLine::inner bit.
+  struct InnerL1 {
+    CacheArray* array;
+    std::uint8_t bit;
+  };
+  /// `core`'s L1s in the order every walk visits them: L1I, then L1D.
+  std::array<InnerL1, 2> inner_l1s(CoreId core) const {
+    return {{{l1i_[core].get(), kInnerL1i}, {l1d_[core].get(), kInnerL1d}}};
+  }
+  /// The L2 copy of one of `core`'s L1 lines, through its outer_way.
+  CacheLine& l2_copy(CoreId core, LineAddr line, std::uint8_t outer_way);
+  /// Invalidates the copies of `line` in the L1s `inner` names, L1I
+  /// before L1D; true if one was M.
+  bool invalidate_inner(Tick now, CoreId core, LineAddr line,
+                        std::uint8_t inner);
   /// Invalidates the line in `core`'s L1s and L2; true if a copy was M.
   bool invalidate_private(Tick now, CoreId core, LineAddr line);
+  /// The same, for a line the caller found at `l2slot` in the core's L2.
+  bool invalidate_private(Tick now, CoreId core, LineAddr line,
+                          const CacheSlot& l2slot);
+  /// Downgrades `core`'s copies of `line`, found at `l2slot` in its L2,
+  /// to S; true if one was M.
+  bool share_private(CoreId core, LineAddr line, const CacheSlot& l2slot);
   /// Invalidates all sharers other than `writer` and grants it ownership.
   void make_exclusive(Tick now, CoreId writer, LineAddr line,
                       CacheLine& l3_line);
   /// Downgrades any M/E owner to S on a read by another core.
   void downgrade_owners(CoreId reader, LineAddr line, CacheLine& l3_line);
-  void set_l2_state(CoreId core, LineAddr line, Mesi state);
   /// RIC only: after a memory fill of `line`, other cores may still hold
   /// relaxed-inclusion orphan copies whose directory knowledge was
   /// dropped with the old LLC entry. Restores their presence bits (reads)
@@ -218,14 +262,15 @@ class System {
   void upgrade_for_store(Tick now, CoreId core, LineAddr line);
 
   // --- exclusive-mode machinery (InclusionPolicy::kExclusive) ---
-  /// Does `core` hold the line in any of its private arrays?
+  /// Does `core` hold the line in any of its private arrays? (Its L2
+  /// includes both L1s, so one L2 probe answers.)
   bool core_holds(CoreId core, LineAddr line) const;
-  bool other_core_holds(CoreId core, LineAddr line) const;
   bool privately_held(LineAddr line) const;
   /// Cache-to-cache service of `requester`'s L2 miss from whichever
   /// cores hold the line: readers downgrade holders to S (an M holder's
-  /// dirty data goes home first), writers invalidate them.
-  void snoop_transfer(Tick now, CoreId requester, LineAddr line,
+  /// dirty data goes home first), writers invalidate them. True if
+  /// another core held the line.
+  bool snoop_transfer(Tick now, CoreId requester, LineAddr line,
                       bool is_store);
   /// Victim-fills the LLC with an L2 eviction that was the hierarchy's
   /// last copy of the line.
