@@ -5,6 +5,8 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "fabric/coordinator.h"
@@ -127,9 +129,13 @@ FuzzReport Fuzzer::run() {
     spec.monitor_level = cfg_.monitor_level;
     spec.fuzz_perm_rounds = cfg_.perm_rounds;
     for (std::size_t i = 0; i < pop.size(); ++i) {
-      spec.fuzz.push_back(FuzzCell{
-          "g" + std::to_string(gen) + "_" + std::to_string(i),
-          pop[i].to_string()});
+      // Appends rather than operator+ chains: gcc 12's -Wrestrict trips
+      // a known false positive on the temporary-concatenation pattern.
+      std::string name = "g";
+      name += std::to_string(gen);
+      name += '_';
+      name += std::to_string(i);
+      spec.fuzz.push_back(FuzzCell{std::move(name), pop[i].to_string()});
     }
     CoordinatorOptions opt;
     opt.listen = false;

@@ -1,7 +1,6 @@
 #include "workload/synthetic.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace pipo {
 
@@ -33,17 +32,9 @@ SyntheticWorkload::SyntheticWorkload(BenchmarkProfile profile, Addr base,
           1, std::min(profile.hot_bytes, profile.working_set_bytes) /
                  kLineSizeBytes)),
       warm_lines_(std::min(profile.warm_bytes, profile.working_set_bytes) /
-                  kLineSizeBytes) {
+                  kLineSizeBytes),
+      hot_zipf_(hot_lines_, profile.zipf_s) {
   profile_.normalize();
-  // Inverse-CDF table for Zipf(s) over the hot lines. s = 0 degenerates
-  // to uniform; the table is still built for uniformity of the code path.
-  zipf_cdf_.resize(static_cast<std::size_t>(hot_lines_));
-  double acc = 0.0;
-  for (std::uint64_t i = 0; i < hot_lines_; ++i) {
-    acc += 1.0 / std::pow(static_cast<double>(i + 1), profile_.zipf_s);
-    zipf_cdf_[static_cast<std::size_t>(i)] = acc;
-  }
-  for (double& v : zipf_cdf_) v /= acc;
   stream_cursor_ = rng_.below(ws_lines_);
   // Quasi-periodic burst schedule: random initial phase, then one burst
   // per warm_burst_every accesses. A Bernoulli draw per access would give
@@ -55,11 +46,7 @@ SyntheticWorkload::SyntheticWorkload(BenchmarkProfile profile, Addr base,
 }
 
 Addr SyntheticWorkload::pick_hot() {
-  const double u = rng_.uniform();
-  const auto it = std::lower_bound(zipf_cdf_.begin(), zipf_cdf_.end(), u);
-  const std::uint64_t rank =
-      static_cast<std::uint64_t>(it - zipf_cdf_.begin());
-  return base_ + byte_of(rank);
+  return base_ + byte_of(hot_zipf_.rank(rng_.uniform()));
 }
 
 Addr SyntheticWorkload::pick_warm() {

@@ -4,7 +4,8 @@
 //
 // Stream composition per request:
 //   * hot accesses   — Zipf-distributed over the profile's hot region
-//                      (models stack/globals/inner-loop data);
+//                      (models stack/globals/inner-loop data), one
+//                      uniform draw mapped to a rank by ZipfTable;
 //   * warm accesses  — rare bursts of short laps over LLC set-conflict
 //                      groups (more congruent lines than LLC ways). Each
 //                      lap evicts and re-fetches the group's lines with a
@@ -26,12 +27,12 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
 #include "sim/workload_if.h"
 #include "workload/profile.h"
+#include "workload/zipf_table.h"
 
 namespace pipo {
 
@@ -83,9 +84,7 @@ class SyntheticWorkload final : public Workload {
   std::uint32_t warm_lap_ = 0;
   std::uint32_t lap_gap_left_ = 0;
 
-  // Zipf sampling over the hot region via inverse-CDF on a precomputed
-  // table (hot regions are small, so the table is cheap).
-  std::vector<double> zipf_cdf_;
+  ZipfTable hot_zipf_;  ///< hot-line ranks, Zipf(profile.zipf_s)
 };
 
 }  // namespace pipo

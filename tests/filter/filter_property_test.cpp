@@ -1,6 +1,7 @@
 // Property-style parameterized sweeps over filter geometries (TEST_P):
 // the paper-level invariants must hold for every (l, b, f, MNK)
 // configuration, not just the Table II point.
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -157,10 +158,17 @@ INSTANTIATE_TEST_SUITE_P(
         GeometryParam{256, 8, 14, 8}, GeometryParam{512, 8, 12, 4},
         GeometryParam{1024, 8, 12, 4}),
     [](const ::testing::TestParamInfo<GeometryParam>& info) {
-      return "l" + std::to_string(std::get<0>(info.param)) + "b" +
-             std::to_string(std::get<1>(info.param)) + "f" +
-             std::to_string(std::get<2>(info.param)) + "mnk" +
-             std::to_string(std::get<3>(info.param));
+      // Appends rather than operator+ chains: gcc 12's -Wrestrict trips
+      // a known false positive on the temporary-concatenation pattern.
+      std::string name = "l";
+      name += std::to_string(std::get<0>(info.param));
+      name += 'b';
+      name += std::to_string(std::get<1>(info.param));
+      name += 'f';
+      name += std::to_string(std::get<2>(info.param));
+      name += "mnk";
+      name += std::to_string(std::get<3>(info.param));
+      return name;
     });
 
 // --- false-positive-rate sweep over fingerprint width (Section V-B) ---
@@ -194,7 +202,9 @@ TEST_P(FingerprintWidth, MeasuredCollisionRateTracksEquation) {
 INSTANTIATE_TEST_SUITE_P(WidthSweep, FingerprintWidth,
                          ::testing::Values(8u, 10u, 12u, 14u, 16u),
                          [](const ::testing::TestParamInfo<std::uint32_t>& i) {
-                           return "f" + std::to_string(i.param);
+                           std::string name = "f";
+                           name += std::to_string(i.param);
+                           return name;
                          });
 
 // --- secThr sweep: capture happens exactly at the threshold ---

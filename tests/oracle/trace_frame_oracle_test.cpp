@@ -12,6 +12,7 @@
 //    can never drift from the only-path-that-existed-before semantics;
 //  * a teeth test proves the stats comparison can fail.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -128,8 +129,19 @@ void expect_stats_identical(const ReplayResult& got, const ReplayResult& want,
 
 class TraceFrameSeekOracle : public ::testing::Test {
  protected:
+  // One directory per test and process: under `ctest -j` each case runs
+  // in its own process, and a shared name let one case's TearDown delete
+  // the other's trace mid-run.
   void SetUp() override {
-    dir_ = testing::TempDir() + "pipo_frame_seek_oracle";
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = testing::TempDir();
+    dir_ += "pipo_";
+    dir_ += info->test_suite_name();
+    dir_ += '_';
+    dir_ += info->name();
+    dir_ += '_';
+    dir_ += std::to_string(getpid());
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

@@ -96,6 +96,11 @@ struct ResidencyCase {
   bool in_l1d;
 };
 
+// gtest's default printer dumps the struct's bytes, `name`'s address
+// among them, into every listed test name; under ASLR that made the
+// names differ from one run of the binary to the next.
+void PrintTo(const ResidencyCase& rc, std::ostream* os) { *os << rc.name; }
+
 class L2EvictionResidency : public ::testing::TestWithParam<ResidencyCase> {};
 
 TEST_P(L2EvictionResidency, EachL1LosesExactlyItsCopy) {

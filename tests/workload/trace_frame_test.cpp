@@ -7,6 +7,7 @@
 #include "workload/trace_frame.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -159,11 +160,19 @@ TEST(TraceFrame, PutAfterFinishThrows) {
 
 class TraceFrameFileTest : public ::testing::Test {
  protected:
+  // Named after the test and the process: the fixture's address repeats
+  // across processes when ASLR is off, and gtest's random seed is equal
+  // in all of them, so neither separates concurrent `ctest -j` runs.
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("pipo_trace_frame_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = "pipo_";
+    name += info->test_suite_name();
+    name += '_';
+    name += info->name();
+    name += '_';
+    name += std::to_string(getpid());
+    dir_ = std::filesystem::temp_directory_path() / name;
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {
