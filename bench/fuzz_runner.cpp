@@ -12,7 +12,7 @@
 //               [--llc inc|exc] [--slice-hash low|cas]
 //               [--monitor-level l1|l2|llc]
 //               [--perm-rounds R] [--p-threshold P]
-//               [--corpus DIR] [--corpus-format text|binary]
+//               [--corpus DIR]
 //               [--out FILE] [--mutation-log FILE] [--genotypes FILE]
 //               [--min-finds N] [--quiet]
 //
@@ -42,7 +42,6 @@ using namespace pipo;
 struct Options {
   FuzzerConfig fuzz;
   std::string corpus_dir;
-  TraceFormat corpus_format = TraceFormat::kBinaryV2;
   std::string out;
   std::string mutation_log;
   std::string genotypes;
@@ -85,15 +84,6 @@ Options parse_args(int argc, char** argv) {
       }
     } else if (arg == "--corpus") {
       o.corpus_dir = value();
-    } else if (arg == "--corpus-format") {
-      const std::string v = value();
-      if (v == "text") {
-        o.corpus_format = TraceFormat::kTextV1;
-      } else if (v == "binary") {
-        o.corpus_format = TraceFormat::kBinaryV2;
-      } else {
-        throw std::invalid_argument("--corpus-format wants text|binary");
-      }
     } else if (arg == "--out") {
       o.out = value();
     } else if (arg == "--mutation-log") {
@@ -136,14 +126,7 @@ int main(int argc, char** argv) {
     const double secs =
         std::chrono::duration<double>(t1 - t0).count();
 
-    if (!o.out.empty()) {
-      std::FILE* f = std::fopen(o.out.c_str(), "wb");
-      if (f == nullptr) {
-        throw std::runtime_error("cannot open --out file: " + o.out);
-      }
-      write_campaign_records(f, report.records);
-      std::fclose(f);
-    }
+    if (!o.out.empty()) write_campaign_file(o.out, report.records);
     if (!o.mutation_log.empty()) {
       write_lines(o.mutation_log, report.mutation_log, "mutation log");
     }
@@ -153,8 +136,7 @@ int main(int argc, char** argv) {
 
     std::vector<std::string> notes;
     if (!o.corpus_dir.empty() && !report.best.empty()) {
-      archive_fuzz_corpus(report, o.fuzz, o.corpus_dir, o.corpus_format,
-                          &notes);
+      archive_fuzz_corpus(report, o.fuzz, o.corpus_dir, &notes);
     }
 
     if (!o.quiet) {

@@ -1,14 +1,13 @@
 // Trace-codec microbenchmark: decode (and encode) throughput of the
-// text v1, binary v2 and framed v3 trace formats
-// (workload/trace_codec.h, workload/trace_frame.h), on a synthetic
-// request stream with mix-like locality (mostly short line deltas,
-// occasional far jumps, all six type x bypass combinations).
+// text v1 and framed v3 trace formats (workload/trace_codec.h,
+// workload/trace_frame.h), on a synthetic request stream with mix-like
+// locality (mostly short line deltas, occasional far jumps, all six
+// type x bypass combinations).
 //
 // The baseline is text v1 — the seed's only trace path — and the
-// engine numbers are binary v2 (the streaming capture format) and
-// framed v3 (the seekable production container; its decode rate shows
-// what the per-frame checksums and restart points cost). Also reports
-// the encoded bytes per request for every format.
+// engine number is framed v3, the capture and replay container; its
+// decode rate includes the per-frame checksums and restart points. Also
+// reports the encoded bytes per request for both formats.
 //
 // Human-readable by default; one JSON object with --json for
 // BENCH_engine.json (see docs/benchmarks.md).
@@ -116,8 +115,6 @@ int main(int argc, char** argv) {
   std::uint64_t sink = 0;
   const CodecNumbers text =
       measure(TraceFormat::kTextV1, stream, kReps, sink);
-  const CodecNumbers bin =
-      measure(TraceFormat::kBinaryV2, stream, kReps, sink);
   const CodecNumbers framed =
       measure(TraceFormat::kFramedV3, stream, kReps, sink);
 
@@ -127,16 +124,14 @@ int main(int argc, char** argv) {
         "\"reps\":\"best of %d\","
         "\"text_v1\":{\"decode_rps\":%.0f,\"encode_rps\":%.0f,"
         "\"bytes_per_req\":%.2f},"
-        "\"binary_v2\":{\"decode_rps\":%.0f,\"encode_rps\":%.0f,"
-        "\"bytes_per_req\":%.2f},"
         "\"framed_v3\":{\"decode_rps\":%.0f,\"encode_rps\":%.0f,"
         "\"bytes_per_req\":%.2f},"
         "\"decode_speedup\":%.2f,\"size_ratio\":%.2f,\"sink\":%llu}\n",
         static_cast<unsigned long long>(kRequests), kReps, text.decode_rps,
-        text.encode_rps, text.bytes_per_req, bin.decode_rps, bin.encode_rps,
-        bin.bytes_per_req, framed.decode_rps, framed.encode_rps,
-        framed.bytes_per_req, bin.decode_rps / text.decode_rps,
-        text.bytes_per_req / bin.bytes_per_req,
+        text.encode_rps, text.bytes_per_req, framed.decode_rps,
+        framed.encode_rps, framed.bytes_per_req,
+        framed.decode_rps / text.decode_rps,
+        text.bytes_per_req / framed.bytes_per_req,
         static_cast<unsigned long long>(sink));
     return 0;
   }
@@ -147,12 +142,10 @@ int main(int argc, char** argv) {
               "encode req/s", "bytes/req");
   std::printf("%-12s %14.2e %14.2e %12.2f\n", "text v1", text.decode_rps,
               text.encode_rps, text.bytes_per_req);
-  std::printf("%-12s %14.2e %14.2e %12.2f\n", "binary v2", bin.decode_rps,
-              bin.encode_rps, bin.bytes_per_req);
   std::printf("%-12s %14.2e %14.2e %12.2f\n", "framed v3", framed.decode_rps,
               framed.encode_rps, framed.bytes_per_req);
   std::printf("\ndecode speedup %.2fx, size ratio %.2fx\n",
-              bin.decode_rps / text.decode_rps,
-              text.bytes_per_req / bin.bytes_per_req);
+              framed.decode_rps / text.decode_rps,
+              text.bytes_per_req / framed.bytes_per_req);
   return 0;
 }

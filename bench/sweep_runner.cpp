@@ -21,7 +21,7 @@
 //                [--monitor-level l1|l2|llc]
 //                [--trace PATH]... [--no-mixes]
 //                [--deterministic]
-//                [--record DIR] [--record-format text|binary|framed]
+//                [--record DIR] [--record-format text|framed]
 //
 // --threads parallelizes *across* configurations (one single-threaded
 // Simulation per worker) — simulated fields are byte-identical at any
@@ -81,39 +81,11 @@ Options parse_args(int argc, char** argv) {
       if (++i >= argc) throw std::invalid_argument(arg + " needs a value");
       return argv[i];
     };
+    if (parse_campaign_flag(arg, value, o.spec, o.trace_paths)) continue;
     if (arg == "--threads") {
       o.threads = parse_uint32(value(), "--threads", 0, 4096);
-    } else if (arg == "--llc") {
-      o.spec.inclusion = parse_inclusion(value());
-    } else if (arg == "--slice-hash") {
-      const auto h = parse_slice_hash(value());
-      if (!h) throw std::invalid_argument("--slice-hash wants low|cas");
-      o.spec.slice_hash = *h;
-    } else if (arg == "--monitor-level") {
-      o.spec.monitor_level = parse_monitor_level(value());
-    } else if (arg == "--mixes") {
-      const std::string v = value();
-      const auto dash = v.find('-');
-      if (dash == std::string::npos) {
-        o.spec.mix_lo = o.spec.mix_hi = parse_uint32(v, "--mixes", 1);
-      } else {
-        o.spec.mix_lo = parse_uint32(v.substr(0, dash), "--mixes", 1);
-        o.spec.mix_hi = parse_uint32(v.substr(dash + 1), "--mixes", 1);
-      }
-    } else if (arg == "--defenses") {
-      o.spec.defenses = parse_defense_list(value());
-    } else if (arg == "--seeds") {
-      o.spec.seeds = parse_uint32(value(), "--seeds", 1);
-    } else if (arg == "--instr") {
-      o.spec.instr = parse_uint(value(), "--instr", 1);
-    } else if (arg == "--ws-div") {
-      o.spec.ws_div = parse_uint(value(), "--ws-div", 1);
     } else if (arg == "--out") {
       o.out = value();
-    } else if (arg == "--trace") {
-      o.trace_paths.push_back(value());
-    } else if (arg == "--no-mixes") {
-      o.spec.run_mixes = false;
     } else if (arg == "--deterministic") {
       o.deterministic = true;
     } else if (arg == "--record") {
@@ -121,8 +93,7 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--record-format") {
       const auto fmt = parse_trace_format(value());
       if (!fmt) {
-        throw std::invalid_argument(
-            "--record-format must be text|binary|framed");
+        throw std::invalid_argument("--record-format must be text|framed");
       }
       o.spec.record_format = *fmt;
     } else {
@@ -177,16 +148,6 @@ int main(int argc, char** argv) {
                                     sweep_start)
           .count();
 
-  std::FILE* f = stdout;
-  if (!opt.out.empty()) {
-    f = std::fopen(opt.out.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "sweep_runner: cannot open %s\n",
-                   opt.out.c_str());
-      return 1;
-    }
-  }
-
   std::size_t failed = 0;
   std::vector<std::string> records;
   records.reserve(results.size());
@@ -210,8 +171,12 @@ int main(int argc, char** argv) {
     scaling_json = scaling_record_json(scaling);
   }
 
-  write_campaign_records(f, records, scaling_json);
-  if (f != stdout) std::fclose(f);
+  try {
+    write_campaign_file(opt.out, records, scaling_json);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "sweep_runner: %s\n", e.what());
+    return 1;
+  }
 
   // Note: per-config wall_ms under thread oversubscription includes
   // scheduler interleaving; compare whole-sweep times across --threads

@@ -7,7 +7,7 @@
 //   pipo_sim mix <1..10> [--instr N] [--ws-div D] [--no-defense]
 //            [--defense pipo|dir|sharp|bitp|ric] [--l L] [--b B]
 //            [--secthr T] [--mnk K] [--seed S]
-//            [--record DIR] [--record-format text|binary|framed]
+//            [--record DIR] [--record-format text|framed]
 //   pipo_sim trace <file|dir> [--core C] [--from-frame K]
 //            [--no-defense] [...]
 //   pipo_sim attack [--iters N] [--interval T] [--no-defense] [...]
@@ -21,7 +21,7 @@
 //
 // Examples:
 //   pipo_sim mix 1 --instr 2000000 --ws-div 16
-//   pipo_sim mix 1 --record rec --record-format binary
+//   pipo_sim mix 1 --record rec --record-format framed
 //   pipo_sim trace rec
 //   pipo_sim attack --iters 100
 //   pipo_sim trace probe.trace --defense dir
@@ -57,7 +57,7 @@ using namespace pipo;
                "--interval T\n"
                "         --defense pipo|dir|sharp|bitp|ric --no-defense\n"
                "         --l L --b B --secthr T --mnk K --seed S\n"
-               "         --record DIR --record-format text|binary|framed "
+               "         --record DIR --record-format text|framed "
                "(mix only)\n"
                "         --from-frame K (trace only: seek replay of a "
                "framed trace)\n");
@@ -134,7 +134,7 @@ Options parse_options(int argc, char** argv, int first) {
     } else if (a == "--record-format") {
       const auto fmt = parse_trace_format(need("--record-format"));
       if (!fmt) {
-        std::fprintf(stderr, "--record-format must be text|binary|framed\n");
+        std::fprintf(stderr, "--record-format must be text|framed\n");
         usage();
       }
       o.record_format = *fmt;

@@ -70,10 +70,10 @@ bool is_core_trace_name(const std::string& filename,
 /// core<i>.trace files, if it names a core the simulation does not have
 /// (including zero-padded spellings the loader would miss), if
 /// `single_file_core` is out of range, or if any trace file holds zero
-/// requests (empty, whitespace-only, or a bare binary header — a
-/// truncated-to-empty capture replaying as a silently idle core would
-/// produce plausible but wrong replay stats, like every other silent
-/// drop this loader rejects). Direct codec users keep the permissive
+/// requests (empty, whitespace-only, or a framed container with no
+/// frames — a truncated-to-empty capture replaying as a silently idle
+/// core would produce plausible but wrong replay stats, like every
+/// other silent drop this loader rejects). Direct codec users keep the permissive
 /// empty-trace behavior.
 std::uint32_t assign_trace_scenario(Simulation& sim,
                                     const std::string& path,

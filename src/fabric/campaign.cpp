@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <stdexcept>
 
+#include "common/parse_num.h"
 #include "fuzz/genotype.h"
 #include "fuzz/scenario.h"
 #include "workload/mixes.h"
@@ -116,6 +117,45 @@ MonitorLevel parse_monitor_level(const std::string& s) {
   if (s == "llc") return MonitorLevel::kLlc;
   throw std::invalid_argument("unknown monitor level: " + s +
                               " (want l1|l2|llc)");
+}
+
+bool parse_campaign_flag(const std::string& arg,
+                         const std::function<std::string()>& value,
+                         CampaignSpec& spec,
+                         std::vector<std::string>& trace_paths) {
+  if (arg == "--mixes") {
+    const std::string v = value();
+    const auto dash = v.find('-');
+    if (dash == std::string::npos) {
+      spec.mix_lo = spec.mix_hi = parse_uint32(v, "--mixes", 1);
+    } else {
+      spec.mix_lo = parse_uint32(v.substr(0, dash), "--mixes", 1);
+      spec.mix_hi = parse_uint32(v.substr(dash + 1), "--mixes", 1);
+    }
+  } else if (arg == "--defenses") {
+    spec.defenses = parse_defense_list(value());
+  } else if (arg == "--seeds") {
+    spec.seeds = parse_uint32(value(), "--seeds", 1);
+  } else if (arg == "--instr") {
+    spec.instr = parse_uint(value(), "--instr", 1);
+  } else if (arg == "--ws-div") {
+    spec.ws_div = parse_uint(value(), "--ws-div", 1);
+  } else if (arg == "--llc") {
+    spec.inclusion = parse_inclusion(value());
+  } else if (arg == "--slice-hash") {
+    const auto h = parse_slice_hash(value());
+    if (!h) throw std::invalid_argument("--slice-hash wants low|cas");
+    spec.slice_hash = *h;
+  } else if (arg == "--monitor-level") {
+    spec.monitor_level = parse_monitor_level(value());
+  } else if (arg == "--trace") {
+    trace_paths.push_back(value());
+  } else if (arg == "--no-mixes") {
+    spec.run_mixes = false;
+  } else {
+    return false;
+  }
+  return true;
 }
 
 std::vector<TraceScenario> expand_trace_paths(
@@ -371,6 +411,22 @@ void write_campaign_records(std::FILE* f,
   }
   if (!trailing.empty()) std::fprintf(f, "  %s\n", trailing.c_str());
   std::fprintf(f, "]\n");
+}
+
+void write_campaign_file(const std::string& path,
+                         const std::vector<std::string>& records,
+                         const std::string& trailing) {
+  const std::string name = path.empty() ? "stdout" : path;
+  std::FILE* f = path.empty() ? stdout : std::fopen(path.c_str(), "w");
+  if (f == nullptr) throw std::runtime_error("cannot open " + name);
+  write_campaign_records(f, records, trailing);
+  // stdio reports a failed write only through these calls; a full disk
+  // typically surfaces at the flush of the last buffer.
+  bool ok = std::fflush(f) == 0 && std::ferror(f) == 0;
+  if (f != stdout && std::fclose(f) != 0) ok = false;
+  if (!ok) {
+    throw std::runtime_error("failed to write campaign records to " + name);
+  }
 }
 
 }  // namespace pipo

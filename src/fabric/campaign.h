@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,18 @@ InclusionPolicy parse_inclusion(const std::string& s);
 /// "l1|l2|llc" -> level; throws std::invalid_argument.
 MonitorLevel parse_monitor_level(const std::string& s);
 
+/// Parses `arg` if it is one of the ten campaign flags sweep_runner and
+/// pipo_coordinator share (--mixes, --defenses, --seeds, --instr,
+/// --ws-div, --llc, --slice-hash, --monitor-level, --trace, --no-mixes)
+/// into `spec`, collecting --trace arguments into `trace_paths` for
+/// expand_trace_paths. `value` yields the flag's argument. Returns false,
+/// without calling `value`, for a flag it does not own; throws
+/// std::invalid_argument on a bad value.
+bool parse_campaign_flag(const std::string& arg,
+                         const std::function<std::string()>& value,
+                         CampaignSpec& spec,
+                         std::vector<std::string>& trace_paths);
+
 /// Expands --trace arguments into scenarios: each path is a trace file,
 /// a scenario directory holding core<i>.trace files, or a directory of
 /// such scenario directories (expanded in name order). Throws
@@ -158,5 +171,12 @@ std::string config_result_json(const ConfigResult& r, bool include_wall);
 void write_campaign_records(std::FILE* f,
                             const std::vector<std::string>& records,
                             const std::string& trailing = {});
+
+/// write_campaign_records into the file at `path` (empty: stdout), then
+/// flushes and closes it. Throws std::runtime_error naming the path if
+/// any step fails — a full disk must not pass for a complete campaign.
+void write_campaign_file(const std::string& path,
+                         const std::vector<std::string>& records,
+                         const std::string& trailing = {});
 
 }  // namespace pipo

@@ -103,11 +103,10 @@ CorpusEntry parse_corpus_entry_text(const std::string& text) {
   return e;
 }
 
-CorpusEntry write_corpus_entry(const std::string& corpus_root, CorpusEntry e,
-                               TraceFormat format) {
+CorpusEntry write_corpus_entry(const std::string& corpus_root, CorpusEntry e) {
   const fs::path dir = fs::path(corpus_root) / e.name;
   fs::create_directories(dir);
-  const TraceCapture capture{dir.string(), format};
+  const TraceCapture capture{dir.string(), TraceFormat::kTextV1};
   const ScenarioOutcome out = run_fuzz_scenario(
       e.genotype, fuzz_system_config(e.axes), e.perm_rounds, &capture);
   e.recorded_mi = out.mi_bits;

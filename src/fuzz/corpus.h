@@ -8,8 +8,7 @@
 //                                 the measurements recorded at archive
 //                                 time)
 //   corpus/<name>/core<i>.trace   the request streams the archived run
-//                                 consumed (TraceCapture layout, v1 text
-//                                 or v2 binary)
+//                                 consumed (TraceCapture layout, v1 text)
 //
 // Verification is a *live re-run*: the genotype is executed again on
 // the entry's cell and the measured leakage must land inside the
@@ -27,7 +26,6 @@
 #include <vector>
 
 #include "fuzz/scenario.h"
-#include "workload/trace_codec.h"
 
 namespace pipo {
 
@@ -55,14 +53,13 @@ struct CorpusEntry {
 std::string corpus_entry_text(const CorpusEntry& e);
 CorpusEntry parse_corpus_entry_text(const std::string& text);
 
-/// Archives one entry: re-runs the genotype on its cell with trace
+/// Archives one entry: re-runs the genotype on its cell with text trace
 /// capture into <corpus_root>/<e.name>/, fills the recorded_* fields
 /// from that run, and writes genotype.txt. Throws std::runtime_error if
 /// the fresh measurement already violates the entry's own bounds —
 /// archiving a corpus entry that fails verification would poison CI.
 /// Returns the completed entry (recorded_* and dir set).
-CorpusEntry write_corpus_entry(const std::string& corpus_root, CorpusEntry e,
-                               TraceFormat format = TraceFormat::kBinaryV2);
+CorpusEntry write_corpus_entry(const std::string& corpus_root, CorpusEntry e);
 
 /// Loads every entry directory under `corpus_root` (a directory with a
 /// genotype.txt), sorted by name. Returns empty if the root does not

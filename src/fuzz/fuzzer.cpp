@@ -256,8 +256,7 @@ FuzzReport Fuzzer::run() {
 
 std::vector<CorpusEntry> archive_fuzz_corpus(
     const FuzzReport& report, const FuzzerConfig& cfg,
-    const std::string& corpus_root, TraceFormat format,
-    std::vector<std::string>* notes) {
+    const std::string& corpus_root, std::vector<std::string>* notes) {
   auto note = [&](const std::string& line) {
     if (notes != nullptr) notes->push_back(line);
   };
@@ -273,7 +272,7 @@ std::vector<CorpusEntry> archive_fuzz_corpus(
     e.p_hi = cfg.p_threshold;
     e.note = "fuzzer best find on " + f.cell +
              " (seed " + std::to_string(cfg.seed) + ")";
-    written.push_back(write_corpus_entry(corpus_root, e, format));
+    written.push_back(write_corpus_entry(corpus_root, e));
     note("wrote " + e.name + ": mi=" + fmt6(written.back().recorded_mi) +
          " p=" + fmt6(written.back().recorded_p));
     if (f.defense != DefenseKind::kNone) continue;
@@ -305,7 +304,7 @@ std::vector<CorpusEntry> archive_fuzz_corpus(
       c.p_hi = 1.0;  // no significance demanded of a suppressed channel
       c.note = "defense contrast for best_" + f.cell + ": undefended mi=" +
                fmt6(f.mi_bits) + ", must stay suppressed below half";
-      written.push_back(write_corpus_entry(corpus_root, c, format));
+      written.push_back(write_corpus_entry(corpus_root, c));
       note("wrote " + c.name + ": mi=" + fmt6(written.back().recorded_mi) +
            " (undefended " + fmt6(f.mi_bits) + ")");
     }

@@ -118,7 +118,6 @@ class Fuzzer {
 std::vector<CorpusEntry> archive_fuzz_corpus(
     const FuzzReport& report, const FuzzerConfig& cfg,
     const std::string& corpus_root,
-    TraceFormat format = TraceFormat::kBinaryV2,
     std::vector<std::string>* notes = nullptr);
 
 }  // namespace pipo

@@ -1,7 +1,6 @@
 #include "workload/trace_codec.h"
 
 #include <cctype>
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -71,7 +70,6 @@ bool parse_type_code(char c, MemRequest& r) {
 const char* to_string(TraceFormat f) {
   switch (f) {
     case TraceFormat::kTextV1: return "text";
-    case TraceFormat::kBinaryV2: return "binary";
     case TraceFormat::kFramedV3: return "framed";
   }
   return "?";
@@ -79,36 +77,14 @@ const char* to_string(TraceFormat f) {
 
 std::optional<TraceFormat> parse_trace_format(const std::string& name) {
   if (name == "text") return TraceFormat::kTextV1;
-  if (name == "binary") return TraceFormat::kBinaryV2;
   if (name == "framed") return TraceFormat::kFramedV3;
   return std::nullopt;
 }
 
 TraceFormat detect_trace_format(std::istream& is) {
-  const int c = is.peek();
-  if (c != static_cast<unsigned char>(kTraceMagicV2[0])) {
-    return TraceFormat::kTextV1;
-  }
-  // Both binary magics start with 'P'; read the full 8 bytes and rewind
-  // to tell "PIPOTRC2" from "PIPOTRC3". A magic truncated by the stream
-  // ending early falls through to kBinaryV2, whose decoder rejects it
-  // with the proper truncated-magic diagnostic.
-  const std::streampos pos = is.tellg();
-  char magic[8] = {};
-  is.read(magic, sizeof magic);
-  const std::streamsize got = is.gcount();
-  is.clear();
-  is.seekg(pos);
-  if (!is) {
-    throw std::invalid_argument(
-        "cannot rewind stream to detect the trace format (binary trace "
-        "detection needs a seekable stream)");
-  }
-  if (got == sizeof magic &&
-      std::memcmp(magic, kTraceMagicV3, sizeof magic) == 0) {
-    return TraceFormat::kFramedV3;
-  }
-  return TraceFormat::kBinaryV2;
+  return is.peek() == static_cast<unsigned char>(kTraceMagicV3[0])
+             ? TraceFormat::kFramedV3
+             : TraceFormat::kTextV1;
 }
 
 // ------------------------------------------------------------- text v1
@@ -206,79 +182,10 @@ std::optional<MemRequest> TextTraceDecoder::next() {
   return std::nullopt;
 }
 
-// ----------------------------------------------------------- binary v2
-
-BinaryTraceEncoder::BinaryTraceEncoder(std::ostream& os,
-                                       std::size_t chunk_bytes)
-    : os_(os), chunk_bytes_(chunk_bytes == 0 ? 1 : chunk_bytes) {
-  buf_.reserve(chunk_bytes_);
-  // Through put_byte so the buffer honors its chunk bound even for
-  // chunk sizes smaller than the magic.
-  for (char c : kTraceMagicV2) put_byte(static_cast<std::uint8_t>(c));
-}
-
-void BinaryTraceEncoder::put_byte(std::uint8_t b) {
-  buf_.push_back(b);
-  if (buf_.size() >= chunk_bytes_) {
-    os_.write(reinterpret_cast<const char*>(buf_.data()),
-              static_cast<std::streamsize>(buf_.size()));
-    buf_.clear();
-  }
-}
-
-void BinaryTraceEncoder::put(const MemRequest& r) {
-  // Encode via the shared record layer, then feed the bytes through
-  // put_byte so the buffer honors its chunk bound mid-record.
-  scratch_.clear();
-  trace_v2::append_record(scratch_, prev_line_, r);
-  for (std::uint8_t b : scratch_) put_byte(b);
-  finished_ = false;
-  ++count_;
-}
-
-void BinaryTraceEncoder::finish() {
-  if (!buf_.empty()) {
-    os_.write(reinterpret_cast<const char*>(buf_.data()),
-              static_cast<std::streamsize>(buf_.size()));
-    buf_.clear();
-  }
-  if (!finished_) {
-    os_.flush();
-    finished_ = true;
-  }
-  // Sticky badbit from any earlier chunk write surfaces here — a
-  // silently truncated capture replays with plausible but wrong stats.
-  if (!os_) throw std::runtime_error("trace write failed (binary encoder)");
-}
-
-BinaryTraceDecoder::BinaryTraceDecoder(std::istream& is,
-                                       std::size_t chunk_bytes)
-    : src_(is, chunk_bytes, "binary trace") {
-  for (char want : kTraceMagicV2) {
-    const int got = src_.get_byte();
-    if (got < 0) src_.bad("truncated magic (want \"PIPOTRC2\")");
-    if (got != static_cast<unsigned char>(want)) {
-      src_.bad("bad magic (want \"PIPOTRC2\")");
-    }
-  }
-}
-
-std::optional<MemRequest> BinaryTraceDecoder::next() {
-  // Record validation — including the strict minimal-varint rule that
-  // keeps accepted streams byte-canonical — lives in trace_record.h,
-  // shared with the framed container's per-frame decode.
-  auto r = trace_v2::decode_record(src_, prev_line_);
-  if (r) ++count_;
-  return r;
-}
-
 // ------------------------------------------------- factories + helpers
 
 std::unique_ptr<TraceEncoder> make_trace_encoder(std::ostream& os,
                                                  TraceFormat format) {
-  if (format == TraceFormat::kBinaryV2) {
-    return std::make_unique<BinaryTraceEncoder>(os);
-  }
   if (format == TraceFormat::kFramedV3) {
     return std::make_unique<FramedTraceEncoder>(os);
   }
@@ -287,9 +194,6 @@ std::unique_ptr<TraceEncoder> make_trace_encoder(std::ostream& os,
 
 std::unique_ptr<TraceDecoder> make_trace_decoder(std::istream& is,
                                                  TraceFormat format) {
-  if (format == TraceFormat::kBinaryV2) {
-    return std::make_unique<BinaryTraceDecoder>(is);
-  }
   if (format == TraceFormat::kFramedV3) {
     return std::make_unique<FramedTraceDecoder>(is);
   }
@@ -298,17 +202,6 @@ std::unique_ptr<TraceDecoder> make_trace_decoder(std::istream& is,
 
 std::unique_ptr<TraceDecoder> make_trace_decoder(std::istream& is) {
   return make_trace_decoder(is, detect_trace_format(is));
-}
-
-void save_trace_v2(std::ostream& os, const std::vector<MemRequest>& trace) {
-  save_trace_as(os, trace, TraceFormat::kBinaryV2);
-}
-
-std::vector<MemRequest> load_trace_v2(std::istream& is) {
-  BinaryTraceDecoder dec(is);
-  std::vector<MemRequest> out;
-  while (auto r = dec.next()) out.push_back(*r);
-  return out;
 }
 
 void save_trace_as(std::ostream& os, const std::vector<MemRequest>& trace,

@@ -1,44 +1,37 @@
-// Trace codecs: the on-disk request-stream formats and their streaming
-// encoder/decoder pairs.
+// Trace codecs: the two on-disk request-stream formats and their
+// streaming encoder/decoder pairs.
 //
-// Text v1 (`trace_io.h`) is the human-readable import/export path — one
-// request per line, greppable, hand-editable. Binary v2 is the capture
-// format for production-scale traces (multi-gigabyte pin/gem5
-// conversions, recorded attack transcripts): a magic+version header
-// followed by compact records, decodable in O(chunk) memory. Framed v3
-// (trace_frame.h) wraps v2 records in checksummed frames with a
-// trailing seek index for replay from arbitrary offsets.
+// Text v1 (this header) is the human-readable import/export path — one
+// request per line, greppable, hand-editable; the importers and the
+// fuzz corpus write it. Framed v3 (trace_frame.h) is the capture format
+// for production-scale traces (multi-gigabyte pin/gem5 conversions,
+// recorded attack transcripts): compact varint-delta records
+// (trace_record.h) in checksummed frames with a trailing seek index,
+// decodable in O(chunk) memory and replayable from any frame boundary.
 //
-// Binary v2 layout (all multi-byte integers are LEB128 varints,
-// little-endian base-128, at most 10 bytes):
+// Text v1 grammar, one request per line:
 //
-//   offset 0: magic  "PIPOTRC2"  (8 bytes)
-//   then one record per request:
+//     <hex byte address> <L|S|I|l|s|i|P> <pre_delay>
 //
-//     +--------+-----------------+--------+-------------------+
-//     | flags  | varint          | offset | varint            |
-//     | 1 byte | |line delta|    | 1 byte | pre_delay         |
-//     +--------+-----------------+--------+-------------------+
+// L = load, S = store, I = instruction fetch; the lowercase letters are
+// the same access types with MemRequest::bypass_private set (LLC-direct
+// probe accesses) — bypass is encoded orthogonally to the type, so all
+// six field combinations round-trip exactly. 'P' is the legacy spelling
+// of a bypass load ('l') and is still parsed; the encoder writes 'l'.
+// The address is hex with an optional 0x prefix; pre_delay is unsigned
+// decimal (sign characters are rejected — they used to wrap through
+// unsigned extraction). Lines starting with '#' and blank lines are
+// ignored.
 //
-//     flags bit 0-1: AccessType (0 = load, 1 = store, 2 = inst fetch;
-//                    3 is reserved and rejected)
-//     flags bit 2:   bypass_private
-//     flags bit 3:   line delta is negative
-//     flags bit 4-7: reserved, must be zero
+// Fidelity contract: decode(encode(t)) == t for every trace t in both
+// formats, and encode(decode(s)) == s for every canonical stream (one
+// an encoder wrote; for text, legacy 'P' and unusual spacing are
+// normalized). tests/workload/trace_io_test.cpp pins both directions
+// for text, tests/workload/trace_codec_test.cpp for framed.
 //
-//   The line delta is line_of(addr) minus the previous record's line
-//   (starting from line 0); the offset byte holds addr & 63 and must be
-//   < 64. Every MemRequest field — including bypass_private crossed
-//   with all three access types — round-trips exactly.
-//
-// Malformed input (bad magic, truncated or overlong varint, non-minimal
-// varint encodings the encoder never emits, reserved flag bits, offset
-// >= 64, pre_delay beyond 32 bits, EOF inside a record) throws
-// std::invalid_argument naming the absolute byte offset; the text
-// decoder names the line number (trace_io.h diagnostics). Accepted
-// streams are byte-canonical: encode(decode(bytes)) == bytes, so a
-// record's byte offset identifies it uniquely (what the framed
-// container's seek index relies on, trace_frame.h).
+// Malformed input throws std::invalid_argument: the text decoder names
+// the 1-based line number, the framed decoder the absolute byte offset
+// (trace_record.h, trace_frame.h).
 #pragma once
 
 #include <cstdint>
@@ -50,29 +43,23 @@
 #include <vector>
 
 #include "sim/workload_if.h"
-#include "workload/trace_record.h"
 
 namespace pipo {
 
 enum class TraceFormat : std::uint8_t {
-  kTextV1,    ///< line-per-request text (trace_io.h)
-  kBinaryV2,  ///< varint-delta binary records (this header)
-  kFramedV3,  ///< seekable framed container over v2 records (trace_frame.h)
+  kTextV1,    ///< line-per-request text (this header)
+  kFramedV3,  ///< seekable framed container of varint records (trace_frame.h)
 };
 
 const char* to_string(TraceFormat f);
-/// Inverse of to_string ("text" / "binary" / "framed"); nullopt for
-/// anything else. The one name->format mapping the CLI flags share.
+/// Inverse of to_string ("text" / "framed"); nullopt for anything else.
+/// The one name->format mapping the CLI flags share.
 std::optional<TraceFormat> parse_trace_format(const std::string& name);
 
-/// Sniffs the format without consuming anything: binary traces start
-/// with a magic's 'P', which can never begin a text trace line (those
-/// start with a hex digit, '#' or whitespace); the two binary magics
-/// ("PIPOTRC2" flat, "PIPOTRC3" framed) are told apart by reading the
-/// full 8 bytes and rewinding, so the stream must be seekable when its
-/// first byte is 'P' (files and stringstreams are; throws
-/// std::invalid_argument if the rewind fails). The chosen decoder still
-/// validates the full header.
+/// Sniffs the format from the first byte without consuming it: a framed
+/// trace starts with its magic's 'P', which can never begin a text
+/// trace line (those start with a hex digit, '#' or whitespace). The
+/// framed decoder still validates the full magic.
 TraceFormat detect_trace_format(std::istream& is);
 
 /// Incremental writer for one trace stream. The header is written on
@@ -110,7 +97,7 @@ class TraceDecoder {
 // ------------------------------------------------------------- text v1
 
 /// Writes the v1 header comment on construction, then one canonical
-/// line per put() (the exact form save_trace/load_trace round-trip).
+/// line per put() (the form the fidelity contract round-trips).
 class TextTraceEncoder final : public TraceEncoder {
  public:
   explicit TextTraceEncoder(std::ostream& os);
@@ -135,55 +122,14 @@ class TextTraceDecoder final : public TraceDecoder {
   std::size_t line_no_ = 0;
 };
 
-// ----------------------------------------------------------- binary v2
+// ------------------------------------------------------------ framed v3
 
-inline constexpr char kTraceMagicV2[8] = {'P', 'I', 'P', 'O',
-                                          'T', 'R', 'C', '2'};
 /// Framed container magic (the format itself lives in trace_frame.h;
 /// the magic is here so detect_trace_format need not depend on it).
 inline constexpr char kTraceMagicV3[8] = {'P', 'I', 'P', 'O',
                                           'T', 'R', 'C', '3'};
-/// Default I/O chunk for the binary codec's internal byte buffer.
+/// Default I/O chunk for the framed decoder's refill buffer.
 inline constexpr std::size_t kTraceChunkBytes = 64 * 1024;
-
-class BinaryTraceEncoder final : public TraceEncoder {
- public:
-  explicit BinaryTraceEncoder(std::ostream& os,
-                              std::size_t chunk_bytes = kTraceChunkBytes);
-  ~BinaryTraceEncoder() override {
-    try {
-      finish();
-    } catch (...) {  // destructors must not throw; see TraceEncoder docs
-    }
-  }
-  void put(const MemRequest& r) override;
-  void finish() override;
-
- private:
-  void put_byte(std::uint8_t b);
-
-  std::ostream& os_;
-  std::vector<std::uint8_t> buf_;  ///< flushed at chunk_bytes_; never grows past it
-  std::vector<std::uint8_t> scratch_;  ///< one record (trace_record.h)
-  std::size_t chunk_bytes_;
-  LineAddr prev_line_ = 0;
-  bool finished_ = false;
-};
-
-class BinaryTraceDecoder final : public TraceDecoder {
- public:
-  /// `chunk_bytes` sizes the refill buffer — replay memory is O(chunk)
-  /// regardless of trace length. Validates the magic immediately.
-  explicit BinaryTraceDecoder(std::istream& is,
-                              std::size_t chunk_bytes = kTraceChunkBytes);
-  std::optional<MemRequest> next() override;
-  /// Absolute byte offset of the next unread byte (header included).
-  std::uint64_t byte_offset() const { return src_.consumed(); }
-
- private:
-  trace_v2::StreamByteSource src_;
-  LineAddr prev_line_ = 0;
-};
 
 // ------------------------------------------------- factories + helpers
 
@@ -193,11 +139,6 @@ std::unique_ptr<TraceDecoder> make_trace_decoder(std::istream& is,
                                                  TraceFormat format);
 /// Autodetecting variant (detect_trace_format on the first byte).
 std::unique_ptr<TraceDecoder> make_trace_decoder(std::istream& is);
-
-/// Whole-trace convenience wrappers for the binary format, mirroring
-/// save_trace/load_trace (trace_io.h). Streams must be binary-mode.
-void save_trace_v2(std::ostream& os, const std::vector<MemRequest>& trace);
-std::vector<MemRequest> load_trace_v2(std::istream& is);
 
 /// Format-dispatching whole-trace wrappers; loading autodetects.
 void save_trace_as(std::ostream& os, const std::vector<MemRequest>& trace,

@@ -22,13 +22,25 @@ constexpr char kFramedIndexMagic[8] = {'P', 'I', 'P', 'O',
 // A frame the encoder would never write (the default is ~tens of KiB);
 // a corrupt length varint must not turn into a gigabyte allocation.
 constexpr std::uint64_t kMaxFramePayloadBytes = 256ull * 1024 * 1024;
-// Smallest possible v2 record: flags + 1-byte delta + offset + 1-byte
+// Smallest possible record: flags + 1-byte delta + offset + 1-byte
 // pre_delay.
 constexpr std::uint64_t kMinRecordBytes = 4;
 // Smallest well-formed container: magic(8) + end marker(1) +
 // frame_count varint(1) + index crc(4) + footer(16).
 constexpr std::uint64_t kMinContainerBytes = 30;
 constexpr std::uint64_t kFooterBytes = 16;
+
+/// The diagnostic for an 8-byte magic other than "PIPOTRC3". The
+/// retired flat binary v2 format shares the 'P' that autodetection
+/// routes here, so its files are named rather than called garbage.
+std::string bad_magic(const char* magic) {
+  if (std::memcmp(magic, "PIPOTRC2", 8) == 0) {
+    return "bad magic: \"PIPOTRC2\" is the retired flat binary v2 trace "
+           "format, which this build no longer reads (convert it to text "
+           "with trace_convert from an older build)";
+  }
+  return "bad magic (want \"PIPOTRC3\")";
+}
 
 void append_u32le(std::vector<std::uint8_t>& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out.push_back((v >> (8 * i)) & 0xFF);
@@ -211,12 +223,14 @@ void FramedTraceEncoder::finish() {
 FramedTraceDecoder::FramedTraceDecoder(std::istream& is,
                                        std::size_t chunk_bytes)
     : src_(is, chunk_bytes, "framed trace") {
-  for (char want : kTraceMagicV3) {
+  char magic[sizeof kTraceMagicV3] = {};
+  for (char& c : magic) {
     const int got = src_.get_byte();
     if (got < 0) src_.bad("truncated magic (want \"PIPOTRC3\")");
-    if (got != static_cast<unsigned char>(want)) {
-      src_.bad("bad magic (want \"PIPOTRC3\")");
-    }
+    c = static_cast<char>(got);
+  }
+  if (std::memcmp(magic, kTraceMagicV3, sizeof magic) != 0) {
+    src_.bad(bad_magic(magic));
   }
 }
 
@@ -397,9 +411,11 @@ FramedTraceFile::FramedTraceFile(std::string path) : path_(std::move(path)) {
 
   char magic[8] = {};
   f.read(magic, sizeof magic);
-  if (f.gcount() != sizeof magic ||
-      std::memcmp(magic, kTraceMagicV3, sizeof magic) != 0) {
-    malformed("bad or truncated magic (want \"PIPOTRC3\")");
+  if (f.gcount() != sizeof magic) {
+    malformed("truncated magic (want \"PIPOTRC3\")");
+  }
+  if (std::memcmp(magic, kTraceMagicV3, sizeof magic) != 0) {
+    malformed(bad_magic(magic));
   }
   f.clear();
   f.seekg(0, std::ios::end);

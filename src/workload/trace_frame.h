@@ -1,11 +1,10 @@
 // Framed seekable trace container ("framed v3").
 //
-// Binary v2 (trace_codec.h) is a single delta-chain: decoding record N
-// requires every record before it, so replay always starts at byte 8.
-// That is fine for whole-trace replay but rules out starting a
-// multi-gigabyte capture at request 2 billion, validating a tail, or
-// sharding one trace across sweep workers. The framed container keeps
-// the v2 record encoding but cuts the chain into frames — delta-base
+// The varint-delta records (trace_record.h) form a delta-chain:
+// decoding record N requires every record before it. A single chain
+// would rule out starting a multi-gigabyte capture at request 2
+// billion, validating a tail, or sharding one trace across sweep
+// workers. The framed container cuts the chain into frames — delta-base
 // restart points — and appends a seek index, so replay can begin at any
 // frame boundary with one footer read and one seek.
 //
@@ -22,8 +21,8 @@
 //     request_count > 0; payload_len = stored payload bytes;
 //     raw_len = decoded payload bytes (== payload_len for raw frames);
 //     crc32 (IEEE, poly 0xEDB88320) covers the stored payload bytes.
-//     The payload is a binary-v2 record stream whose line-delta base
-//     restarts at line 0 — each frame decodes independently.
+//     The payload is a record stream (trace_record.h) whose line-delta
+//     base restarts at line 0 — each frame decodes independently.
 //   end marker: one 0x00 byte
 //   seek index:
 //     varint frame_count
@@ -131,15 +130,16 @@ class FramedTraceEncoder final : public TraceEncoder {
 };
 
 /// Streaming reader for the framed container: next() yields requests
-/// across frame boundaries exactly like BinaryTraceDecoder does for the
-/// flat stream. Every frame's checksum is verified before its records
-/// are decoded, a frame's decoded record count must match its header,
-/// and the trailing index and footer are validated against the frames
-/// actually seen — any mismatch throws std::invalid_argument with an
-/// absolute byte offset. Memory is O(frame payload), not O(trace).
+/// in order across frame boundaries. Every frame's checksum is verified
+/// before its records are decoded, a frame's decoded record count must
+/// match its header, and the trailing index and footer are validated
+/// against the frames actually seen — any mismatch throws
+/// std::invalid_argument with an absolute byte offset. Memory is
+/// O(frame payload), not O(trace).
 class FramedTraceDecoder final : public TraceDecoder {
  public:
-  /// Decodes from the file start; validates the magic immediately.
+  /// Decodes from the file start; validates the magic immediately (a
+  /// retired flat "PIPOTRC2" trace is rejected by name).
   explicit FramedTraceDecoder(std::istream& is,
                               std::size_t chunk_bytes = kTraceChunkBytes);
   /// Resumes mid-file at a frame boundary (FramedTraceFile's seek path):
@@ -153,8 +153,6 @@ class FramedTraceDecoder final : public TraceDecoder {
                      std::uint64_t skipped_requests);
 
   std::optional<MemRequest> next() override;
-  /// Absolute byte offset of the next unread container byte.
-  std::uint64_t byte_offset() const { return src_.consumed(); }
 
  private:
   struct SeenFrame {

@@ -1,12 +1,35 @@
-// Shared record layer for the binary trace formats.
+// The record encoding of binary traces: the payload of every frame in
+// the framed "PIPOTRC3" container (trace_frame.h). The namespace keeps
+// the encoding's name, trace_v2. This header holds its one definition —
+// byte sources, the strict varint reader, the record decoder template
+// and the append-side helpers.
 //
-// The binary v2 record encoding (trace_codec.h: flags byte, |line
-// delta| varint, offset byte, pre_delay varint — all varints minimal
-// LEB128) is used both by the flat "PIPOTRC2" stream and, per frame,
-// by the framed "PIPOTRC3" container (trace_frame.h). This header
-// holds the one definition of that encoding — byte sources, the strict
-// varint reader, the record decoder template and the append-side
-// helpers — so the two containers cannot drift apart.
+// Record layout (all multi-byte integers are LEB128 varints,
+// little-endian base-128, at most 10 bytes):
+//
+//     +--------+-----------------+--------+-------------------+
+//     | flags  | varint          | offset | varint            |
+//     | 1 byte | |line delta|    | 1 byte | pre_delay         |
+//     +--------+-----------------+--------+-------------------+
+//
+//     flags bit 0-1: AccessType (0 = load, 1 = store, 2 = inst fetch;
+//                    3 is reserved and rejected)
+//     flags bit 2:   bypass_private
+//     flags bit 3:   line delta is negative
+//     flags bit 4-7: reserved, must be zero
+//
+//   The line delta is line_of(addr) minus the previous record's line
+//   (starting from line 0); the offset byte holds addr & 63 and must be
+//   < 64. Every MemRequest field — including bypass_private crossed
+//   with all three access types — round-trips exactly.
+//
+// Malformed records (truncated or overlong varint, non-minimal varint
+// encodings the encoder never emits, reserved flag bits, offset >= 64,
+// a line delta leaving the 58-bit line space, pre_delay beyond 32 bits,
+// end of input inside a record) throw std::invalid_argument naming the
+// absolute byte offset. Accepted record streams are byte-canonical:
+// encode(decode(bytes)) == bytes, so a record's byte offset identifies
+// it uniquely (what the framed container's seek index relies on).
 //
 // Byte sources implement: `int get_byte()` (-1 at end), `std::uint8_t
 // need_byte(const char*)`, `std::uint64_t consumed()` (absolute byte
@@ -27,7 +50,7 @@
 namespace pipo {
 namespace trace_v2 {
 
-// Flag-byte layout (see the trace_codec.h diagram).
+// Flag-byte layout (see the diagram above).
 inline constexpr std::uint8_t kTypeMask = 0x03;
 inline constexpr std::uint8_t kFlagBypass = 0x04;
 inline constexpr std::uint8_t kFlagNegDelta = 0x08;

@@ -1,14 +1,15 @@
 // End-to-end capture/replay oracle: a live mix run recorded via
 // TraceRecorder and replayed via StreamingTraceWorkload must reproduce
 // the live run's System::Stats, exec_time and retired-instruction count
-// byte-identically — for all three trace formats, and after a text<->binary
-// conversion round trip. This is the differential-oracle pattern of
+// byte-identically — for both trace formats, and after a text -> framed
+// conversion. This is the differential-oracle pattern of
 // docs/testing.md applied to the capture/replay loop: the live run is
 // the reference, the recorded artifact plus the streaming reader is the
 // system under test.
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -64,9 +65,7 @@ TEST(TraceReplayE2E, RecordedRunReplaysByteIdentically) {
   for (DefenseKind defense :
        {DefenseKind::kNone, DefenseKind::kPiPoMonitor}) {
     const SystemConfig cfg = config_for(defense);
-    for (TraceFormat fmt :
-         {TraceFormat::kTextV1, TraceFormat::kBinaryV2,
-          TraceFormat::kFramedV3}) {
+    for (TraceFormat fmt : {TraceFormat::kTextV1, TraceFormat::kFramedV3}) {
       const std::string label = std::string(to_string(defense)) + "/" +
                                 to_string(fmt);
       const std::string dir = fresh_dir(label.substr(0, label.find('/')) +
@@ -87,7 +86,7 @@ TEST(TraceReplayE2E, RecordedRunReplaysByteIdentically) {
 TEST(TraceReplayE2E, RecordingDoesNotPerturbTheRun) {
   const SystemConfig cfg = config_for(DefenseKind::kPiPoMonitor);
   const std::string dir = fresh_dir("perturb");
-  const TraceCapture capture{dir, TraceFormat::kBinaryV2};
+  const TraceCapture capture{dir, TraceFormat::kFramedV3};
   const MixPerfResult recorded =
       run_mix_perf(kMix, cfg, kInstrBudget, kSeed, kWsDivisor, &capture);
   const MixPerfResult plain =
@@ -96,8 +95,8 @@ TEST(TraceReplayE2E, RecordingDoesNotPerturbTheRun) {
   fs::remove_all(dir);
 }
 
-// Converting the capture text -> binary -> text must not change the
-// replay either (the tools/trace_convert loop, in-process).
+// Converting the capture text -> framed must not change the replay
+// either (the tools/trace_convert loop, in-process).
 TEST(TraceReplayE2E, ConvertedCaptureReplaysIdentically) {
   const SystemConfig cfg = config_for(DefenseKind::kPiPoMonitor);
   const std::string dir = fresh_dir("convert_src");
@@ -110,7 +109,7 @@ TEST(TraceReplayE2E, ConvertedCaptureReplaysIdentically) {
   for (const auto& entry : fs::directory_iterator(dir)) {
     const auto trace = load_trace_file_auto(entry.path().string());
     save_trace_file_as((fs::path(conv) / entry.path().filename()).string(),
-                       trace, TraceFormat::kBinaryV2);
+                       trace, TraceFormat::kFramedV3);
   }
   const MixPerfResult replay = run_trace_perf(conv, cfg);
   expect_identical(replay, live, "converted");
@@ -125,7 +124,7 @@ TEST(TraceReplayE2E, ConvertedCaptureReplaysIdentically) {
 TEST(TraceReplayE2E, CapturedTracePacksAndSeekReplays) {
   const SystemConfig cfg = config_for(DefenseKind::kPiPoMonitor);
   const std::string dir = fresh_dir("seek_capture");
-  const TraceCapture capture{dir, TraceFormat::kBinaryV2};
+  const TraceCapture capture{dir, TraceFormat::kFramedV3};
   run_mix_perf(kMix, cfg, kInstrBudget, kSeed, kWsDivisor, &capture);
 
   // Pack core0's capture into a framed container with CI-sized frames.
@@ -178,11 +177,11 @@ TEST(TraceReplayE2E, CapturedTracePacksAndSeekReplays) {
 TEST(TraceReplayE2E, DifferentSeedCaptureDiverges) {
   const SystemConfig cfg = config_for(DefenseKind::kNone);
   const std::string dir = fresh_dir("teeth");
-  const TraceCapture capture{dir, TraceFormat::kBinaryV2};
+  const TraceCapture capture{dir, TraceFormat::kFramedV3};
   const MixPerfResult live =
       run_mix_perf(kMix, cfg, kInstrBudget, kSeed, kWsDivisor, &capture);
   const std::string dir2 = fresh_dir("teeth2");
-  const TraceCapture capture2{dir2, TraceFormat::kBinaryV2};
+  const TraceCapture capture2{dir2, TraceFormat::kFramedV3};
   run_mix_perf(kMix, cfg, kInstrBudget, kSeed + 1, kWsDivisor, &capture2);
   const MixPerfResult other = run_trace_perf(dir2, cfg);
   EXPECT_NE(other.exec_time, live.exec_time);
@@ -277,8 +276,8 @@ TEST(TraceReplayE2E, SingleFileOnOutOfRangeCoreThrows) {
 }
 
 // Headline bugfix repro: a zero-request trace file — truncated to
-// nothing, whitespace-only text, or a binary file that is only the
-// magic — used to decode as a clean empty trace and silently replay as
+// nothing, whitespace-only text, or a framed container with no frames —
+// used to decode as a clean empty trace and silently replay as
 // an idle core, skewing scenario stats (the same silent-failure class
 // as misnamed core files). Scenario loading must reject it naming the
 // file; direct codec users keep the permissive behavior.
@@ -289,14 +288,15 @@ TEST(TraceReplayE2E, ZeroRequestTraceFileThrowsNamingTheFile) {
     std::ofstream f(path, std::ios::binary);
     f << bytes;
   };
-  const std::string magic(kTraceMagicV2, sizeof(kTraceMagicV2));
+  std::stringstream no_frames;
+  save_trace_as(no_frames, {}, TraceFormat::kFramedV3);
   struct Case {
     const char* name;
     std::string bytes;
   };
   for (const Case& c :
        {Case{"empty", ""}, Case{"whitespace", "\n  \n# comment only\n"},
-        Case{"magic_only", magic}}) {
+        Case{"no_frames", no_frames.str()}}) {
     const std::string dir = fresh_dir(std::string("zero_req_") + c.name);
     fs::create_directories(dir);
     const std::string file = dir + "/core1.trace";
@@ -320,9 +320,9 @@ TEST(TraceReplayE2E, ZeroRequestTraceFileThrowsNamingTheFile) {
 TEST(TraceReplayE2E, DirectCodecUsersStillAcceptEmptyTraces) {
   std::istringstream empty_text("");
   EXPECT_TRUE(load_trace_auto(empty_text).empty());
-  std::stringstream magic_only;
-  save_trace_as(magic_only, {}, TraceFormat::kBinaryV2);
-  EXPECT_TRUE(load_trace_auto(magic_only).empty());
+  std::stringstream no_frames;
+  save_trace_as(no_frames, {}, TraceFormat::kFramedV3);
+  EXPECT_TRUE(load_trace_auto(no_frames).empty());
 }
 
 TEST(TraceReplayE2E, EmptyScenarioDirectoryThrows) {

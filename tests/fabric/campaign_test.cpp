@@ -1,11 +1,17 @@
 // Unit tests for the shared campaign layer (fabric/campaign.h):
 // enumeration order (the config-id contract both sweep_runner and the
-// fabric key on), structured error capture, and the JSON record shapes.
+// fabric key on), structured error capture, the JSON record shapes, the
+// shared campaign flags and the checked output writer.
 #include "fabric/campaign.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -232,6 +238,47 @@ TEST(Campaign, DefenseListParsing) {
   EXPECT_EQ(two[1], DefenseKind::kRic);
   EXPECT_THROW(parse_defense_list("none,bogus"), std::invalid_argument);
   EXPECT_THROW(parse_defense_list(""), std::invalid_argument);
+}
+
+TEST(Campaign, SharedFlagsParseMixesAndRejectBadValues) {
+  CampaignSpec spec;
+  std::vector<std::string> traces;
+  const auto parse = [&](const std::string& flag, const std::string& v) {
+    return parse_campaign_flag(flag, [&] { return v; }, spec, traces);
+  };
+  EXPECT_TRUE(parse("--mixes", "3"));
+  EXPECT_EQ(spec.mix_lo, 3u);
+  EXPECT_EQ(spec.mix_hi, 3u);
+  EXPECT_TRUE(parse("--mixes", "2-7"));
+  EXPECT_EQ(spec.mix_lo, 2u);
+  EXPECT_EQ(spec.mix_hi, 7u);
+  EXPECT_TRUE(parse("--trace", "rec/a"));
+  EXPECT_EQ(traces, std::vector<std::string>{"rec/a"});
+  EXPECT_THROW(parse("--slice-hash", "bogus"), std::invalid_argument);
+  // A flag the caller owns is left to it, and its value is not taken.
+  EXPECT_FALSE(parse_campaign_flag(
+      "--threads", []() -> std::string { throw std::logic_error("taken"); },
+      spec, traces));
+}
+
+// A full disk used to leave a truncated record file behind an exit
+// status of 0: stdio reports the failure only at fflush/fclose.
+TEST(Campaign, WriteCampaignFileThrowsWhenTheWriteFails) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this system";
+  }
+  const std::vector<std::string> records = {"{\"config\": 0}"};
+  EXPECT_THROW(write_campaign_file("/dev/full", records),
+               std::runtime_error);
+
+  const std::string path = testing::TempDir() + "pipo_campaign_write_" +
+                           std::to_string(getpid()) + ".json";
+  write_campaign_file(path, records);
+  std::ifstream in(path);
+  std::ostringstream got;
+  got << in.rdbuf();
+  EXPECT_EQ(got.str(), "[\n  {\"config\": 0}\n]\n");
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "workload/stream_trace.h"
+
 namespace pipo {
 namespace {
 
@@ -70,14 +72,15 @@ TEST(Corpus, MalformedMetadataNamesTheLine) {
 TEST(Corpus, ArchiveLoadVerifyRoundTrip) {
   TempCorpus tmp("roundtrip");
   const CorpusEntry written =
-      write_corpus_entry(tmp.root, sample_entry("best_none_inc_low_llc"),
-                         TraceFormat::kTextV1);
+      write_corpus_entry(tmp.root, sample_entry("best_none_inc_low_llc"));
   EXPECT_GT(written.recorded_mi, 0.1)
       << "the paper genotype must leak undefended";
   EXPECT_LE(written.recorded_p, 0.05);
   EXPECT_FALSE(written.recorded_signature.empty());
   EXPECT_TRUE(fs::exists(fs::path(written.dir) / "genotype.txt"));
-  EXPECT_TRUE(fs::exists(fs::path(written.dir) / "core0.trace"));
+  const fs::path trace = fs::path(written.dir) / "core0.trace";
+  ASSERT_TRUE(fs::exists(trace));
+  EXPECT_EQ(TraceReader(trace.string()).format(), TraceFormat::kTextV1);
 
   const auto loaded = load_corpus_dir(tmp.root);
   ASSERT_EQ(loaded.size(), 1u);
@@ -90,14 +93,13 @@ TEST(Corpus, ArchiveRefusesAnEntryThatViolatesItsOwnBounds) {
   TempCorpus tmp("bounds");
   CorpusEntry e = sample_entry("impossible");
   e.mi_lo = 50.0;  // no mini-machine scenario leaks 50 bits/iteration
-  EXPECT_THROW(write_corpus_entry(tmp.root, e, TraceFormat::kTextV1),
-               std::runtime_error);
+  EXPECT_THROW(write_corpus_entry(tmp.root, e), std::runtime_error);
 }
 
 TEST(Corpus, VerifyFailureNamesGenotypeAndCell) {
   TempCorpus tmp("failmsg");
-  CorpusEntry written = write_corpus_entry(
-      tmp.root, sample_entry("best_none_inc_low_llc"), TraceFormat::kTextV1);
+  CorpusEntry written =
+      write_corpus_entry(tmp.root, sample_entry("best_none_inc_low_llc"));
   // Tighten the box after the fact so the (deterministic) re-run lands
   // outside it.
   written.mi_lo = written.recorded_mi + 1.0;
@@ -110,8 +112,7 @@ TEST(Corpus, VerifyFailureNamesGenotypeAndCell) {
 
 TEST(Corpus, LoadRejectsNameMismatch) {
   TempCorpus tmp("mismatch");
-  write_corpus_entry(tmp.root, sample_entry("proper_name"),
-                     TraceFormat::kTextV1);
+  write_corpus_entry(tmp.root, sample_entry("proper_name"));
   fs::rename(fs::path(tmp.root) / "proper_name",
              fs::path(tmp.root) / "renamed");
   EXPECT_THROW(load_corpus_dir(tmp.root), std::invalid_argument);

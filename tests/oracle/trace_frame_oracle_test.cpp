@@ -1,11 +1,12 @@
 // Differential oracles for the framed trace container
 // (workload/trace_frame.h), in the pattern of docs/testing.md:
 //
-//  * the flat binary v2 codec — already pinned against the text
-//    reference — is the reference implementation: randomized traces
-//    must decode identically through framed containers at adversarial
-//    frame sizes and refill-chunk sizes (down to 1 byte, so every
-//    header field, checksum and payload straddles refill boundaries);
+//  * the text v1 codec — line-per-request, the seed's only trace path —
+//    is the reference implementation: randomized traces must decode
+//    identically through framed containers at adversarial frame sizes
+//    and refill-chunk sizes (down to 1 byte, so every header field,
+//    checksum, varint and payload straddles refill boundaries), and a
+//    teeth test proves that comparison can fail;
 //  * seek replay: for random frame boundaries k, replaying a framed
 //    file from frame k must equal the tail of a full replay — the
 //    request stream AND the simulated System::Stats, so the seek path
@@ -62,19 +63,20 @@ void expect_equal(const std::vector<MemRequest>& got,
   }
 }
 
-// Framed decode must agree with the flat binary reference on the same
-// request stream, for adversarial frame sizes and refill chunks.
-TEST(TraceFrameDifferential, FramedAgreesWithFlatBinaryReference) {
+// Framed decode must agree with the text reference on the same request
+// stream, for adversarial frame sizes and refill chunks.
+TEST(TraceFrameDifferential, FramedAgreesWithTextReference) {
   for (std::uint64_t seed = 0; seed < 150; ++seed) {
     Rng rng(seed * 0x9E3779B97F4A7C15ull + 7);
     std::vector<MemRequest> t(1 + rng.next() % 64);
     for (auto& r : t) r = random_request(rng);
     const std::string label = "seed " + std::to_string(seed);
 
-    // Reference: flat v2 round trip.
-    std::stringstream flat(std::ios::binary | std::ios::in | std::ios::out);
-    save_trace_as(flat, t, TraceFormat::kBinaryV2);
-    const std::vector<MemRequest> reference = load_trace_auto(flat);
+    // Reference: text v1 round trip.
+    std::stringstream text;
+    save_trace_as(text, t, TraceFormat::kTextV1);
+    const std::vector<MemRequest> reference = load_trace_auto(text);
+    expect_equal(reference, t, label + " text");
 
     FramedTraceOptions opts;
     opts.frame_requests = 1 + rng.next() % 17;
@@ -97,6 +99,38 @@ TEST(TraceFrameDifferential, FramedAgreesWithFlatBinaryReference) {
                        " chunk=" + std::to_string(chunk));
     }
   }
+}
+
+// Teeth: a flipped bypass bit under a recomputed checksum must be
+// visible in the decode (the equality above cannot pass vacuously).
+TEST(TraceFrameDifferential, ComparisonHasTeeth) {
+  MemRequest r;
+  r.addr = 0x1234C0;
+  std::ostringstream os(std::ios::binary);
+  {
+    FramedTraceEncoder enc(os);
+    enc.put(r);
+    enc.finish();
+  }
+  std::string bytes = os.str();
+  // magic(8), marker, request count 1, payload and raw lengths (one
+  // byte each for a one-record frame), crc32 at 12..15, payload at 16.
+  ASSERT_EQ(bytes[9], 1);
+  const auto payload_len = static_cast<std::size_t>(bytes[10]);
+  ASSERT_EQ(bytes[11], bytes[10]);
+  bytes[16] ^= 0x04;  // the record's flags byte: flip bypass_private
+  const std::uint32_t crc = framed_crc32(
+      reinterpret_cast<const std::uint8_t*>(bytes.data()) + 16, payload_len);
+  for (int i = 0; i < 4; ++i) {
+    bytes[12 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
+  }
+  std::istringstream is(bytes, std::ios::binary);
+  FramedTraceDecoder dec(is);
+  const auto back = dec.next();
+  ASSERT_TRUE(back.has_value());
+  EXPECT_NE(back->bypass_private, r.bypass_private);
+  EXPECT_EQ(back->addr, r.addr);
+  EXPECT_FALSE(dec.next().has_value());
 }
 
 // ------------------------------------------------------- seek vs. tail

@@ -1,5 +1,5 @@
 // Streaming trace subsystem (workload/stream_trace.h): chunked replay
-// equals whole-vector replay for all three formats, the chunk buffer stays
+// equals whole-vector replay for both formats, the chunk buffer stays
 // at its configured size on traces much larger than it (the O(chunk)
 // memory property — the ASan CI leg additionally watches this test for
 // leaks/overflows), and TraceRecorder captures exactly the stream the
@@ -34,8 +34,8 @@ std::vector<MemRequest> random_trace(std::size_t n, std::uint64_t seed) {
   return t;
 }
 
-constexpr TraceFormat kAllFormats[] = {
-    TraceFormat::kTextV1, TraceFormat::kBinaryV2, TraceFormat::kFramedV3};
+constexpr TraceFormat kAllFormats[] = {TraceFormat::kTextV1,
+                                       TraceFormat::kFramedV3};
 
 /// Framed traces are packed 50 requests per frame: against the tests'
 /// 64-request chunk, refills straddle frame boundaries.
@@ -120,7 +120,7 @@ TEST(StreamingTrace, MissingFileThrows) {
 
 TEST(TraceRecorderTest, CapturesExactlyTheConsumedStream) {
   const auto t = random_trace(200, 3);
-  for (TraceFormat fmt : {TraceFormat::kTextV1, TraceFormat::kBinaryV2}) {
+  for (TraceFormat fmt : kAllFormats) {
     auto sink = std::make_unique<std::stringstream>();
     std::stringstream* sink_view = sink.get();
     TraceRecorder rec(std::make_unique<TraceWorkload>(t), std::move(sink),
@@ -170,7 +170,7 @@ TEST(TraceRecorderTest, SyntheticSnapshotReplaysDeterministically) {
   std::stringstream* sink_view = sink.get();
   TraceRecorder rec(
       std::make_unique<SyntheticWorkload>(profile, base, kBudget, kSeed),
-      std::move(sink), TraceFormat::kBinaryV2);
+      std::move(sink), TraceFormat::kFramedV3);
   while (rec.next(0)) {
   }
   rec.finish();

@@ -1,7 +1,8 @@
 // Unit tests for the trace codecs (workload/trace_codec.h): randomized
 // round-trip property over both formats (every MemRequest field
 // combination, >= 1000 cases) and the malformed-input tables for the
-// binary v2 decoder — every rejection names the absolute byte offset.
+// record decoder (workload/trace_record.h) and the framed magic — every
+// rejection names the absolute byte offset.
 #include "workload/trace_codec.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "workload/trace_frame.h"
+#include "workload/trace_record.h"
 
 namespace pipo {
 namespace {
@@ -61,8 +64,7 @@ TEST(TraceCodec, RandomizedRoundTripProperty) {
     Rng rng(seed * 2654435761u + 17);
     std::vector<MemRequest> t(1 + rng.next() % 20);
     for (auto& r : t) r = random_request(rng);
-    for (TraceFormat fmt : {TraceFormat::kTextV1, TraceFormat::kBinaryV2,
-                            TraceFormat::kFramedV3}) {
+    for (TraceFormat fmt : {TraceFormat::kTextV1, TraceFormat::kFramedV3}) {
       expect_equal(round_trip(t, fmt), t,
                    std::string("seed ") + std::to_string(seed) + " " +
                        to_string(fmt));
@@ -70,7 +72,7 @@ TEST(TraceCodec, RandomizedRoundTripProperty) {
   }
 }
 
-// Directed: all 6 type x bypass combinations through the binary codec
+// Directed: all 6 type x bypass combinations through the framed codec
 // (the combinations v1's 'P' used to collapse).
 TEST(TraceCodec, BinaryAllTypeBypassCombinations) {
   std::vector<MemRequest> t;
@@ -85,7 +87,7 @@ TEST(TraceCodec, BinaryAllTypeBypassCombinations) {
       t.push_back(r);
     }
   }
-  expect_equal(round_trip(t, TraceFormat::kBinaryV2), t, "combinations");
+  expect_equal(round_trip(t, TraceFormat::kFramedV3), t, "combinations");
 }
 
 TEST(TraceCodec, BinaryNegativeAndZeroLineDeltas) {
@@ -96,11 +98,11 @@ TEST(TraceCodec, BinaryNegativeAndZeroLineDeltas) {
     r.addr = a;
     t.push_back(r);
   }
-  expect_equal(round_trip(t, TraceFormat::kBinaryV2), t, "deltas");
+  expect_equal(round_trip(t, TraceFormat::kFramedV3), t, "deltas");
 }
 
 TEST(TraceCodec, EmptyTraceRoundTripsBothFormats) {
-  for (TraceFormat fmt : {TraceFormat::kTextV1, TraceFormat::kBinaryV2}) {
+  for (TraceFormat fmt : {TraceFormat::kTextV1, TraceFormat::kFramedV3}) {
     EXPECT_TRUE(round_trip({}, fmt).empty()) << to_string(fmt);
   }
 }
@@ -109,13 +111,13 @@ TEST(TraceCodec, DetectsFormatFromFirstByte) {
   std::stringstream text;
   save_trace_as(text, {MemRequest{}}, TraceFormat::kTextV1);
   EXPECT_EQ(detect_trace_format(text), TraceFormat::kTextV1);
-  std::stringstream bin;
-  save_trace_as(bin, {MemRequest{}}, TraceFormat::kBinaryV2);
-  EXPECT_EQ(detect_trace_format(bin), TraceFormat::kBinaryV2);
+  std::stringstream framed;
+  save_trace_as(framed, {MemRequest{}}, TraceFormat::kFramedV3);
+  EXPECT_EQ(detect_trace_format(framed), TraceFormat::kFramedV3);
 }
 
 TEST(TraceCodec, BinarySizeIsCompact) {
-  // 1000 sequential line-stride accesses: ~4 bytes/record in v2
+  // 1000 sequential line-stride accesses: ~4 bytes/record
   // (flags + 1-byte varint + offset + 1-byte varint).
   std::vector<MemRequest> t(1000);
   for (std::size_t i = 0; i < t.size(); ++i) {
@@ -123,24 +125,26 @@ TEST(TraceCodec, BinarySizeIsCompact) {
     t[i].pre_delay = 3;
   }
   std::stringstream ss;
-  save_trace_as(ss, t, TraceFormat::kBinaryV2);
+  save_trace_as(ss, t, TraceFormat::kFramedV3);
+  // The container's fixed overhead: one frame header (marker, three
+  // 2-byte varints, crc32), the end marker, a one-entry index (count,
+  // offset delta, 2-byte request count, crc32) and the 16-byte footer.
+  constexpr std::size_t kOverhead =
+      sizeof(kTraceMagicV3) + (1 + 3 * 2 + 4) + 1 + (1 + 1 + 2 + 4) + 16;
   // 4 bytes per steady-state record; the first record's delta from line
   // 0 takes one extra varint byte.
-  EXPECT_LE(ss.str().size(), sizeof(kTraceMagicV2) + 4 * t.size() + 1);
+  EXPECT_LE(ss.str().size(), kOverhead + 4 * t.size() + 1);
 }
 
 // ---------------------------------------------------- malformed inputs
 
-/// Expects decoding `bytes` to throw std::invalid_argument mentioning
-/// "byte <offset>"; returns the message for extra checks.
-std::string expect_bad_bytes(const std::string& bytes,
-                             std::uint64_t at_byte) {
-  std::istringstream is(bytes);
+/// Runs `decode`, expecting std::invalid_argument mentioning
+/// "byte <at_byte>"; returns the message for extra checks.
+template <class Decode>
+std::string expect_bad(const Decode& decode, const std::string& bytes,
+                       std::uint64_t at_byte) {
   try {
-    // Constructor validates the magic; records are pulled afterwards.
-    BinaryTraceDecoder dec(is);
-    while (dec.next()) {
-    }
+    decode();
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("byte " + std::to_string(at_byte)),
@@ -153,63 +157,103 @@ std::string expect_bad_bytes(const std::string& bytes,
   return {};
 }
 
-std::string magic() { return std::string(kTraceMagicV2, 8); }
+/// Decodes `records` as the record stream behind an 8-byte magic, so
+/// offsets count from the file start.
+std::string expect_bad_bytes(const std::string& records,
+                             std::uint64_t at_byte) {
+  return expect_bad(
+      [&] {
+        trace_v2::BufferByteSource src(
+            reinterpret_cast<const std::uint8_t*>(records.data()),
+            records.size(), /*base_offset=*/8, "records");
+        LineAddr prev_line = 0;
+        while (trace_v2::decode_record(src, prev_line)) {
+        }
+      },
+      records, at_byte);
+}
+
+/// The framed decoder's constructor validates the magic.
+std::string expect_bad_magic(const std::string& bytes,
+                             std::uint64_t at_byte) {
+  return expect_bad(
+      [&] {
+        std::istringstream is(bytes);
+        FramedTraceDecoder dec(is);
+      },
+      bytes, at_byte);
+}
+
+std::vector<std::uint8_t> encode_records(const std::vector<MemRequest>& t) {
+  std::vector<std::uint8_t> out;
+  LineAddr prev_line = 0;
+  for (const MemRequest& r : t) trace_v2::append_record(out, prev_line, r);
+  return out;
+}
 
 TEST(TraceCodecMalformed, BadMagic) {
-  const std::string msg = expect_bad_bytes("PIPOTRC1", 8);
+  const std::string msg = expect_bad_magic("PIPOTRC1", 8);
   EXPECT_NE(msg.find("magic"), std::string::npos);
 }
 
+// Older builds wrote flat binary v2 traces ("PIPOTRC2"); autodetection
+// routes them to the framed decoder, which names their format.
+TEST(TraceCodecMalformed, RetiredFlatMagicIsNamed) {
+  const std::string msg =
+      expect_bad_magic(std::string("PIPOTRC2") + '\x00' + '\x05', 8);
+  EXPECT_NE(msg.find("\"PIPOTRC2\""), std::string::npos) << msg;
+  EXPECT_NE(msg.find("v2"), std::string::npos) << msg;
+}
+
 TEST(TraceCodecMalformed, TruncatedMagic) {
-  expect_bad_bytes("PIPO", 4);
+  expect_bad_magic("PIPO", 4);
 }
 
 TEST(TraceCodecMalformed, ReservedFlagBitsRejected) {
-  expect_bad_bytes(magic() + '\x10', 9);  // flag bit 4 set
-  expect_bad_bytes(magic() + '\x80', 9);
+  expect_bad_bytes("\x10", 9);  // flag bit 4 set
+  expect_bad_bytes("\x80", 9);
 }
 
 TEST(TraceCodecMalformed, ReservedAccessTypeRejected) {
-  const std::string msg = expect_bad_bytes(magic() + '\x03', 9);
+  const std::string msg = expect_bad_bytes("\x03", 9);
   EXPECT_NE(msg.find("type"), std::string::npos);
 }
 
 TEST(TraceCodecMalformed, TruncatedAfterFlags) {
   // flags byte present, line-delta varint missing entirely.
-  expect_bad_bytes(magic() + '\x00', 9);
+  expect_bad_bytes(std::string(1, '\x00'), 9);
 }
 
 TEST(TraceCodecMalformed, TruncatedVarint) {
   // Continuation bit set on the last available byte.
-  const std::string msg =
-      expect_bad_bytes(magic() + '\x00' + '\xFF', 10);
+  const std::string msg = expect_bad_bytes(std::string("\x00\xFF", 2), 10);
   EXPECT_NE(msg.find("truncated"), std::string::npos);
 }
 
 TEST(TraceCodecMalformed, TruncatedBeforeOffsetByte) {
-  expect_bad_bytes(magic() + '\x00' + '\x05', 10);
+  expect_bad_bytes(std::string("\x00\x05", 2), 10);
 }
 
 TEST(TraceCodecMalformed, TruncatedBeforePreDelay) {
-  expect_bad_bytes(magic() + '\x00' + '\x05' + '\x00', 11);
+  expect_bad_bytes(std::string("\x00\x05\x00", 3), 11);
 }
 
 TEST(TraceCodecMalformed, OffsetByteOutOfRange) {
   const std::string msg =
-      expect_bad_bytes(magic() + '\x00' + '\x05' + '\x40', 11);
+      expect_bad_bytes(std::string("\x00\x05\x40", 3), 11);
   EXPECT_NE(msg.find("offset"), std::string::npos);
 }
 
 TEST(TraceCodecMalformed, OverlongVarintRejected) {
   // 11 continuation bytes: longer than any 64-bit varint.
-  std::string bytes = magic() + '\x00';
+  std::string bytes(1, '\x00');
   for (int i = 0; i < 11; ++i) bytes += '\x81';
   expect_bad_bytes(bytes, 19);  // rejected at the 10th varint byte
 }
 
 TEST(TraceCodecMalformed, VarintOverflow64Rejected) {
   // 10 bytes whose 10th carries more than the top bit of a uint64.
-  std::string bytes = magic() + '\x00';
+  std::string bytes(1, '\x00');
   for (int i = 0; i < 9; ++i) bytes += '\x80';
   bytes += '\x02';
   const std::string msg = expect_bad_bytes(bytes, 19);
@@ -219,14 +263,13 @@ TEST(TraceCodecMalformed, VarintOverflow64Rejected) {
 TEST(TraceCodecMalformed, NegativeDeltaUnderflowRejected) {
   // First record with the neg-delta flag and delta 5: would wrap below
   // line 0 (prev_line starts at 0).
-  const std::string msg =
-      expect_bad_bytes(magic() + '\x08' + '\x05', 10);
+  const std::string msg = expect_bad_bytes("\x08\x05", 10);
   EXPECT_NE(msg.find("underflow"), std::string::npos);
 }
 
 TEST(TraceCodecMalformed, PositiveDeltaOverflowRejected) {
   // delta = 2^58 from line 0: one past the 58-bit line space.
-  std::string bytes = magic() + '\x00';
+  std::string bytes(1, '\x00');
   for (int i = 0; i < 8; ++i) bytes += '\x80';
   bytes += '\x04';
   const std::string msg = expect_bad_bytes(bytes, 18);
@@ -242,12 +285,12 @@ TEST(TraceCodecMalformed, NonMinimalVarintRejected) {
   // flags 0, line delta encoded as 0x80 0x00 (padded zero; embedded NUL
   // bytes need the explicit-length string constructor).
   const std::string msg =
-      expect_bad_bytes(magic() + '\x00' + std::string("\x80\x00", 2), 11);
+      expect_bad_bytes(std::string("\x00\x80\x00", 3), 11);
   EXPECT_NE(msg.find("non-minimal"), std::string::npos) << msg;
   // pre_delay padded the same way: 5 as 0x85 0x00.
-  expect_bad_bytes(magic() + std::string("\x00\x05\x00\x85\x00", 5), 13);
+  expect_bad_bytes(std::string("\x00\x05\x00\x85\x00", 5), 13);
   // A padded-zero chain (0x80 0x80 0x00) is still one non-minimal zero.
-  expect_bad_bytes(magic() + '\x00' + std::string("\x80\x80\x00", 3), 12);
+  expect_bad_bytes(std::string("\x00\x80\x80\x00", 4), 12);
 }
 
 // The other half of the canonicality contract: the encoder's output is
@@ -258,12 +301,14 @@ TEST(TraceCodec, EncoderOutputIsCanonical) {
     Rng rng(seed * 0x9E3779B97F4A7C15ull + 3);
     std::vector<MemRequest> t(1 + rng.next() % 32);
     for (auto& r : t) r = random_request(rng);
-    std::stringstream first;
-    save_trace_as(first, t, TraceFormat::kBinaryV2);
-    const auto decoded = load_trace_v2(first);
-    std::stringstream second;
-    save_trace_as(second, decoded, TraceFormat::kBinaryV2);
-    ASSERT_EQ(first.str(), second.str()) << "seed " << seed;
+    const std::vector<std::uint8_t> first = encode_records(t);
+    trace_v2::BufferByteSource src(first.data(), first.size(), 0, "records");
+    std::vector<MemRequest> decoded;
+    LineAddr prev_line = 0;
+    while (auto r = trace_v2::decode_record(src, prev_line)) {
+      decoded.push_back(*r);
+    }
+    ASSERT_EQ(encode_records(decoded), first) << "seed " << seed;
   }
 }
 
@@ -271,36 +316,22 @@ TEST(TraceCodecMalformed, PreDelayOverflow32Rejected) {
   // Valid flags/delta/offset, then pre_delay = 2^32.
   const std::string pre_delay_2_32 = "\x80\x80\x80\x80\x10";
   const std::string msg = expect_bad_bytes(
-      magic() + '\x00' + '\x05' + '\x00' + pre_delay_2_32, 16);
+      std::string("\x00\x05\x00", 3) + pre_delay_2_32, 16);
   EXPECT_NE(msg.find("pre_delay"), std::string::npos);
 }
 
 TEST(TraceCodecMalformed, GarbageAfterValidRecordRejected) {
   // One valid record, then a garbage flags byte: trailing garbage is
   // caught at its exact offset.
-  std::stringstream good;
-  save_trace_as(good, {MemRequest{}}, TraceFormat::kBinaryV2);
-  const std::string valid = good.str();  // magic + 4-byte record
-  ASSERT_EQ(valid.size(), 12u);
-  expect_bad_bytes(valid + '\xF0', 13);
-}
-
-TEST(TraceCodec, ByteOffsetTracksConsumption) {
-  std::stringstream ss;
-  save_trace_as(ss, {MemRequest{}, MemRequest{}}, TraceFormat::kBinaryV2);
-  BinaryTraceDecoder dec(ss);
-  EXPECT_EQ(dec.byte_offset(), 8u);  // magic consumed on construction
-  ASSERT_TRUE(dec.next().has_value());
-  EXPECT_EQ(dec.byte_offset(), 12u);
-  ASSERT_TRUE(dec.next().has_value());
-  EXPECT_FALSE(dec.next().has_value());
-  EXPECT_EQ(dec.decoded(), 2u);
+  const std::vector<std::uint8_t> good = encode_records({MemRequest{}});
+  ASSERT_EQ(good.size(), 4u);
+  expect_bad_bytes(std::string(good.begin(), good.end()) + '\xF0', 13);
 }
 
 // A failed sink write (full disk: ostream sets badbit silently) must
 // surface from finish(), not return as a successful capture.
 TEST(TraceCodec, EncoderFinishThrowsOnFailedSink) {
-  for (TraceFormat fmt : {TraceFormat::kTextV1, TraceFormat::kBinaryV2}) {
+  for (TraceFormat fmt : {TraceFormat::kTextV1, TraceFormat::kFramedV3}) {
     std::stringstream ss;
     const auto enc = make_trace_encoder(ss, fmt);
     enc->put(MemRequest{});
@@ -323,12 +354,12 @@ TEST(TraceCodec, DecodersThrowOnStreamReadError) {
   {
     std::stringstream ss;
     save_trace_as(ss, std::vector<MemRequest>(100),
-                  TraceFormat::kBinaryV2);
-    BinaryTraceDecoder dec(ss, /*chunk_bytes=*/16);
+                  TraceFormat::kFramedV3);
+    FramedTraceDecoder dec(ss, /*chunk_bytes=*/16);
     ASSERT_TRUE(dec.next().has_value());
     ss.setstate(std::ios::badbit);
-    // The next refill (within a few records at this chunk size) must
-    // report the error.
+    // The next refill (at the latest, the one that reads the end
+    // marker) must report the error.
     EXPECT_THROW(
         {
           while (dec.next()) {

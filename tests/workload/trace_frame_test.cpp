@@ -110,12 +110,8 @@ TEST(TraceFrame, DetectedAndLoadableViaAutoFactories) {
   const std::string bytes = encode_framed(t, opts);
   std::istringstream is(bytes, std::ios::binary);
   EXPECT_EQ(detect_trace_format(is), TraceFormat::kFramedV3);
-  // The peek-and-rewind must not consume anything.
+  // The peek must not consume anything.
   expect_equal(load_trace_auto(is), t, "load_trace_auto");
-  // And the flat binary format still detects as itself.
-  std::stringstream flat(std::ios::binary | std::ios::in | std::ios::out);
-  save_trace_as(flat, t, TraceFormat::kBinaryV2);
-  EXPECT_EQ(detect_trace_format(flat), TraceFormat::kBinaryV2);
 }
 
 TEST(TraceFrame, EmptyContainerDecodesToNothing) {

@@ -1,4 +1,7 @@
-#include "workload/trace_io.h"
+// Text v1 codec (workload/trace_codec.h): the grammar, its diagnostics
+// and both directions of the fidelity contract, through the whole-trace
+// wrappers.
+#include "workload/trace_codec.h"
 
 #include <gtest/gtest.h>
 
@@ -51,8 +54,8 @@ std::vector<MemRequest> all_combinations() {
 TEST(TraceIo, RoundTripsExactly) {
   const auto t = sample_trace();
   std::stringstream ss;
-  save_trace(ss, t);
-  const auto back = load_trace(ss);
+  save_trace_as(ss, t, TraceFormat::kTextV1);
+  const auto back = load_trace_auto(ss);
   ASSERT_EQ(back.size(), t.size());
   for (std::size_t i = 0; i < t.size(); ++i) {
     EXPECT_EQ(back[i].addr, t[i].addr) << i;
@@ -64,7 +67,7 @@ TEST(TraceIo, RoundTripsExactly) {
 
 TEST(TraceIo, SkipsCommentsAndBlankLines) {
   std::stringstream ss("# header\n\n1000 L 0\n\n# mid comment\n2000 S 5\n");
-  const auto t = load_trace(ss);
+  const auto t = load_trace_auto(ss);
   ASSERT_EQ(t.size(), 2u);
   EXPECT_EQ(t[0].addr, 0x1000u);
   EXPECT_EQ(t[1].addr, 0x2000u);
@@ -74,7 +77,7 @@ TEST(TraceIo, SkipsCommentsAndBlankLines) {
 
 TEST(TraceIo, ProbeLinesSetBypass) {
   std::stringstream ss("abc P 0\n");
-  const auto t = load_trace(ss);
+  const auto t = load_trace_auto(ss);
   ASSERT_EQ(t.size(), 1u);
   EXPECT_TRUE(t[0].bypass_private);
   EXPECT_EQ(t[0].type, AccessType::kLoad);
@@ -86,8 +89,8 @@ TEST(TraceIo, ProbeLinesSetBypass) {
 TEST(TraceIo, AllTypeBypassCombinationsRoundTrip) {
   const auto t = all_combinations();
   std::stringstream ss;
-  save_trace(ss, t);
-  const auto back = load_trace(ss);
+  save_trace_as(ss, t, TraceFormat::kTextV1);
+  const auto back = load_trace_auto(ss);
   ASSERT_EQ(back.size(), t.size());
   for (std::size_t i = 0; i < t.size(); ++i) {
     EXPECT_EQ(back[i].addr, t[i].addr) << i;
@@ -99,7 +102,7 @@ TEST(TraceIo, AllTypeBypassCombinationsRoundTrip) {
 
 TEST(TraceIo, LowercaseLettersParseAsBypass) {
   std::stringstream ss("1000 l 0\n2000 s 1\n3000 i 2\n");
-  const auto t = load_trace(ss);
+  const auto t = load_trace_auto(ss);
   ASSERT_EQ(t.size(), 3u);
   EXPECT_EQ(t[0].type, AccessType::kLoad);
   EXPECT_EQ(t[1].type, AccessType::kStore);
@@ -112,10 +115,10 @@ TEST(TraceIo, LowercaseLettersParseAsBypass) {
 // canonical only after one round).
 TEST(TraceIo, CanonicalTextIsAFixedPoint) {
   std::stringstream first;
-  save_trace(first, all_combinations());
+  save_trace_as(first, all_combinations(), TraceFormat::kTextV1);
   const std::string canonical = first.str();
   std::stringstream in(canonical), second;
-  save_trace(second, load_trace(in));
+  save_trace_as(second, load_trace_auto(in), TraceFormat::kTextV1);
   EXPECT_EQ(second.str(), canonical);
 }
 
@@ -123,7 +126,7 @@ TEST(TraceIo, RejectsNegativePreDelay) {
   // Pre-fix behavior: unsigned extraction wrapped "-5" to ~4e9 cycles.
   std::stringstream ss("1000 L -5\n");
   try {
-    load_trace(ss);
+    load_trace_auto(ss);
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos)
@@ -133,39 +136,39 @@ TEST(TraceIo, RejectsNegativePreDelay) {
 
 TEST(TraceIo, RejectsPlusSignAndOverflowPreDelay) {
   std::stringstream plus("1000 L +5\n");
-  EXPECT_THROW(load_trace(plus), std::invalid_argument);
+  EXPECT_THROW(load_trace_auto(plus), std::invalid_argument);
   std::stringstream overflow("1000 L 4294967296\n");  // 2^32
-  EXPECT_THROW(load_trace(overflow), std::invalid_argument);
+  EXPECT_THROW(load_trace_auto(overflow), std::invalid_argument);
   std::stringstream max("1000 L 4294967295\n");  // 2^32 - 1 is fine
-  EXPECT_EQ(load_trace(max).at(0).pre_delay, 0xFFFFFFFFu);
+  EXPECT_EQ(load_trace_auto(max).at(0).pre_delay, 0xFFFFFFFFu);
 }
 
 TEST(TraceIo, RejectsNegativeAddress) {
   std::stringstream ss("-1000 L 5\n");
-  EXPECT_THROW(load_trace(ss), std::invalid_argument);
+  EXPECT_THROW(load_trace_auto(ss), std::invalid_argument);
 }
 
 // The pre-PR-5 istream hex extraction accepted a 0x prefix; externally
 // converted traces use it, so the hand-rolled parser must too.
 TEST(TraceIo, AcceptsOptionalHexPrefix) {
   std::stringstream ss("0x1A40 L 0\n0XFF S 2\n");
-  const auto t = load_trace(ss);
+  const auto t = load_trace_auto(ss);
   ASSERT_EQ(t.size(), 2u);
   EXPECT_EQ(t[0].addr, 0x1A40u);
   EXPECT_EQ(t[1].addr, 0xFFu);
   std::stringstream bare_x("x40 L 0\n");
-  EXPECT_THROW(load_trace(bare_x), std::invalid_argument);
+  EXPECT_THROW(load_trace_auto(bare_x), std::invalid_argument);
 }
 
 TEST(TraceIo, RejectsUnknownType) {
   std::stringstream ss("1000 X 0\n");
-  EXPECT_THROW(load_trace(ss), std::invalid_argument);
+  EXPECT_THROW(load_trace_auto(ss), std::invalid_argument);
 }
 
 TEST(TraceIo, RejectsMalformedLineWithLineNumber) {
   std::stringstream ss("1000 L 0\nnot-a-trace-line\n");
   try {
-    load_trace(ss);
+    load_trace_auto(ss);
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
@@ -174,25 +177,25 @@ TEST(TraceIo, RejectsMalformedLineWithLineNumber) {
 
 TEST(TraceIo, RejectsTrailingTokens) {
   std::stringstream ss("1000 L 0 junk\n");
-  EXPECT_THROW(load_trace(ss), std::invalid_argument);
+  EXPECT_THROW(load_trace_auto(ss), std::invalid_argument);
 }
 
 TEST(TraceIo, EmptyStreamGivesEmptyTrace) {
   std::stringstream ss;
-  EXPECT_TRUE(load_trace(ss).empty());
+  EXPECT_TRUE(load_trace_auto(ss).empty());
 }
 
 TEST(TraceIo, FileRoundTrip) {
   const std::string path = testing::TempDir() + "pipo_trace_test.txt";
   const auto t = sample_trace();
-  save_trace_file(path, t);
-  const auto back = load_trace_file(path);
+  save_trace_file_as(path, t, TraceFormat::kTextV1);
+  const auto back = load_trace_file_auto(path);
   EXPECT_EQ(back.size(), t.size());
   std::remove(path.c_str());
 }
 
 TEST(TraceIo, MissingFileThrows) {
-  EXPECT_THROW(load_trace_file("/nonexistent/path/trace.txt"),
+  EXPECT_THROW(load_trace_file_auto("/nonexistent/path/trace.txt"),
                std::runtime_error);
 }
 

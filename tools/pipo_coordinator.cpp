@@ -52,6 +52,7 @@ Options parse_args(int argc, char** argv) {
       if (++i >= argc) throw std::invalid_argument(arg + " needs a value");
       return argv[i];
     };
+    if (parse_campaign_flag(arg, value, o.spec, o.trace_paths)) continue;
     if (arg == "--port") {
       o.coord.port =
           static_cast<std::uint16_t>(parse_uint(value(), "--port", 0, 65535));
@@ -66,35 +67,6 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--heartbeat-timeout-ms") {
       o.coord.heartbeat_timeout_ms =
           parse_uint(value(), "--heartbeat-timeout-ms", 1);
-    } else if (arg == "--mixes") {
-      const std::string v = value();
-      const auto dash = v.find('-');
-      if (dash == std::string::npos) {
-        o.spec.mix_lo = o.spec.mix_hi = parse_uint32(v, "--mixes", 1);
-      } else {
-        o.spec.mix_lo = parse_uint32(v.substr(0, dash), "--mixes", 1);
-        o.spec.mix_hi = parse_uint32(v.substr(dash + 1), "--mixes", 1);
-      }
-    } else if (arg == "--defenses") {
-      o.spec.defenses = parse_defense_list(value());
-    } else if (arg == "--seeds") {
-      o.spec.seeds = parse_uint32(value(), "--seeds", 1);
-    } else if (arg == "--instr") {
-      o.spec.instr = parse_uint(value(), "--instr", 1);
-    } else if (arg == "--ws-div") {
-      o.spec.ws_div = parse_uint(value(), "--ws-div", 1);
-    } else if (arg == "--llc") {
-      o.spec.inclusion = parse_inclusion(value());
-    } else if (arg == "--slice-hash") {
-      const auto h = parse_slice_hash(value());
-      if (!h) throw std::invalid_argument("--slice-hash wants low|cas");
-      o.spec.slice_hash = *h;
-    } else if (arg == "--monitor-level") {
-      o.spec.monitor_level = parse_monitor_level(value());
-    } else if (arg == "--trace") {
-      o.trace_paths.push_back(value());
-    } else if (arg == "--no-mixes") {
-      o.spec.run_mixes = false;
     } else if (arg == "--out") {
       o.out = value();
     } else if (arg == "--verbose") {
@@ -139,17 +111,7 @@ int main(int argc, char** argv) {
 
     const CampaignOutcome outcome = coord.run();
 
-    std::FILE* f = stdout;
-    if (!opt.out.empty()) {
-      f = std::fopen(opt.out.c_str(), "w");
-      if (!f) {
-        std::fprintf(stderr, "pipo_coordinator: cannot open %s\n",
-                     opt.out.c_str());
-        return 2;
-      }
-    }
-    write_campaign_records(f, outcome.records);
-    if (f != stdout) std::fclose(f);
+    write_campaign_file(opt.out, outcome.records);
 
     std::fprintf(stderr,
                  "pipo_coordinator: %zu configs merged, %llu failed\n",

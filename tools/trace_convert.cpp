@@ -1,16 +1,15 @@
-// trace_convert — translate request traces between the text v1, binary
-// v2 and framed v3 formats (docs/traces.md), streaming record by record
-// so multi-gigabyte traces convert in O(chunk) memory.
+// trace_convert — translate request traces between the text v1 and
+// framed v3 formats (docs/traces.md), streaming record by record so
+// multi-gigabyte traces convert in O(chunk) memory.
 //
 // Usage:
-//   trace_convert <in> <out> [--to text|binary|framed]
+//   trace_convert <in> <out> [--to text|framed]
 //                 [--frame-requests N] [--compress]
 //
 // The input format is autodetected. Without --to, the output is the
-// opposite of text/binary (the common case); framed output is always
-// explicit. Because save/load are lossless in every direction,
-// converting text -> binary -> text reproduces the canonical text
-// byte-for-byte (the CI smoke step pins this with cmp).
+// other format. Because both codecs are lossless, converting
+// text -> framed -> text reproduces the canonical text byte-for-byte
+// (the CI smoke step pins this with cmp).
 // --frame-requests sets the framed container's restart interval;
 // --compress stores zstd frames (only in builds with zstd).
 #include <cstdio>
@@ -31,10 +30,10 @@ using namespace pipo;
 
 [[noreturn]] void usage() {
   std::fprintf(stderr,
-               "usage: trace_convert <in> <out> [--to text|binary|framed]\n"
+               "usage: trace_convert <in> <out> [--to text|framed]\n"
                "                     [--frame-requests N] [--compress]\n"
                "input format is autodetected; default output is the "
-               "opposite of text/binary\n");
+               "other format\n");
   std::exit(2);
 }
 
@@ -84,7 +83,7 @@ int main(int argc, char** argv) {
     }
     TraceReader reader(in_path);
     if (!have_to) {
-      to = reader.format() == TraceFormat::kTextV1 ? TraceFormat::kBinaryV2
+      to = reader.format() == TraceFormat::kTextV1 ? TraceFormat::kFramedV3
                                                    : TraceFormat::kTextV1;
     }
     std::ofstream out(out_path, std::ios::binary);
