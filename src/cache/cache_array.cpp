@@ -3,7 +3,6 @@
 #include <bit>
 #include <cassert>
 #include <stdexcept>
-#include <string>
 
 namespace pipo {
 
@@ -55,41 +54,30 @@ CacheArray::FillResult CacheArray::fill(LineAddr line_addr,
   ++fills_;
 
   // Prefer a free way: first zero bit of the occupancy mask.
-  const std::uint64_t occ = occ_[set];
-  std::uint32_t way = cfg_.ways;
-  const std::uint32_t first_free =
-      static_cast<std::uint32_t>(std::countr_one(occ));
-  if (first_free < cfg_.ways) way = first_free;
-
+  std::uint32_t way = static_cast<std::uint32_t>(std::countr_one(occ_[set]));
   std::optional<EvictedLine> evicted;
-  if (way == cfg_.ways) {
+  if (way >= cfg_.ways) {
     std::optional<std::uint32_t> override_way;
     if (chooser) {
       override_way = chooser->choose(&lines_[set * cfg_.ways], cfg_.ways);
       assert(!override_way || *override_way < cfg_.ways);
     }
     way = override_way ? *override_way : repl_.victim(set);
-    evicted = snapshot(lines_[set * cfg_.ways + way]);
-  } else {
-    ++valid_count_;
+    evicted = snapshot(CacheSlot{set, way});
   }
 
-  CacheLine& l = lines_[set * cfg_.ways + way];
-  l = CacheLine{};
-  l.valid = true;
-  l.addr = line_addr;
-  tags_[set * cfg_.ways + way] = line_addr;
+  const CacheSlot slot{set, way};
+  lines_[index(slot)] = CacheLine{};
+  tags_[index(slot)] = line_addr;
   occ_[set] |= std::uint64_t{1} << way;
   repl_.on_fill(set, way);
-  return FillResult{CacheSlot{set, way}, evicted};
+  return FillResult{slot, evicted};
 }
 
 EvictedLine CacheArray::invalidate(const CacheSlot& slot) {
-  CacheLine& l = line(slot);
-  EvictedLine out = snapshot(l);
-  l = CacheLine{};
+  EvictedLine out = snapshot(slot);
+  line(slot) = CacheLine{};
   occ_[slot.set] &= ~(std::uint64_t{1} << slot.way);
-  --valid_count_;
   repl_.on_invalidate(slot.set, slot.way);
   return out;
 }
@@ -104,39 +92,21 @@ std::uint32_t CacheArray::valid_in_set(std::size_t set) const {
   return static_cast<std::uint32_t>(std::popcount(occ_[set]));
 }
 
-std::string CacheArray::check_mirror() const {
-  std::uint64_t valid = 0;
-  for (std::size_t set = 0; set < sets_; ++set) {
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-      const CacheLine& l = lines_[set * cfg_.ways + w];
-      const bool occ = (occ_[set] >> w) & 1u;
-      if (l.valid != occ) {
-        return cfg_.name + ": occupancy bit desync at set " +
-               std::to_string(set) + " way " + std::to_string(w);
-      }
-      if (l.valid && tags_[set * cfg_.ways + w] != l.addr) {
-        return cfg_.name + ": tag desync at set " + std::to_string(set) +
-               " way " + std::to_string(w);
-      }
-      valid += l.valid ? 1 : 0;
-    }
-  }
-  if (valid != valid_count_) {
-    return cfg_.name + ": valid_count drift (" + std::to_string(valid_count_) +
-           " cached vs " + std::to_string(valid) + " actual)";
-  }
-  return {};
+std::uint64_t CacheArray::valid_count() const {
+  std::uint64_t n = 0;
+  for (const std::uint64_t o : occ_) n += std::popcount(o);
+  return n;
 }
 
 void CacheArray::clear() {
   for (CacheLine& l : lines_) l = CacheLine{};
   for (std::uint64_t& o : occ_) o = 0;
-  valid_count_ = 0;
 }
 
-EvictedLine CacheArray::snapshot(const CacheLine& l) {
-  assert(l.valid);
-  return EvictedLine{.line = l.addr,
+EvictedLine CacheArray::snapshot(const CacheSlot& slot) const {
+  assert(occupied(slot));
+  const CacheLine& l = line(slot);
+  return EvictedLine{.line = tag(slot),
                      .state = l.state,
                      .dirty = l.dirty,
                      .inner = l.inner,

@@ -6,9 +6,12 @@
 //
 // One CacheArray models a private L1/L2 or a single LLC slice. Set
 // indexing is `(line >> index_shift) & (sets-1)`, so an LLC slice passes
-// index_shift = log2(num_slices) to skip the slice-selection bits. Lines
-// store their full line address (the model's equivalent of the tag field;
-// hardware would store only the bits above the index).
+// index_shift = log2(num_slices) to skip the slice-selection bits.
+//
+// Placement lives in one record per array: a packed row of tags, one per
+// (set, way), holding the full line address (hardware would store only
+// the bits above the index), and one 64-bit occupancy word per set. A
+// CacheLine holds only the protocol metadata of the line in its way.
 #pragma once
 
 #include <cstdint>
@@ -23,13 +26,12 @@
 
 namespace pipo {
 
-/// Metadata of one cached line.
+/// Protocol metadata of one cached line. Which line a way holds, and
+/// whether it holds one, is CacheArray's tag() and occupied().
 struct CacheLine {
-  bool valid = false;
-  LineAddr addr = 0;            ///< full line address (models the tag)
+  std::uint32_t presence = 0;   ///< LLC: bitmask of cores holding the line
   Mesi state = Mesi::kInvalid;  ///< private caches: MESI state of this copy
   bool dirty = false;           ///< LLC: line newer than memory
-  std::uint32_t presence = 0;   ///< LLC: bitmask of cores holding the line
   // --- PiPoMonitor per-line tag bits (only used at the LLC) ---
   bool pp_tag = false;       ///< captured as a Ping-Pong line (Section IV)
   bool pp_accessed = false;  ///< demanded since the tag/prefetch was set
@@ -49,8 +51,8 @@ struct CacheLine {
 inline constexpr std::uint8_t kInnerL1i = 1u << 0;
 inline constexpr std::uint8_t kInnerL1d = 1u << 1;
 
-// The residency fields sit in padding: a line record stays 32 bytes.
-static_assert(sizeof(CacheLine) <= 32);
+// Every simulated way costs a record on the host: keep it small.
+static_assert(sizeof(CacheLine) <= 12);
 
 /// Identifies a resident line.
 struct CacheSlot {
@@ -69,9 +71,10 @@ struct CacheProbe {
 };
 
 /// Pluggable victim-selection override (e.g. SHARP's hierarchy-aware
-/// policy). `choose` sees one set's lines and returns the way to victimize
-/// (an invalid way means a free fill), or nullopt to defer to the array's
-/// LRU victim.
+/// policy). `choose` sees one set's lines and returns the way to victimize,
+/// or nullopt to defer to the array's LRU victim.
+/// Precondition: the set is full. CacheArray::fill asks only when no way
+/// is free, so every way of `set` holds a line.
 class VictimChooser {
  public:
   virtual ~VictimChooser() = default;
@@ -123,12 +126,18 @@ class CacheArray {
   /// Replacement-policy update on a hit.
   void touch(const CacheSlot& slot) { repl_.on_access(slot.set, slot.way); }
 
-  CacheLine& line(const CacheSlot& slot) {
-    return lines_[slot.set * cfg_.ways + slot.way];
-  }
+  CacheLine& line(const CacheSlot& slot) { return lines_[index(slot)]; }
   const CacheLine& line(const CacheSlot& slot) const {
-    return lines_[slot.set * cfg_.ways + slot.way];
+    return lines_[index(slot)];
   }
+
+  /// Whether the way at `slot` holds a line.
+  bool occupied(const CacheSlot& slot) const {
+    return (occ_[slot.set] >> slot.way) & 1u;
+  }
+  /// The line address the way at `slot` holds; meaningful only while
+  /// occupied(slot).
+  LineAddr tag(const CacheSlot& slot) const { return tags_[index(slot)]; }
 
   /// Result of inserting a line: where it landed and what fell out.
   struct FillResult {
@@ -166,37 +175,29 @@ class CacheArray {
   /// Number of valid lines in `set` (attack-analysis helper).
   std::uint32_t valid_in_set(std::size_t set) const;
 
-  /// Total valid lines. O(1): maintained incrementally by fill /
-  /// invalidate / clear.
-  std::uint64_t valid_count() const { return valid_count_; }
-
-  /// Audits the packed tag/occupancy mirror against the CacheLine
-  /// records (the mirror is only maintained by fill / invalidate /
-  /// clear — a writer mutating `valid`/`addr` through line() would
-  /// desynchronize it). Returns a description of the first mismatch, or
-  /// an empty string. Wired into System::check_invariants().
-  std::string check_mirror() const;
+  /// Total valid lines, a popcount over every set's occupancy word
+  /// (O(sets); no simulated path calls it).
+  std::uint64_t valid_count() const;
 
   void clear();
 
  private:
-  static EvictedLine snapshot(const CacheLine& l);
+  std::size_t index(const CacheSlot& slot) const {
+    return slot.set * cfg_.ways + slot.way;
+  }
+  EvictedLine snapshot(const CacheSlot& slot) const;
 
   CacheConfig cfg_;
   unsigned index_shift_;
   std::size_t sets_;
   std::uint64_t set_mask_;
   std::vector<CacheLine> lines_;
-  // Structure-of-arrays mirror of the placement state. probe() and the
-  // free-way scan in fill() touch only these packed vectors — one
-  // 64-bit occupancy word per set plus a contiguous tag row — instead of
-  // striding through the full CacheLine records. The CacheLine valid /
-  // addr fields stay authoritative for readers (VictimChooser, line());
-  // only fill / invalidate / clear mutate them, and they keep the mirror
-  // in sync.
+  // The placement record, structure-of-arrays: probe() and the free-way
+  // scan in fill() read one 64-bit occupancy word and one contiguous tag
+  // row per set, never the CacheLine records. Only fill, invalidate and
+  // clear write them. A tag outlives its line: a free way's tag is stale.
   std::vector<LineAddr> tags_;       ///< per-(set,way) line address
-  std::vector<std::uint64_t> occ_;   ///< per-set valid bitmask (ways <= 64)
-  std::uint64_t valid_count_ = 0;
+  std::vector<std::uint64_t> occ_;   ///< per-set occupancy mask (ways <= 64)
   std::uint64_t fills_ = 0;
   mutable std::uint64_t probes_ = 0;
   LruPolicy repl_;

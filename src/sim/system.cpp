@@ -366,9 +366,10 @@ System::PrivateSlots System::fill_private(Tick now, CoreId core,
 CacheLine& System::l2_copy(CoreId core, LineAddr line,
                            std::uint8_t outer_way) {
   CacheArray& l2 = *l2_[core];
-  CacheLine& l = l2.line(CacheSlot{l2.set_of(line), outer_way});
-  assert(l.valid && l.addr == line && "outer_way must name the L2 copy");
-  return l;
+  const CacheSlot slot{l2.set_of(line), outer_way};
+  assert(l2.occupied(slot) && l2.tag(slot) == line &&
+         "outer_way must name the L2 copy");
+  return l2.line(slot);
 }
 
 bool System::invalidate_inner(Tick now, CoreId core, LineAddr line,
@@ -640,26 +641,18 @@ void System::reconcile_ric_orphans(Tick now, LineAddr line,
 std::string System::check_invariants() const {
   std::ostringstream err;
   const bool ric = cfg_.defense == DefenseKind::kRic;
-  // The packed lookup mirrors must agree with the CacheLine records
-  // before the protocol invariants below can be trusted.
-  for (CoreId c = 0; c < cfg_.num_cores; ++c) {
-    for (const CacheArray* arr : {l1i_[c].get(), l1d_[c].get(), l2_[c].get()}) {
-      if (std::string m = arr->check_mirror(); !m.empty()) return m;
-    }
-  }
-  for (std::uint32_t s = 0; s < l3_->num_slices(); ++s) {
-    if (std::string m = l3_->slice(s).check_mirror(); !m.empty()) return m;
-  }
   for (CoreId c = 0; c < cfg_.num_cores; ++c) {
     const CacheArray& l2 = *l2_[c];
     for (const auto& [l1, l1_bit] : inner_l1s(c)) {
       for (std::size_t set = 0; set < l1->num_sets(); ++set) {
         for (std::uint32_t w = 0; w < l1->ways(); ++w) {
-          const CacheLine& l = l1->line(CacheSlot{set, w});
-          if (!l.valid) continue;
-          const CacheProbe p = l2.probe(l.addr);
+          const CacheSlot slot{set, w};
+          if (!l1->occupied(slot)) continue;
+          const CacheLine& l = l1->line(slot);
+          const LineAddr addr = l1->tag(slot);
+          const CacheProbe p = l2.probe(addr);
           if (!p.hit) {
-            err << "L1 line " << std::hex << l.addr << std::dec
+            err << "L1 line " << std::hex << addr << std::dec
                 << " of core " << unsigned(c) << " missing from its L2";
             return err.str();
           }
@@ -667,7 +660,7 @@ std::string System::check_invariants() const {
           // copy, and that copy names this L1.
           const std::uint8_t inner = l2.line(p.slot()).inner;
           if (p.way != l.outer_way || !(inner & l1_bit)) {
-            err << l1->config().name << " line " << std::hex << l.addr
+            err << l1->config().name << " line " << std::hex << addr
                 << std::dec << " of core " << unsigned(c)
                 << " residency mismatch: outer_way " << unsigned(l.outer_way)
                 << ", L2 copy in way " << p.way << " with bits "
@@ -679,25 +672,27 @@ std::string System::check_invariants() const {
     }
     for (std::size_t set = 0; set < l2.num_sets(); ++set) {
       for (std::uint32_t w = 0; w < l2.ways(); ++w) {
-        const CacheLine& l = l2.line(CacheSlot{set, w});
-        if (!l.valid) continue;
+        const CacheSlot slot{set, w};
+        if (!l2.occupied(slot)) continue;
+        const CacheLine& l = l2.line(slot);
+        const LineAddr addr = l2.tag(slot);
         // Residency, from the L2 side: the bits are exactly the L1s
         // that hold the line.
         const std::uint8_t held =
-            (l1i_[c]->probe(l.addr).hit ? kInnerL1i : 0) |
-            (l1d_[c]->probe(l.addr).hit ? kInnerL1d : 0);
+            (l1i_[c]->probe(addr).hit ? kInnerL1i : 0) |
+            (l1d_[c]->probe(addr).hit ? kInnerL1d : 0);
         if (l.inner != held) {
-          err << "L2 line " << std::hex << l.addr << std::dec << " of core "
+          err << "L2 line " << std::hex << addr << std::dec << " of core "
               << unsigned(c) << " has residency bits " << unsigned(l.inner)
               << " but its L1s hold " << unsigned(held);
           return err.str();
         }
-        const auto l3slot = l3_->lookup(l.addr);
+        const auto l3slot = l3_->lookup(addr);
         if (exclusive()) {
           // Mutual exclusion: a privately held line must not also live
           // in the victim LLC.
           if (l3slot) {
-            err << "exclusive LLC also holds line " << std::hex << l.addr
+            err << "exclusive LLC also holds line " << std::hex << addr
                 << std::dec << " cached privately by core " << unsigned(c);
             return err.str();
           }
@@ -705,16 +700,16 @@ std::string System::check_invariants() const {
         }
         if (!l3slot) {
           if (ric && l.state != Mesi::kModified) continue;  // RIC orphan
-          err << "L2 line " << std::hex << l.addr << std::dec
+          err << "L2 line " << std::hex << addr << std::dec
               << " of core " << unsigned(c)
               << " missing from the inclusive L3";
           return err.str();
         }
-        const CacheLine& l3l = l3_->slice_for(l.addr).line(*l3slot);
+        const CacheLine& l3l = l3_->slice_for(addr).line(*l3slot);
         if (!(l3l.presence & bit(c))) {
           if (ric) continue;  // presence dropped with a prior RIC orphan
           err << "directory presence bit of core " << unsigned(c)
-              << " clear for resident line " << std::hex << l.addr;
+              << " clear for resident line " << std::hex << addr;
           return err.str();
         }
       }
@@ -726,10 +721,12 @@ std::string System::check_invariants() const {
       const CacheArray& arr = l3_->slice(s);
       for (std::size_t set = 0; set < arr.num_sets(); ++set) {
         for (std::uint32_t w = 0; w < arr.ways(); ++w) {
-          const CacheLine& l = arr.line(CacheSlot{set, w});
-          if (l.valid && l.presence != 0) {
-            err << "exclusive LLC line " << std::hex << l.addr << std::dec
-                << " carries presence bits " << l.presence;
+          const CacheSlot slot{set, w};
+          if (!arr.occupied(slot)) continue;
+          const std::uint32_t presence = arr.line(slot).presence;
+          if (presence != 0) {
+            err << "exclusive LLC line " << std::hex << arr.tag(slot)
+                << std::dec << " carries presence bits " << presence;
             return err.str();
           }
         }
@@ -740,16 +737,18 @@ std::string System::check_invariants() const {
   for (CoreId c = 0; c < cfg_.num_cores; ++c) {
     for (std::size_t set = 0; set < l2_[c]->num_sets(); ++set) {
       for (std::uint32_t w = 0; w < l2_[c]->ways(); ++w) {
-        const CacheLine& l = l2_[c]->line(CacheSlot{set, w});
-        if (!l.valid || (l.state != Mesi::kModified &&
-                         l.state != Mesi::kExclusive)) {
+        const CacheSlot slot{set, w};
+        if (!l2_[c]->occupied(slot)) continue;
+        const CacheLine& l = l2_[c]->line(slot);
+        if (l.state != Mesi::kModified && l.state != Mesi::kExclusive) {
           continue;
         }
+        const LineAddr addr = l2_[c]->tag(slot);
         for (CoreId o = 0; o < cfg_.num_cores; ++o) {
           if (o == c) continue;
-          if (l2_[o]->lookup(l.addr) || l1d_[o]->lookup(l.addr) ||
-              l1i_[o]->lookup(l.addr)) {
-            err << "line " << std::hex << l.addr << std::dec << " is "
+          if (l2_[o]->lookup(addr) || l1d_[o]->lookup(addr) ||
+              l1i_[o]->lookup(addr)) {
+            err << "line " << std::hex << addr << std::dec << " is "
                 << (l.state == Mesi::kModified ? "M" : "E") << " in core "
                 << unsigned(c) << " but also cached by core "
                 << unsigned(o);

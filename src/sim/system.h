@@ -180,8 +180,10 @@ class System {
   std::uint64_t probes() const;
 
   /// Structural-invariant audit (test/diagnostic hook). Walks every
-  /// array and returns a description of the first violation found, or an
-  /// empty string when the machine state is consistent:
+  /// array's occupied ways, reading which line each holds from the
+  /// array's placement record (CacheArray::occupied and tag, the only
+  /// copy), and returns a description of the first violation found, or
+  /// an empty string when the machine state is consistent:
   ///  * inclusion — every private L1/L2 line is present in the L3
   ///    (except under RIC, whose relaxed inclusion permits clean
   ///    orphans), and every L1 line is present in its core's L2;
@@ -190,7 +192,9 @@ class System {
   ///  * single writer — at most one core holds a line in M or E, and no
   ///    other core holds any copy of an M/E line;
   ///  * directory — the L3 presence bit of every privately held line's
-  ///    core is set (again modulo RIC orphans).
+  ///    core is set (again modulo RIC orphans);
+  ///  * exclusion — under an exclusive LLC, no privately held line is
+  ///    also in the LLC, and no LLC line carries presence bits.
   std::string check_invariants() const;
 
  private:

@@ -1,10 +1,15 @@
 #include "cache/cache_array.h"
 
+#include <optional>
+#include <ostream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cache/sliced_cache.h"
+#include "common/rng.h"
 
 namespace pipo {
 namespace {
@@ -21,8 +26,8 @@ TEST(CacheArray, FillThenLookup) {
   EXPECT_FALSE(r.evicted.has_value());
   const auto slot = c.lookup(0x10);
   ASSERT_TRUE(slot.has_value());
-  EXPECT_EQ(c.line(*slot).addr, 0x10u);
-  EXPECT_TRUE(c.line(*slot).valid);
+  EXPECT_TRUE(c.occupied(*slot));
+  EXPECT_EQ(c.tag(*slot), 0x10u);
 }
 
 TEST(CacheArray, SetIndexUsesLowLineBits) {
@@ -116,6 +121,43 @@ TEST(CacheArray, ValidCountsTrackFills) {
   EXPECT_EQ(c.valid_count(), 0u);
 }
 
+/// Returns a fixed way and counts how often it is asked.
+class CountingChooser final : public VictimChooser {
+ public:
+  explicit CountingChooser(std::uint32_t way) : way_(way) {}
+  std::optional<std::uint32_t> choose(const CacheLine*,
+                                      std::uint32_t) override {
+    ++calls;
+    return way_;
+  }
+  int calls = 0;
+
+ private:
+  std::uint32_t way_;
+};
+
+TEST(CacheArray, ChooserIsAskedOnlyWhenTheSetIsFull) {
+  CacheArray c(tiny_cache());
+  CountingChooser chooser(0);
+  c.fill(0x00, &chooser);  // set 0, way 0
+  c.fill(0x04, &chooser);  // set 0, way 1: the set is full
+  c.invalidate(0x00);
+  const auto refill = c.fill(0x0C, &chooser);  // the freed way 0
+  EXPECT_FALSE(refill.evicted.has_value());
+  EXPECT_EQ(refill.slot.way, 0u);
+  c.fill(0x01, &chooser);  // set 1 is empty
+  EXPECT_EQ(chooser.calls, 0);
+
+  // Set 0 is full, and LRU would evict 0x04 from way 1.
+  const auto r = c.fill(0x08, &chooser);
+  EXPECT_EQ(chooser.calls, 1);
+  ASSERT_TRUE(r.evicted.has_value());
+  EXPECT_EQ(r.evicted->line, 0x0Cu);
+  EXPECT_EQ(r.slot.way, 0u);
+  EXPECT_EQ(c.tag(r.slot), 0x08u);
+  EXPECT_TRUE(c.lookup(0x04).has_value());
+}
+
 TEST(CacheArray, DistinctTagsSameSetCoexist) {
   CacheArray c(tiny_cache());
   c.fill(0x00);
@@ -133,8 +175,8 @@ TEST(CacheArray, FullAddressStoredNotJustTag) {
   const auto s0 = c.lookup(0x00);
   const auto s1 = c.lookup(0x100);
   ASSERT_TRUE(s0 && s1);
-  EXPECT_EQ(c.line(*s0).addr, 0x00u);
-  EXPECT_EQ(c.line(*s1).addr, 0x100u);
+  EXPECT_EQ(c.tag(*s0), 0x00u);
+  EXPECT_EQ(c.tag(*s1), 0x100u);
 }
 
 TEST(CacheArray, RejectsBadWayCountsBeforeSizing) {
@@ -148,6 +190,144 @@ TEST(CacheArray, RejectsBadWayCountsBeforeSizing) {
   EXPECT_NO_THROW(wide.validate());
   EXPECT_THROW(CacheArray{wide}, std::invalid_argument);
 }
+
+// ---------------------------------------------------------------------
+// The tag row and occupancy word are the only record of which line a way
+// holds. Random traffic against a plain per-way model checks every slot
+// after every operation.
+
+struct PlacementCase {
+  const char* name;
+  std::uint64_t sets;
+  std::uint32_t ways;
+  unsigned index_shift;
+};
+
+// Without it, gtest prints the struct's bytes, `name`'s address among
+// them, into every listed test name.
+void PrintTo(const PlacementCase& pc, std::ostream* os) { *os << pc.name; }
+
+/// What one way holds, kept by hand: free ways first (lowest index),
+/// then the least recently filled or touched way.
+struct ModelWay {
+  bool occupied = false;
+  LineAddr line = 0;
+  std::uint64_t used = 0;  ///< recency stamp of the last fill or touch
+};
+
+class CacheArrayPlacement : public ::testing::TestWithParam<PlacementCase> {};
+
+TEST_P(CacheArrayPlacement, MatchesAModelOfTheWays) {
+  const PlacementCase pc = GetParam();
+  CacheArray c(CacheConfig{pc.name, pc.sets * pc.ways * kLineSizeBytes,
+                           pc.ways, 1},
+               pc.index_shift);
+  ASSERT_EQ(c.num_sets(), pc.sets);
+  std::vector<ModelWay> model(pc.sets * pc.ways);
+  auto way_of = [&](std::size_t set, std::uint32_t w) -> ModelWay& {
+    return model[set * pc.ways + w];
+  };
+  auto find = [&](std::size_t set, LineAddr line) -> ModelWay* {
+    for (std::uint32_t w = 0; w < pc.ways; ++w) {
+      ModelWay& m = way_of(set, w);
+      if (m.occupied && m.line == line) return &m;
+    }
+    return nullptr;
+  };
+
+  Rng rng(19);
+  std::uint64_t clock = 0;
+  std::uint64_t evictions = 0, invalidated = 0, clears = 0;
+  for (int op = 0; op < 4000; ++op) {
+    // Three quarters of the traffic goes to one set, so even 16-way sets
+    // fill up between clears. Each set draws from twice its ways in
+    // tags, and the low index_shift bits vary with the tag, so lines
+    // that share a set differ in the bits the index skips.
+    const std::size_t set =
+        rng.chance(0.75) ? pc.sets - 1 : rng.below(pc.sets);
+    const std::uint64_t t = rng.below(2 * pc.ways);
+    const LineAddr line = ((t * pc.sets + set) << pc.index_shift) |
+                          (t & ((std::uint64_t{1} << pc.index_shift) - 1));
+    ASSERT_EQ(c.set_of(line), set);
+    const std::uint64_t kind = rng.below(100);
+    if (kind < 60) {
+      const CacheProbe p = c.probe(line);
+      ModelWay* hit = find(set, line);
+      ASSERT_EQ(p.hit, hit != nullptr) << "op " << op;
+      if (p.hit) {
+        c.touch(p.slot());
+        hit->used = ++clock;
+      } else {
+        std::uint32_t want = 0;
+        while (want < pc.ways && way_of(set, want).occupied) ++want;
+        const bool full = want == pc.ways;
+        if (full) {
+          want = 0;
+          for (std::uint32_t w = 1; w < pc.ways; ++w) {
+            if (way_of(set, w).used < way_of(set, want).used) want = w;
+          }
+        }
+        const CacheArray::FillResult r = c.fill(line, p);
+        ModelWay& m = way_of(set, want);
+        ASSERT_EQ(r.slot.set, set);
+        ASSERT_EQ(r.slot.way, want) << "op " << op;
+        ASSERT_EQ(r.evicted.has_value(), full) << "op " << op;
+        if (full) {
+          EXPECT_EQ(r.evicted->line, m.line) << "op " << op;
+          ++evictions;
+        }
+        m = ModelWay{true, line, ++clock};
+      }
+    } else if (kind < 97) {
+      const std::optional<EvictedLine> e = c.invalidate(line);
+      ModelWay* m = find(set, line);
+      ASSERT_EQ(e.has_value(), m != nullptr) << "op " << op;
+      if (m) {
+        EXPECT_EQ(e->line, line);
+        m->occupied = false;
+        ++invalidated;
+      }
+    } else {
+      c.clear();
+      for (ModelWay& m : model) m.occupied = false;
+      ++clears;
+    }
+
+    std::uint64_t total = 0;
+    for (std::size_t s = 0; s < pc.sets; ++s) {
+      std::uint32_t in_set = 0;
+      for (std::uint32_t w = 0; w < pc.ways; ++w) {
+        const CacheSlot slot{s, w};
+        const ModelWay& m = way_of(s, w);
+        ASSERT_EQ(c.occupied(slot), m.occupied)
+            << "op " << op << " set " << s << " way " << w;
+        if (!m.occupied) continue;
+        ++in_set;
+        ASSERT_EQ(c.tag(slot), m.line)
+            << "op " << op << " set " << s << " way " << w;
+        const std::optional<CacheSlot> found = c.lookup(m.line);
+        ASSERT_TRUE(found.has_value()) << "op " << op;
+        ASSERT_EQ(found->set, s);
+        ASSERT_EQ(found->way, w);
+      }
+      ASSERT_EQ(c.valid_in_set(s), in_set) << "op " << op << " set " << s;
+      total += in_set;
+    }
+    ASSERT_EQ(c.valid_count(), total) << "op " << op;
+  }
+  // Anti-vacuity: the traffic evicted, invalidated and cleared.
+  EXPECT_GT(evictions, 0u);
+  EXPECT_GT(invalidated, 0u);
+  EXPECT_GT(clears, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheArrayPlacement,
+    ::testing::Values(PlacementCase{"Sets4Ways2", 4, 2, 0},
+                      PlacementCase{"LlcSlice64x16", 64, 16, 2}),
+    [](const ::testing::TestParamInfo<PlacementCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace pipo

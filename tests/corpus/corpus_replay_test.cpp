@@ -6,7 +6,8 @@
 // box plus a clean replay of its recorded trace streams. Undefended
 // entries pin that the fuzzer's found leaks still reproduce; defended
 // "contrast" entries pin that the paper's defense still suppresses
-// them. A failure names the entry, its cell and its genotype.
+// them. A failure names the entry, its cell and its genotype. A missing
+// or empty corpus fails the tier.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -31,9 +32,7 @@ TEST(CorpusReplay, EveryEntryVerifies) {
   std::vector<CorpusEntry> entries;
   ASSERT_NO_THROW(entries = load_corpus_dir(corpus_root()))
       << "malformed corpus under " << corpus_root();
-  if (entries.empty()) {
-    GTEST_SKIP() << "no corpus entries under " << corpus_root();
-  }
+  ASSERT_FALSE(entries.empty()) << "no corpus entries under " << corpus_root();
   for (const CorpusEntry& e : entries) {
     SCOPED_TRACE("entry " + e.name);
     const std::string err = verify_corpus_entry(e, /*replay_traces=*/true);
@@ -47,9 +46,7 @@ TEST(CorpusReplay, CorpusCoversBothSidesOfTheAcceptanceCriterion) {
   // contrast entry pins the paper's defense suppressing the same class
   // of scenario.
   const auto entries = load_corpus_dir(corpus_root());
-  if (entries.empty()) {
-    GTEST_SKIP() << "no corpus entries under " << corpus_root();
-  }
+  ASSERT_FALSE(entries.empty()) << "no corpus entries under " << corpus_root();
   bool undefended_leak = false;
   bool defended_contrast = false;
   for (const CorpusEntry& e : entries) {

@@ -8,21 +8,10 @@
 namespace pipo {
 namespace {
 
-CacheLine line_with(std::uint32_t presence, bool valid = true) {
+CacheLine line_with(std::uint32_t presence) {
   CacheLine l;
-  l.valid = valid;
   l.presence = presence;
   return l;
-}
-
-TEST(SharpChooser, PrefersFreeWay) {
-  SharpChooser chooser(1);
-  CacheLine set[4] = {line_with(1), line_with(0, /*valid=*/false),
-                      line_with(2), line_with(3)};
-  const auto way = chooser.choose(set, 4);
-  ASSERT_TRUE(way.has_value());
-  EXPECT_EQ(*way, 1u);
-  EXPECT_EQ(chooser.alarms(), 0u);
 }
 
 TEST(SharpChooser, PicksOnlyUnownedLines) {

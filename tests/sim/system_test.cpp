@@ -92,10 +92,10 @@ TEST(System, InclusionInvariantHolds) {
     for (CacheArray* arr : {&sys.l1i(c), &sys.l1d(c), &sys.l2(c)}) {
       for (std::size_t set = 0; set < arr->num_sets(); ++set) {
         for (std::uint32_t w = 0; w < arr->ways(); ++w) {
-          const CacheLine& l = arr->line(CacheSlot{set, w});
-          if (!l.valid) continue;
-          ASSERT_TRUE(sys.l3().lookup(l.addr).has_value())
-              << "line " << l.addr << " in core " << c
+          const CacheSlot slot{set, w};
+          if (!arr->occupied(slot)) continue;
+          ASSERT_TRUE(sys.l3().lookup(arr->tag(slot)).has_value())
+              << "line " << arr->tag(slot) << " in core " << c
               << " private cache but not in L3";
         }
       }

@@ -8,7 +8,7 @@
 //
 // Exits 0 when every entry verifies, 1 on any failure (each failure is
 // one line naming the entry, its cell and its genotype), 2 on a
-// malformed corpus.
+// malformed corpus or a root that is not a directory or holds no entry.
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -46,9 +46,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (entries.empty()) {
-    std::fprintf(stderr, "corpus_verify: no entries under %s\n",
+    std::fprintf(stderr,
+                 "corpus_verify: no corpus entries under %s (not a "
+                 "directory, or no entry in it)\n",
                  corpus_dir.c_str());
-    return 0;
+    return 2;
   }
 
   unsigned failures = 0;
