@@ -1,15 +1,17 @@
-// Event-queue engine microbenchmark: the allocation-free inline-callback
-// 4-ary-heap EventQueue vs. the original std::function + binary
-// priority_queue engine (reproduced below as LegacyEventQueue).
+// Event-queue engine microbenchmark: the production EventQueue (a sorted
+// array of inline events) against the oracle's ReferenceEventQueue, the
+// seed engine (std::function in a binary std::priority_queue).
 //
-// Two workloads:
-//  * chains — 4 self-rescheduling events with deltas of 1-64 ticks: the
-//    simulator's queue depth (one pending step/issue event per core);
-//    its deltas are shorter than the simulator's, whose DRAM
-//    completions land 200+ ticks out, but a heap's cost follows its
-//    depth, not its deltas;
-//  * churn  — a deep queue of 4096 independent one-shot events at
-//    scattered ticks, a stress shape far deeper than any simulation.
+// One workload, `chains`, at the two depths the simulator's queue spans:
+// self-rescheduling events with deltas of 1-64 ticks, each callable
+// capturing one context pointer. Every blocking core keeps one step or
+// issue event in flight and Simulation one uncore tick, so
+//  * chains at 5 pending events is the Table II machine (4 cores plus
+//    the uncore tick);
+//  * chains at 33 is SystemConfig's 32-core cap plus the uncore tick.
+// The simulator's own deltas are longer (a DRAM completion lands 200+
+// ticks out), which moves where an insertion lands, not how many events
+// it can pass.
 //
 // Reports events/sec and heap allocations per event (via a counting
 // global operator new), human-readable by default, one JSON object with
@@ -19,12 +21,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <new>
-#include <queue>
-#include <vector>
 
 #include "sim/event_queue.h"
+#include "tests/oracle/reference_event_queue.h"
 
 // ----------------------------------------------------------------------
 // Allocation counter: every global operator new in the process ticks it.
@@ -46,9 +46,8 @@ void* operator new[](std::size_t n) {
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc{};
 }
-// Over-aligned forms: the engine's cache-line-aligned callback pool
-// chunks land here — they must tick the same counter so the comparison
-// against the std::function baseline stays symmetric.
+// Over-aligned forms tick the same counter, so an allocation counts
+// whatever its alignment and the two queues are counted alike.
 void* operator new(std::size_t n, std::align_val_t al) {
   ++g_allocs;
   const auto a = static_cast<std::size_t>(al);
@@ -80,53 +79,6 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 
 namespace {
 
-using pipo::Tick;
-
-// ----------------------------------------------------------------------
-// The seed repository's engine, verbatim: std::function callbacks in a
-// binary std::priority_queue. Kept here as the measured baseline.
-class LegacyEventQueue {
- public:
-  using Callback = std::function<void()>;
-
-  void schedule(Tick when, Callback fn) {
-    heap_.push(Event{when, seq_++, std::move(fn)});
-  }
-  void schedule_in(Tick delta, Callback fn) {
-    schedule(now_ + delta, std::move(fn));
-  }
-  Tick now() const { return now_; }
-  bool empty() const { return heap_.empty(); }
-
-  bool run_one() {
-    if (heap_.empty()) return false;
-    Event ev = heap_.top();
-    heap_.pop();
-    now_ = ev.when;
-    ev.fn();
-    return true;
-  }
-
-  std::uint64_t run_all() {
-    std::uint64_t n = 0;
-    while (run_one()) ++n;
-    return n;
-  }
-
- private:
-  struct Event {
-    Tick when;
-    std::uint64_t seq;
-    Callback fn;
-    bool operator>(const Event& o) const {
-      return when != o.when ? when > o.when : seq > o.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
-  Tick now_ = 0;
-  std::uint64_t seq_ = 0;
-};
-
 std::uint64_t splitmix(std::uint64_t& s) {
   s += 0x9E3779B97F4A7C15ull;
   std::uint64_t z = s;
@@ -140,73 +92,33 @@ struct Measurement {
   double allocs_per_event = 0;
 };
 
-/// N self-rescheduling chains, `total` events overall. The callback
-/// captures one pointer — the simulator's core-step shape.
+/// `depth` self-rescheduling chains, `total` events overall. Each
+/// callable captures one context pointer, the shape of the simulator's
+/// `[this]` lambdas, so the queue stays `depth` events deep.
 template <typename Queue>
-Measurement chains(unsigned num_chains, std::uint64_t total) {
-  Queue q;
-  std::uint64_t remaining = total;
-  std::uint64_t rng = 42;
-
+Measurement chains(unsigned depth, std::uint64_t total) {
+  struct Context {
+    Queue q;
+    std::uint64_t remaining;
+    std::uint64_t rng;
+  };
   struct Chain {
-    Queue* q;
-    std::uint64_t* remaining;
-    std::uint64_t* rng;
+    Context* c;
     void operator()() const {
-      if (*remaining == 0) return;
-      --*remaining;
-      q->schedule_in(1 + (splitmix(*rng) & 63), Chain{q, remaining, rng});
+      if (c->remaining == 0) return;
+      --c->remaining;
+      c->q.schedule_in(1 + (splitmix(c->rng) & 63), Chain{c});
     }
   };
 
-  for (unsigned c = 0; c < num_chains; ++c) {
-    q.schedule(c, Chain{&q, &remaining, &rng});
-  }
+  Context ctx{Queue{}, total, 42};
+  for (unsigned i = 0; i < depth; ++i) ctx.q.schedule(i, Chain{&ctx});
   // Warm up past vector growth so the steady state is measured.
-  for (int i = 0; i < 1024; ++i) q.run_one();
+  for (int i = 0; i < 1024; ++i) ctx.q.run_one();
 
   const std::uint64_t allocs0 = g_allocs;
   const auto t0 = std::chrono::steady_clock::now();
-  const std::uint64_t n = q.run_all();
-  const auto t1 = std::chrono::steady_clock::now();
-  const std::uint64_t allocs1 = g_allocs;
-
-  Measurement m;
-  m.events_per_sec =
-      static_cast<double>(n) /
-      std::chrono::duration<double>(t1 - t0).count();
-  m.allocs_per_event =
-      static_cast<double>(allocs1 - allocs0) / static_cast<double>(n);
-  return m;
-}
-
-/// Deep-queue churn: `depth` pending one-shot events; every pop pushes a
-/// replacement, 1-1024 ticks out, until `total` events ran.
-template <typename Queue>
-Measurement churn(std::size_t depth, std::uint64_t total) {
-  Queue q;
-  std::uint64_t remaining = total;
-  std::uint64_t rng = 7;
-
-  struct Shot {
-    Queue* q;
-    std::uint64_t* remaining;
-    std::uint64_t* rng;
-    void operator()() const {
-      if (*remaining == 0) return;
-      --*remaining;
-      q->schedule_in(1 + (splitmix(*rng) & 1023), Shot{q, remaining, rng});
-    }
-  };
-
-  for (std::size_t i = 0; i < depth; ++i) {
-    q.schedule(splitmix(rng) & 1023, Shot{&q, &remaining, &rng});
-  }
-  for (int i = 0; i < 4096; ++i) q.run_one();
-
-  const std::uint64_t allocs0 = g_allocs;
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::uint64_t n = q.run_all();
+  const std::uint64_t n = ctx.q.run_all();
   const auto t1 = std::chrono::steady_clock::now();
   const std::uint64_t allocs1 = g_allocs;
 
@@ -225,6 +137,7 @@ int main(int argc, char** argv) {
   const bool json = argc > 1 && std::strcmp(argv[1], "--json") == 0;
   constexpr std::uint64_t kTotal = 20'000'000;
   constexpr int kReps = 3;
+  constexpr unsigned kDepths[] = {5, 33};
 
   // Best-of-N: the throughput ceiling is the engine's property, the
   // slower repetitions are the machine's (scheduler preemption, shared
@@ -232,30 +145,33 @@ int main(int argc, char** argv) {
   auto best = [](Measurement a, Measurement b) {
     return a.events_per_sec >= b.events_per_sec ? a : b;
   };
-  Measurement legacy_chain, engine_chain, legacy_churn, engine_churn;
+  Measurement reference[2], engine[2];
   for (int r = 0; r < kReps; ++r) {
-    legacy_chain = best(legacy_chain, chains<LegacyEventQueue>(4, kTotal));
-    engine_chain = best(engine_chain, chains<pipo::EventQueue>(4, kTotal));
-    legacy_churn = best(legacy_churn, churn<LegacyEventQueue>(4096, kTotal));
-    engine_churn = best(engine_churn, churn<pipo::EventQueue>(4096, kTotal));
+    for (int d = 0; d < 2; ++d) {
+      reference[d] =
+          best(reference[d],
+               chains<pipo::oracle::ReferenceEventQueue>(kDepths[d], kTotal));
+      engine[d] =
+          best(engine[d], chains<pipo::EventQueue>(kDepths[d], kTotal));
+    }
   }
 
   if (json) {
-    std::printf(
-        "{\"bench\":\"micro_event_queue\",\"events\":%llu,"
-        "\"chains\":{\"legacy_eps\":%.0f,\"engine_eps\":%.0f,"
-        "\"speedup\":%.2f,\"legacy_allocs_per_event\":%.3f,"
-        "\"engine_allocs_per_event\":%.3f},"
-        "\"churn\":{\"legacy_eps\":%.0f,\"engine_eps\":%.0f,"
-        "\"speedup\":%.2f,\"legacy_allocs_per_event\":%.3f,"
-        "\"engine_allocs_per_event\":%.3f}}\n",
-        static_cast<unsigned long long>(kTotal), legacy_chain.events_per_sec,
-        engine_chain.events_per_sec,
-        engine_chain.events_per_sec / legacy_chain.events_per_sec,
-        legacy_chain.allocs_per_event, engine_chain.allocs_per_event,
-        legacy_churn.events_per_sec, engine_churn.events_per_sec,
-        engine_churn.events_per_sec / legacy_churn.events_per_sec,
-        legacy_churn.allocs_per_event, engine_churn.allocs_per_event);
+    std::printf("{\"bench\":\"micro_event_queue\",\"events\":%llu,"
+                "\"shapes\":[",
+                static_cast<unsigned long long>(kTotal));
+    for (int d = 0; d < 2; ++d) {
+      std::printf(
+          "%s{\"name\":\"chains\",\"pending\":%u,\"reference_eps\":%.0f,"
+          "\"engine_eps\":%.0f,\"speedup\":%.2f,"
+          "\"reference_allocs_per_event\":%.3f,"
+          "\"engine_allocs_per_event\":%.3f}",
+          d ? "," : "", kDepths[d], reference[d].events_per_sec,
+          engine[d].events_per_sec,
+          engine[d].events_per_sec / reference[d].events_per_sec,
+          reference[d].allocs_per_event, engine[d].allocs_per_event);
+    }
+    std::printf("]}\n");
     return 0;
   }
 
@@ -263,15 +179,16 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(kTotal));
   std::printf("%-22s %15s %15s %9s\n", "workload", "events/sec",
               "allocs/event", "speedup");
-  std::printf("%-22s %15.2e %15.3f %9s\n", "chains  legacy",
-              legacy_chain.events_per_sec, legacy_chain.allocs_per_event, "");
-  std::printf("%-22s %15.2e %15.3f %8.2fx\n", "chains  engine",
-              engine_chain.events_per_sec, engine_chain.allocs_per_event,
-              engine_chain.events_per_sec / legacy_chain.events_per_sec);
-  std::printf("%-22s %15.2e %15.3f %9s\n", "churn   legacy",
-              legacy_churn.events_per_sec, legacy_churn.allocs_per_event, "");
-  std::printf("%-22s %15.2e %15.3f %8.2fx\n", "churn   engine",
-              engine_churn.events_per_sec, engine_churn.allocs_per_event,
-              engine_churn.events_per_sec / legacy_churn.events_per_sec);
+  for (int d = 0; d < 2; ++d) {
+    char label[32];
+    std::snprintf(label, sizeof label, "chains %-2u reference", kDepths[d]);
+    std::printf("%-22s %15.2e %15.3f %9s\n", label,
+                reference[d].events_per_sec, reference[d].allocs_per_event,
+                "");
+    std::snprintf(label, sizeof label, "chains %-2u engine", kDepths[d]);
+    std::printf("%-22s %15.2e %15.3f %8.2fx\n", label,
+                engine[d].events_per_sec, engine[d].allocs_per_event,
+                engine[d].events_per_sec / reference[d].events_per_sec);
+  }
   return 0;
 }

@@ -5,12 +5,16 @@
 //
 // Usage:
 //   pipo_sim mix <1..10> [--instr N] [--ws-div D] [--no-defense]
-//            [--defense pipo|dir|sharp|bitp|ric] [--l L] [--b B]
+//            [--defense none|pipo|dir|sharp|bitp|ric] [--l L] [--b B]
 //            [--secthr T] [--mnk K] [--seed S]
 //            [--record DIR] [--record-format text|framed]
 //   pipo_sim trace <file|dir> [--core C] [--from-frame K]
 //            [--no-defense] [...]
 //   pipo_sim attack [--iters N] [--interval T] [--no-defense] [...]
+//
+// Flags may come in any order: --defense (and --no-defense, the same as
+// --defense none) picks only the defense and keeps the other machine
+// flags, whichever side of it they are given on.
 //
 // `mix --record DIR` captures each core's consumed request stream to
 // DIR/core<i>.trace; `trace` replays a single file on --core (default
@@ -39,6 +43,7 @@
 #include "attack/attack_experiment.h"
 #include "attack/victim.h"
 #include "common/parse_num.h"
+#include "fabric/campaign.h"  // parse_defense
 #include "sim/simulation.h"
 #include "workload/mixes.h"
 #include "workload/trace.h"        // IdleWorkload
@@ -55,7 +60,8 @@ using namespace pipo;
                "[options]\n"
                "options: --instr N --ws-div D --core C --iters N "
                "--interval T\n"
-               "         --defense pipo|dir|sharp|bitp|ric --no-defense\n"
+               "         --defense none|pipo|dir|sharp|bitp|ric\n"
+               "         --no-defense (= --defense none)\n"
                "         --l L --b B --secthr T --mnk K --seed S\n"
                "         --record DIR --record-format text|framed "
                "(mix only)\n"
@@ -78,18 +84,11 @@ struct Options {
   SystemConfig system = SystemConfig::paper_default();
 };
 
-DefenseKind parse_defense(const std::string& name) {
-  if (name == "pipo") return DefenseKind::kPiPoMonitor;
-  if (name == "dir") return DefenseKind::kDirectoryMonitor;
-  if (name == "sharp") return DefenseKind::kSharp;
-  if (name == "bitp") return DefenseKind::kBitp;
-  if (name == "ric") return DefenseKind::kRic;
-  std::fprintf(stderr, "unknown defense '%s'\n", name.c_str());
-  usage();
-}
-
 Options parse_options(int argc, char** argv, int first) {
   Options o;
+  // Applied after the loop, so a defense flag cannot reset the machine
+  // flags given before it.
+  DefenseKind defense = o.system.defense;
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
     const auto need = [&](const char* flag) -> std::string {
@@ -112,9 +111,9 @@ Options parse_options(int argc, char** argv, int first) {
     } else if (a == "--interval") {
       o.interval = parse_uint(need("--interval"), "--interval", 1);
     } else if (a == "--no-defense") {
-      o.system = SystemConfig::baseline();
+      defense = DefenseKind::kNone;
     } else if (a == "--defense") {
-      o.system = SystemConfig::with_defense(parse_defense(need("--defense")));
+      defense = parse_defense(need("--defense"));
     } else if (a == "--l") {
       o.system.monitor.filter.l =
           parse_uint32(need("--l"), "--l", 1);
@@ -146,6 +145,8 @@ Options parse_options(int argc, char** argv, int first) {
       usage();
     }
   }
+  o.system.defense = defense;
+  o.system.monitor.enabled = defense == DefenseKind::kPiPoMonitor;
   return o;
 }
 

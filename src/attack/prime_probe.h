@@ -51,7 +51,7 @@ struct AttackerConfig {
   /// deterministic stream seeded by `mix_seed`.
   std::uint32_t bypass_pct = 100;
   std::uint64_t mix_seed = 0x9B57;
-  /// Calendar-deep schedule perturbation: every `far_period`-th probe
+  /// Long-gap schedule perturbation: every `far_period`-th probe
   /// carries an extra pre_delay of `far_delay` ticks (0 = never). Large
   /// values open long idle gaps in the attacker's schedule — shapes the
   /// hand-written attacks never exercised.

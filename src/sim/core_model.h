@@ -8,8 +8,8 @@
 //
 // Scheduling discipline: because the core is blocking, at most one event
 // of this core is ever in flight, so the pending request lives in a
-// member and every scheduled callback captures only `this` — well inside
-// the event queue's inline-callback buffer, making steady-state
+// member and every scheduled callback captures only `this`, which fits
+// the event queue's 16-byte inline callable, making steady-state
 // simulation allocation-free.
 #pragma once
 

@@ -79,11 +79,8 @@ class Simulation {
   /// are cleared before the cores are rebuilt, so stale callbacks can
   /// never fire into dead CoreModels. The drive loop is
   /// EventQueue::run_active(max_ticks): the event that crosses the cap
-  /// still executes (a started access completes), and run_until style
-  /// clamping never applies here — see event_queue.h for the
-  /// clamp's precondition (time advances to a horizon only when it was
-  /// actually simulated: the queue drained or the next event lies
-  /// beyond it).
+  /// still executes (a started access completes), and the clock stops at
+  /// the last dispatched event's tick rather than at max_ticks.
   Tick run(Tick max_ticks = kNeverTick);
 
   System& system() { return system_; }

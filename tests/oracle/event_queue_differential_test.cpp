@@ -1,5 +1,5 @@
 // Differential oracle for the EventQueue: drives the production engine
-// (4-ary heap over a callback slot pool) and the seed-faithful
+// (a sorted array of inline events) and the seed-faithful
 // ReferenceEventQueue through identical randomized traces and asserts
 // they dispatch the same callbacks at the same ticks in the same order —
 // including same-tick FIFO ties between events scheduled far ahead and
@@ -16,7 +16,6 @@
 // divergence anywhere fails with the trace seed in the message, so
 // failures are reproducible by construction.
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -58,8 +57,8 @@ struct Side {
   explicit Side(std::uint64_t seed) : rng(seed) {}
 };
 
-/// One-shot: records (now, id). Trivially copyable — the production
-/// queue stores it inline.
+/// One-shot: records (now, id). Trivially copyable and 16 bytes, like
+/// every callable here — the production queue stores it inline.
 template <typename Q>
 struct Shot {
   Side<Q>* s;
@@ -83,15 +82,6 @@ struct Chain {
   }
 };
 
-/// Boxed-path one-shot: too big for the inline buffer.
-template <typename Q>
-struct BigShot {
-  Side<Q>* s;
-  int id;
-  unsigned char pad[64] = {};
-  void operator()() const { s->log.emplace_back(s->q.now(), id); }
-};
-
 /// Mid-dispatch cancellation of everything pending, far events included.
 template <typename Q>
 struct ClearShot {
@@ -109,24 +99,16 @@ void drive_trace(std::uint64_t seed, bool deep_bias) {
   Side<RefQ> b(seed * 2 + 1);
   Rng op(seed);
 
-  auto schedule_both = [&](Tick delta, unsigned kind) {
+  auto schedule_both = [&](Tick delta, bool chain) {
     const int id = a.next_id++;
     b.next_id++;
-    switch (kind) {
-      case 0:
-        a.q.schedule_in(delta, Shot<ProdQ>{&a, id});
-        b.q.schedule_in(delta, Shot<RefQ>{&b, id});
-        break;
-      case 1: {
-        const int hops = 1 + static_cast<int>(op.below(3));
-        a.q.schedule_in(delta, Chain<ProdQ>{&a, id, hops});
-        b.q.schedule_in(delta, Chain<RefQ>{&b, id, hops});
-        break;
-      }
-      default:
-        a.q.schedule_in(delta, BigShot<ProdQ>{&a, id});
-        b.q.schedule_in(delta, BigShot<RefQ>{&b, id});
-        break;
+    if (chain) {
+      const int hops = 1 + static_cast<int>(op.below(3));
+      a.q.schedule_in(delta, Chain<ProdQ>{&a, id, hops});
+      b.q.schedule_in(delta, Chain<RefQ>{&b, id, hops});
+    } else {
+      a.q.schedule_in(delta, Shot<ProdQ>{&a, id});
+      b.q.schedule_in(delta, Shot<RefQ>{&b, id});
     }
   };
 
@@ -146,9 +128,7 @@ void drive_trace(std::uint64_t seed, bool deep_bias) {
           if (deep_bias && op.below(4) != 0) {
             delta += 128;  // bias the batch far out
           }
-          schedule_both(delta, static_cast<unsigned>(op.below(8) == 0
-                                                         ? 2
-                                                         : op.below(5) == 0));
+          schedule_both(delta, op.below(5) == 0);
         }
         break;
       }
@@ -159,9 +139,14 @@ void drive_trace(std::uint64_t seed, bool deep_bias) {
         break;
       }
       case 8: {
-        const Tick limit = a.q.now() + mixed_delta(op);
-        ASSERT_EQ(a.q.run_until(limit), b.q.run_until(limit))
-            << "seed " << seed << " step " << step;
+        if (op.below(2) == 0) {
+          const Tick stop = a.q.now() + mixed_delta(op);
+          ASSERT_EQ(a.q.run_active(stop), b.q.run_active(stop))
+              << "seed " << seed << " step " << step;
+        } else {
+          a.q.run_one();
+          b.q.run_one();
+        }
         break;
       }
       case 9: {
@@ -236,8 +221,9 @@ TEST(EventQueueDifferential, RandomTraces) {
   }
 }
 
-TEST(EventQueueDifferential, DeepHorizonTraces) {
-  // Heavier pending depth with deltas biased at least 128 ticks out.
+TEST(EventQueueDifferential, DeepQueueTraces) {
+  // Batches of up to 24 events, mostly biased at least 128 ticks out,
+  // pile the queue far deeper than a simulation ever does.
   for (int t = 0; t < kTraces; ++t) {
     drive_trace<EventQueue, oracle::ReferenceEventQueue>(
         0xD0000 + static_cast<std::uint64_t>(t), /*deep_bias=*/true);
@@ -245,7 +231,7 @@ TEST(EventQueueDifferential, DeepHorizonTraces) {
   }
 }
 
-TEST(EventQueueDifferential, SameTickFifoAcrossTiers) {
+TEST(EventQueueDifferential, SameTickFifoAcrossSchedulingTimes) {
   // Events landing on one tick, one scheduled far ahead and one at the
   // last minute, must still dispatch in insertion order.
   Side<EventQueue> a(7);
@@ -257,10 +243,15 @@ TEST(EventQueueDifferential, SameTickFifoAcrossTiers) {
     b.next_id++;
     a.q.schedule(target, Shot<EventQueue>{&a, early});
     b.q.schedule(target, Shot<oracle::ReferenceEventQueue>{&b, early});
-    // Walk the clock to just before the target, then schedule the late
-    // twin on the same tick.
-    a.q.run_until(target - 1);
-    b.q.run_until(target - 1);
+    // Walk the clock to just before the target with a marker event, then
+    // schedule the late twin on the same tick.
+    a.q.schedule(target - 1, [] {});
+    b.q.schedule(target - 1, [] {});
+    while (a.q.now() < target - 1) {
+      a.q.run_one();
+      b.q.run_one();
+    }
+    ASSERT_EQ(b.q.now(), target - 1);
     const int late = a.next_id++;
     b.next_id++;
     a.q.schedule(target, Shot<EventQueue>{&a, late});

@@ -3,14 +3,15 @@
 // ReferenceEventQueue is the seed repository's original engine — a
 // std::function callback in a binary std::priority_queue ordered by
 // (tick, insertion sequence) — extended with the run_active/clear/
-// next_tick surface the engine grew in PR 1, implemented in the same
+// next_tick surface the engine grew since, implemented in the same
 // deliberately boring style. It is the specification for scheduling
 // order and clock semantics: the differential driver in
 // event_queue_differential_test.cpp asserts that the production
-// EventQueue (4-ary heap over a callback slot pool, see
+// EventQueue (a sorted array of inline events, see
 // src/sim/event_queue.h) dispatches the same callbacks at the same
 // ticks in the same order over randomized traces with deltas up to ~2^24
-// ticks. This code must stay O(log n)-per-op simple.
+// ticks, and bench/micro_event_queue.cpp measures the production queue
+// against it. This code must stay O(log n)-per-op simple.
 #pragma once
 
 #include <cstdint>
@@ -50,21 +51,6 @@ class ReferenceEventQueue {
     now_ = ev.when;
     ev.fn();
     return true;
-  }
-
-  /// Seed semantics, with the clamp precondition PR 1 made explicit:
-  /// time advances to `limit` only when the queue drained or the next
-  /// event lies beyond it, and never moves backwards.
-  std::uint64_t run_until(Tick limit) {
-    std::uint64_t n = 0;
-    while (!heap_.empty() && heap_.top().when <= limit) {
-      run_one();
-      ++n;
-    }
-    if ((heap_.empty() || heap_.top().when > limit) && now_ < limit) {
-      now_ = limit;
-    }
-    return n;
   }
 
   /// The Simulation::run discipline: keep going while now() < stop, so

@@ -1,9 +1,12 @@
 #include "sim/core_model.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "sim/simulation.h"
 #include "tests/sim/test_configs.h"
+#include "workload/mixes.h"
 #include "workload/trace.h"
 
 namespace pipo {
@@ -115,6 +118,55 @@ TEST(CoreModel, IdleGapCostsAHandfulOfEvents) {
   sim.run();
   EXPECT_TRUE(sim.core(0).done());
   EXPECT_LT(sim.events_dispatched(), 10u);
+}
+
+/// Forwards to the wrapped workload and records the most events pending
+/// in the queue whenever its core asks for the next request.
+class QueueDepthProbe : public Workload {
+ public:
+  QueueDepthProbe(std::unique_ptr<Workload> inner, const EventQueue* queue,
+                  std::size_t* max_pending)
+      : inner_(std::move(inner)), queue_(queue), max_pending_(max_pending) {}
+
+  std::optional<MemRequest> next(Tick now) override {
+    *max_pending_ = std::max(*max_pending_, queue_->pending());
+    return inner_->next(now);
+  }
+  void on_complete(const MemRequest& req, Tick issued,
+                   Tick completed) override {
+    inner_->on_complete(req, issued, completed);
+  }
+
+ private:
+  std::unique_ptr<Workload> inner_;
+  const EventQueue* queue_;
+  std::size_t* max_pending_;
+};
+
+TEST(Simulation, QueueHoldsOneEventPerCorePlusTheUncoreTick) {
+  // The bound the event queue's sorted array relies on: every blocking
+  // core has one event in flight and Simulation one uncore tick. Inside
+  // next() the asking core's own event is already popped, so the deepest
+  // queue it can see is num_cores.
+  for (const unsigned mix : {1u, 3u, 7u}) {
+    for (const DefenseKind d : {DefenseKind::kNone, DefenseKind::kPiPoMonitor,
+                                DefenseKind::kBitp}) {
+      const SystemConfig cfg = SystemConfig::with_defense(d);
+      Simulation sim(cfg);
+      auto workloads = make_mix(mix, 20'000, cfg.seed, 16);
+      std::size_t max_pending = 0;
+      for (CoreId c = 0; c < cfg.num_cores; ++c) {
+        sim.set_workload(c, std::move(workloads[c]));
+        sim.wrap_workload(c, [&](std::unique_ptr<Workload> inner) {
+          return std::make_unique<QueueDepthProbe>(
+              std::move(inner), &sim.queue(), &max_pending);
+        });
+      }
+      sim.run();
+      EXPECT_EQ(max_pending, cfg.num_cores)
+          << "mix " << mix << " on " << to_string(d);
+    }
+  }
 }
 
 TEST(CoreModel, MissingWorkloadThrows) {

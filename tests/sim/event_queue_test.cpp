@@ -1,9 +1,6 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
-#include <array>
-#include <functional>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -19,6 +16,7 @@ TEST(EventQueue, RunsEventsInTimeOrder) {
   q.schedule(30, [&] { order.push_back(3); });
   q.schedule(10, [&] { order.push_back(1); });
   q.schedule(20, [&] { order.push_back(2); });
+  EXPECT_EQ(q.pending(), 3u);
   q.run_all();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(q.now(), 30u);
@@ -35,34 +33,21 @@ TEST(EventQueue, SameTickFifoOrder) {
 }
 
 TEST(EventQueue, CallbacksMayScheduleMoreEvents) {
+  struct Chain {
+    EventQueue* q;
+    int* fired;
+    void operator()() const {
+      ++*fired;
+      if (*fired < 5) q->schedule_in(10, *this);
+    }
+  };
+  static_assert(sizeof(Chain) == EventQueue::kInlineBytes);
   EventQueue q;
   int fired = 0;
-  std::function<void()> chain = [&] {
-    ++fired;
-    if (fired < 5) q.schedule_in(10, chain);
-  };
-  q.schedule(0, chain);
+  q.schedule(0, Chain{&q, &fired});
   q.run_all();
   EXPECT_EQ(fired, 5);
   EXPECT_EQ(q.now(), 40u);
-}
-
-TEST(EventQueue, RunUntilStopsAtLimit) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule(10, [&] { ++fired; });
-  q.schedule(20, [&] { ++fired; });
-  q.schedule(30, [&] { ++fired; });
-  EXPECT_EQ(q.run_until(20), 2u);
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(q.now(), 20u);
-  EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueue, RunUntilAdvancesTimeWhenIdle) {
-  EventQueue q;
-  q.run_until(100);
-  EXPECT_EQ(q.now(), 100u);
 }
 
 TEST(EventQueue, RunOneOnEmptyReturnsFalse) {
@@ -71,47 +56,21 @@ TEST(EventQueue, RunOneOnEmptyReturnsFalse) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, RunUntilClampsOnlyUpToLimitWithLaterPending) {
-  // Regression: events beyond the horizon must survive run_until
-  // untouched, with now() parked exactly at the limit — neither at the
-  // pending event's tick nor anywhere past the limit.
+TEST(EventQueue, ChainedSameTickEventsRunBeforeLaterTicks) {
+  // A callback that schedules at now() adds to the current tick: the new
+  // event runs after the events already pending on that tick and before
+  // any later tick.
   EventQueue q;
-  int fired = 0;
-  q.schedule(100, [&] { ++fired; });
-  EXPECT_EQ(q.run_until(40), 0u);
-  EXPECT_EQ(q.now(), 40u);
-  EXPECT_EQ(q.pending(), 1u);
-  EXPECT_EQ(fired, 0);
-  // Relative scheduling after the clamp is based on the clamped clock.
-  q.schedule_in(5, [&] { ++fired; });
-  q.run_all();
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(q.now(), 100u);
-}
-
-TEST(EventQueue, RunUntilNeverMovesTimeBackwards) {
-  // Regression: a limit earlier than now() must be a no-op, not rewind
-  // the clock.
-  EventQueue q;
-  q.schedule(50, [] {});
-  q.run_all();
-  EXPECT_EQ(q.now(), 50u);
-  EXPECT_EQ(q.run_until(10), 0u);
-  EXPECT_EQ(q.now(), 50u);
-}
-
-TEST(EventQueue, RunUntilRunsEventsChainedAtTheLimit) {
-  // An event exactly at the limit that schedules another event at the
-  // limit: both belong to the simulated horizon.
-  EventQueue q;
-  int fired = 0;
+  std::vector<int> order;
   q.schedule(20, [&] {
-    ++fired;
-    q.schedule(20, [&] { ++fired; });
+    order.push_back(0);
+    q.schedule(20, [&] { order.push_back(2); });
   });
-  EXPECT_EQ(q.run_until(20), 2u);
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(q.now(), 20u);
+  q.schedule(20, [&] { order.push_back(1); });
+  q.schedule(21, [&] { order.push_back(3); });
+  EXPECT_EQ(q.run_active(21), 4u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(q.now(), 21u);
   EXPECT_TRUE(q.empty());
 }
 
@@ -130,57 +89,49 @@ TEST(EventQueue, RunActiveExecutesTheCrossingEvent) {
   EXPECT_EQ(q.pending(), 1u);
 }
 
-TEST(EventQueue, LargeCapturesFallBackToHeapCorrectly) {
-  // Callables bigger than the inline buffer take the boxed path; results
-  // must be indistinguishable.
-  EventQueue q;
-  std::array<std::uint64_t, 16> payload{};  // 128 bytes > kInlineBytes
-  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = i * 3 + 1;
-  std::uint64_t sum = 0;
-  q.schedule(5, [payload, &sum] {
-    for (std::uint64_t v : payload) sum += v;
-  });
-  q.run_all();
-  std::uint64_t want = 0;
-  for (std::uint64_t v : payload) want += v;
-  EXPECT_EQ(sum, want);
-}
+/// Shared state of the stress tests' one-shots, reached through one
+/// pointer so each callable fits the queue's inline buffer.
+struct StressLog {
+  EventQueue* q;
+  std::vector<std::pair<Tick, int>> fired;  ///< (tick it ran at, seq)
+};
 
-TEST(EventQueue, HeapStressPreservesTickThenFifoOrder) {
-  // 4-ary heap stress: pseudo-random tick order with many same-tick
-  // collisions must still drain in (tick, insertion seq) order.
+/// Schedules 5000 one-shots at ticks drawn by `draw` from an LCG seeded
+/// with `state`, drains the queue, and checks they ran in (tick,
+/// insertion order).
+template <typename Draw>
+void expect_tick_then_fifo_order(std::uint64_t state, Draw draw) {
   EventQueue q;
-  struct Fired {
-    Tick when;
-    int seq;
-  };
-  std::vector<Fired> fired;
-  std::uint64_t state = 0x9E3779B97F4A7C15ull;
+  StressLog log{&q, {}};
   std::vector<std::pair<Tick, int>> scheduled;
   for (int i = 0; i < 5000; ++i) {
     state = state * 6364136223846793005ull + 1442695040888963407ull;
-    const Tick when = (state >> 33) % 97;  // dense ticks: forced FIFO ties
+    const Tick when = draw(state);
     scheduled.push_back({when, i});
-    q.schedule(when, [&q, &fired, i] {
-      fired.push_back(Fired{q.now(), i});
-    });
+    q.schedule(when, [l = &log, i] { l->fired.push_back({l->q->now(), i}); });
   }
   q.run_all();
-  ASSERT_EQ(fired.size(), scheduled.size());
+  ASSERT_EQ(log.fired.size(), scheduled.size());
   std::stable_sort(scheduled.begin(), scheduled.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (std::size_t i = 0; i < fired.size(); ++i) {
-    EXPECT_EQ(fired[i].when, scheduled[i].first);
-    EXPECT_EQ(fired[i].seq, scheduled[i].second);
+  for (std::size_t i = 0; i < log.fired.size(); ++i) {
+    EXPECT_EQ(log.fired[i], scheduled[i]) << "event " << i;
   }
+}
+
+TEST(EventQueue, HeapStressPreservesTickThenFifoOrder) {
+  // Pseudo-random tick order with many same-tick collisions must still
+  // drain in (tick, insertion order).
+  expect_tick_then_fifo_order(0x9E3779B97F4A7C15ull, [](std::uint64_t s) {
+    return (s >> 33) % 97;  // dense ticks: forced FIFO ties
+  });
 }
 
 TEST(EventQueue, ClearDiscardsPendingWithoutRunning) {
   EventQueue q;
   int fired = 0;
-  auto big = std::make_shared<int>(7);  // boxed path: non-trivial capture
   q.schedule(10, [&] { ++fired; });
-  q.schedule(20, [&fired, big] { fired += *big; });
+  q.schedule(20, [&] { ++fired; });
   q.schedule(5, [] {});
   q.run_one();  // advance to tick 5
   q.clear();
@@ -195,31 +146,34 @@ TEST(EventQueue, ClearDiscardsPendingWithoutRunning) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST(EventQueue, ThrowingCallbackReclaimsItsSlot) {
+TEST(EventQueue, ThrowingCallbackLeavesTheQueueUsable) {
+  // The throwing event is already popped when it runs: the exception
+  // leaves the clock at its tick, the later events pending, and nothing
+  // to reclaim however often it repeats.
   EventQueue q;
-  // If a throwing callback leaked its pool slot, repeating this many
-  // times would grow the pool without bound; pending() staying at zero
-  // and the queue staying usable pins the reclaim.
-  for (int i = 0; i < 100; ++i) {
-    q.schedule_in(1, [] { throw std::runtime_error("boom"); });
-    EXPECT_THROW(q.run_one(), std::runtime_error);
-    EXPECT_TRUE(q.empty());
-  }
   int fired = 0;
+  q.schedule(1'000, [&] { ++fired; });
+  for (Tick t = 1; t <= 100; ++t) {
+    q.schedule(t, [] { throw std::runtime_error("boom"); });
+    EXPECT_THROW(q.run_one(), std::runtime_error);
+    EXPECT_EQ(q.now(), t);
+    EXPECT_EQ(q.pending(), 1u);
+  }
   q.schedule_in(1, [&] { ++fired; });
   q.run_all();
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(q.now(), 1'000u);
 }
 
 TEST(EventQueue, ClearFromInsideACallbackKeepsThePoolConsistent) {
-  // clear() during dispatch resets the pool; the in-flight event's slot
-  // id must not be recycled on return, or the same slot would be handed
-  // out twice and a later schedule would clobber a pending callback.
+  // clear() during dispatch discards every pending event while the
+  // running callback, invoked from its own copy of the callable, goes on
+  // to refill the queue. (The name dates from the slot pool the queue
+  // no longer has.)
   EventQueue q;
   std::vector<int> fired;
   q.schedule(10, [&] {
     q.clear();
-    // Refill past the in-flight slot: ids are reissued from zero.
     for (int i = 0; i < 8; ++i) {
       q.schedule_in(1 + i, [&fired, i] { fired.push_back(i); });
     }
@@ -227,6 +181,7 @@ TEST(EventQueue, ClearFromInsideACallbackKeepsThePoolConsistent) {
   q.schedule(20, [&fired] { fired.push_back(99); });  // discarded by clear
   q.run_all();
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(q.now(), 10u + 1 + 7);
 }
 
 TEST(EventQueue, ScheduleInIsRelative) {
@@ -237,16 +192,10 @@ TEST(EventQueue, ScheduleInIsRelative) {
   EXPECT_EQ(seen, 75u);
 }
 
-// ---------------------------------------------------------------------
-// Far-future edge cases. An earlier two-tier queue routed events at
-// least 128 ticks ahead into calendar wheels; these tests pinned the
-// seams between its tiers and stay as ordering, clearing and clamping
-// regressions at the same ticks for the one-heap queue.
-
 TEST(EventQueue, HorizonBoundaryRoutesBothTiersInOrder) {
-  // Ticks 127, 128 and 129 straddled the old tier boundary; scheduling
-  // them out of order must not disturb dispatch order or the pending
-  // count.
+  // Ticks 127, 128 and 129 straddled the boundary between the two tiers
+  // the queue once had; scheduling them out of order must not disturb
+  // dispatch order or the pending count.
   EventQueue q;
   std::vector<int> order;
   q.schedule(128, [&] { order.push_back(1); });
@@ -255,13 +204,13 @@ TEST(EventQueue, HorizonBoundaryRoutesBothTiersInOrder) {
   EXPECT_EQ(q.pending(), 3u);
   q.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(q.now(), 128 + 1);
+  EXPECT_EQ(q.now(), 128u + 1);
 }
 
-TEST(EventQueue, SameTickFifoAcrossTheHorizonBoundary) {
-  // Two events on one tick: the first far in the future when scheduled,
-  // the second near, after the clock advanced. Insertion order must win
-  // the tie.
+TEST(EventQueue, SameTickFifoAcrossSchedulingTimes) {
+  // Two events on one tick: the first scheduled far ahead, the second at
+  // the last minute from a callback after the clock advanced. Insertion
+  // order must win the tie.
   EventQueue q;
   std::vector<int> order;
   const Tick target = 10 * 128;
@@ -274,65 +223,28 @@ TEST(EventQueue, SameTickFifoAcrossTheHorizonBoundary) {
 }
 
 TEST(EventQueue, ClearDiscardsCalendarResidentEvents) {
-  // Cancellation must reach events at every distance, near to 2^40
-  // ticks out, destroying boxed payloads and recycling their pool slots
-  // so the queue stays usable.
+  // Cancellation reaches events at every distance, near to 2^40 ticks
+  // out, and leaves the queue usable, far scheduling included. (The name
+  // dates from the calendar tier the queue no longer has.)
   EventQueue q;
   int fired = 0;
-  auto big = std::make_shared<int>(7);  // boxed path: non-trivial capture
   q.schedule(5, [&] { ++fired; });
   q.schedule(128 + 3, [&] { ++fired; });
-  q.schedule(100'000, [&fired, big] { fired += *big; });
+  q.schedule(100'000, [&] { ++fired; });
   q.schedule(Tick{1} << 40, [&] { ++fired; });
   EXPECT_EQ(q.pending(), 4u);
   q.clear();
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.pending(), 0u);
-  EXPECT_EQ(big.use_count(), 1) << "boxed calendar payload not destroyed";
   q.run_all();
   EXPECT_EQ(fired, 0);
-  // The queue stays usable, far scheduling included.
   q.schedule_in(128 + 1, [&] { ++fired; });
   q.run_all();
   EXPECT_EQ(fired, 1);
+  EXPECT_EQ(q.now(), 128u + 1);
 }
 
-TEST(EventQueue, RunUntilLandsInsideABucket) {
-  // A limit that falls between two adjacent far events (they once
-  // shared a calendar bucket): the earlier one runs, the later one stays
-  // pending, and the clock parks exactly at the limit.
-  EventQueue q;
-  int fired = 0;
-  const Tick base = 1000;
-  q.schedule(base, [&] { ++fired; });
-  q.schedule(base + 1, [&] { ++fired; });
-  EXPECT_EQ(q.run_until(base), 1u);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(q.now(), base);
-  EXPECT_EQ(q.pending(), 1u);
-  q.run_all();
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(q.now(), base + 1);
-}
-
-TEST(EventQueue, RunUntilClampWithOnlyCalendarPending) {
-  // The run_until clamp precondition: with the only event far beyond the
-  // limit, time parks at the limit and the event survives untouched.
-  EventQueue q;
-  int fired = 0;
-  q.schedule(50'000, [&] { ++fired; });
-  EXPECT_EQ(q.run_until(400), 0u);
-  EXPECT_EQ(q.now(), 400u);
-  EXPECT_EQ(q.pending(), 1u);
-  EXPECT_EQ(fired, 0);
-  // Relative scheduling after the clamp is based on the clamped clock.
-  q.schedule_in(5, [&] { ++fired; });
-  q.run_all();
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(q.now(), 50'000u);
-}
-
-TEST(EventQueue, NextTickSeesCalendarResidentEvents) {
+TEST(EventQueue, NextTickPeeksTheEarliestEvent) {
   EventQueue q;
   q.schedule(123'456, [] {});
   EXPECT_EQ(q.next_tick(), 123'456u);
@@ -357,41 +269,17 @@ TEST(EventQueue, FarCeilingTicksStayOrdered) {
 
 TEST(EventQueue, DeepStressPreservesTickThenFifoOrder) {
   // The deep-horizon twin of HeapStressPreservesTickThenFifoOrder:
-  // pseudo-random ticks from a few to ~2^20 ticks out, with same-tick
-  // collisions, must drain in (tick, insertion seq) order.
-  EventQueue q;
-  struct Fired {
-    Tick when;
-    int seq;
-  };
-  std::vector<Fired> fired;
-  std::uint64_t state = 0x243F6A8885A308D3ull;
-  std::vector<std::pair<Tick, int>> scheduled;
-  for (int i = 0; i < 5000; ++i) {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    // Magnitudes from a few ticks to ~2^20, dense enough to force
-    // collisions at every scale.
-    const unsigned shift = (state >> 59) & 31;
-    const Tick when = (state >> 33) % ((Tick{1} << (shift % 21)) + 97);
-    scheduled.push_back({when, i});
-    q.schedule(when, [&q, &fired, i] {
-      fired.push_back(Fired{q.now(), i});
-    });
-  }
-  q.run_all();
-  ASSERT_EQ(fired.size(), scheduled.size());
-  std::stable_sort(scheduled.begin(), scheduled.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (std::size_t i = 0; i < fired.size(); ++i) {
-    EXPECT_EQ(fired[i].when, scheduled[i].first);
-    EXPECT_EQ(fired[i].seq, scheduled[i].second);
-  }
+  // pseudo-random ticks from a few to ~2^20 ticks out, dense enough to
+  // force collisions at every scale.
+  expect_tick_then_fifo_order(0x243F6A8885A308D3ull, [](std::uint64_t s) {
+    const unsigned shift = (s >> 59) & 31;
+    return (s >> 33) % ((Tick{1} << (shift % 21)) + 97);
+  });
 }
 
 TEST(EventQueue, ClearFromCallbackWithCalendarResidents) {
-  // A mid-dispatch clear() while far events are pending: the in-flight
-  // slot must not be double-freed and far rescheduling must work from
-  // inside the callback.
+  // A mid-dispatch clear() while far events are pending: far
+  // rescheduling must work from inside the callback.
   EventQueue q;
   std::vector<int> fired;
   q.schedule(10, [&] {
@@ -403,6 +291,7 @@ TEST(EventQueue, ClearFromCallbackWithCalendarResidents) {
   q.schedule(90'000, [&fired] { fired.push_back(99); });  // far, cleared
   q.run_all();
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(q.now(), 10u + 500 + 3);
 }
 
 }  // namespace
