@@ -12,6 +12,12 @@
 // (set, way), holding the full line address (hardware would store only
 // the bits above the index), and one 64-bit occupancy word per set. A
 // CacheLine holds only the protocol metadata of the line in its way.
+//
+// A set scan first compares an 8-bit fingerprint per way, eight ways per
+// 64-bit word, and reads the full tag only of the occupied ways whose
+// fingerprint matches, much as the paper's Auto-Cuckoo filter compares
+// short fingerprints within a bucket. Every match is confirmed against
+// the full tag, so a fingerprint can never cause a false hit.
 #pragma once
 
 #include <cstdint>
@@ -31,14 +37,14 @@ namespace pipo {
 struct CacheLine {
   std::uint32_t presence = 0;   ///< LLC: bitmask of cores holding the line
   Mesi state = Mesi::kInvalid;  ///< private caches: MESI state of this copy
-  bool dirty = false;           ///< LLC: line newer than memory
+  bool dirty : 1 = false;       ///< LLC: line newer than memory
   // --- PiPoMonitor per-line tag bits (only used at the LLC) ---
-  bool pp_tag = false;       ///< captured as a Ping-Pong line (Section IV)
-  bool pp_accessed = false;  ///< demanded since the tag/prefetch was set
+  bool pp_tag : 1 = false;       ///< captured as a Ping-Pong line (Section IV)
+  bool pp_accessed : 1 = false;  ///< demanded since the tag/prefetch was set
   /// LLC: the line has ever been written while resident. RIC's relaxed
   /// inclusion exempts never-written (read-only-in-practice) lines from
   /// back-invalidation.
-  bool ever_written = false;
+  bool ever_written : 1 = false;
   // --- private-hierarchy residency: the L2 is each core's directory ---
   /// L2: which of the core's L1s hold the line (kInnerL1i | kInnerL1d).
   std::uint8_t inner = 0;
@@ -52,7 +58,7 @@ inline constexpr std::uint8_t kInnerL1i = 1u << 0;
 inline constexpr std::uint8_t kInnerL1d = 1u << 1;
 
 // Every simulated way costs a record on the host: keep it small.
-static_assert(sizeof(CacheLine) <= 12);
+static_assert(sizeof(CacheLine) <= 8);
 
 /// Identifies a resident line.
 struct CacheSlot {
@@ -116,6 +122,14 @@ class CacheArray {
   /// Every scan of the array is a probe, and each one is counted.
   CacheProbe probe(LineAddr line) const;
 
+  /// The 8-bit summary of `line` that probe() compares before any tag:
+  /// the top byte of a multiplicative hash, so lines that differ only
+  /// far above the set index (the cores' disjoint bases) still differ
+  /// in it.
+  static std::uint8_t fingerprint(LineAddr line) {
+    return static_cast<std::uint8_t>((line * 0x9E3779B97F4A7C15ull) >> 56);
+  }
+
   /// probe() for callers that need only the hit slot.
   std::optional<CacheSlot> lookup(LineAddr line) const {
     const CacheProbe p = probe(line);
@@ -172,6 +186,10 @@ class CacheArray {
   /// count of the array's lookup work.
   std::uint64_t probes() const { return probes_; }
 
+  /// Full-tag compares since construction: one per way whose occupied
+  /// fingerprint matched during a probe. Deterministic, like probes().
+  std::uint64_t tag_compares() const { return tag_compares_; }
+
   /// Number of valid lines in `set` (attack-analysis helper).
   std::uint32_t valid_in_set(std::size_t set) const;
 
@@ -185,21 +203,31 @@ class CacheArray {
   std::size_t index(const CacheSlot& slot) const {
     return slot.set * cfg_.ways + slot.way;
   }
-  EvictedLine snapshot(const CacheSlot& slot) const;
+  /// Writes the final metadata of the resident line at `slot` into
+  /// `out`, in place: callers aim it at the storage they return.
+  void write_evicted(const CacheSlot& slot, EvictedLine& out) const;
 
   CacheConfig cfg_;
   unsigned index_shift_;
   std::size_t sets_;
   std::uint64_t set_mask_;
+  std::uint32_t fp_words_;  ///< 64-bit fingerprint words per set
   std::vector<CacheLine> lines_;
   // The placement record, structure-of-arrays: probe() and the free-way
-  // scan in fill() read one 64-bit occupancy word and one contiguous tag
-  // row per set, never the CacheLine records. Only fill, invalidate and
-  // clear write them. A tag outlives its line: a free way's tag is stale.
+  // scan in fill() read one 64-bit occupancy word, one fingerprint row
+  // and the matching ways' tags per set, never the CacheLine records.
+  // Only fill writes a tag or a fingerprint; of the record, invalidate
+  // and clear write only the occupancy word. A free way's tag and
+  // fingerprint are stale, and the occupancy word keeps probe() from
+  // reading them.
   std::vector<LineAddr> tags_;       ///< per-(set,way) line address
+  /// Per-set row of fp_words_ words, byte w % 8 of word w / 8 holding
+  /// way w's fingerprint(); the padding past the last way stays zero.
+  std::vector<std::uint64_t> fps_;
   std::vector<std::uint64_t> occ_;   ///< per-set occupancy mask (ways <= 64)
   std::uint64_t fills_ = 0;
   mutable std::uint64_t probes_ = 0;
+  mutable std::uint64_t tag_compares_ = 0;
   LruPolicy repl_;
 };
 

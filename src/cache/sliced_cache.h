@@ -95,6 +95,13 @@ class SlicedCache {
     return n;
   }
 
+  /// Full-tag compares across all slices (CacheArray::tag_compares).
+  std::uint64_t tag_compares() const {
+    std::uint64_t n = 0;
+    for (const auto& s : slices_) n += s.tag_compares();
+    return n;
+  }
+
   void clear() {
     for (auto& s : slices_) s.clear();
   }

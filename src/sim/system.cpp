@@ -769,6 +769,15 @@ std::uint64_t System::probes() const {
   return n;
 }
 
+std::uint64_t System::tag_compares() const {
+  std::uint64_t n = l3_->tag_compares();
+  for (CoreId c = 0; c < cfg_.num_cores; ++c) {
+    n += l1i_[c]->tag_compares() + l1d_[c]->tag_compares() +
+         l2_[c]->tag_compares();
+  }
+  return n;
+}
+
 Tick System::next_drain_tick() const {
   const Tick due = active_monitor_->next_due_tick();
   if (inflight_prefetch_.empty()) return due;

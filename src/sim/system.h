@@ -178,6 +178,9 @@ class System {
   /// Set scans across every cache array (CacheArray::probes): a
   /// deterministic work count, deliberately not one of the Stats.
   std::uint64_t probes() const;
+  /// Full-tag compares across every cache array
+  /// (CacheArray::tag_compares), kept out of the Stats like probes().
+  std::uint64_t tag_compares() const;
 
   /// Structural-invariant audit (test/diagnostic hook). Walks every
   /// array's occupied ways, reading which line each holds from the

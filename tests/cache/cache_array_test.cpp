@@ -191,16 +191,61 @@ TEST(CacheArray, RejectsBadWayCountsBeforeSizing) {
   EXPECT_THROW(CacheArray{wide}, std::invalid_argument);
 }
 
+TEST(CacheArray, FingerprintTwinsCompareFullTags) {
+  // An LLC-slice-shaped array: 64 sets x 16 ways, index_shift 2.
+  CacheArray c(CacheConfig{"slice", 64 * 16 * kLineSizeBytes, 16, 1},
+               /*index_shift=*/2);
+  const std::size_t set = 5;
+  // Search set 5 for three lines with one fingerprint. They differ in
+  // their tags, and in the low bits the index skips.
+  std::vector<std::vector<LineAddr>> by_fp(256);
+  std::vector<LineAddr> twins;
+  for (std::uint64_t t = 0; twins.empty(); ++t) {
+    const LineAddr line = ((t * c.num_sets() + set) << 2) | (t & 3);
+    ASSERT_EQ(c.set_of(line), set);
+    std::vector<LineAddr>& same = by_fp[CacheArray::fingerprint(line)];
+    same.push_back(line);
+    if (same.size() == 3) twins = same;
+  }
+  const LineAddr a = twins[0], b = twins[1], absent = twins[2];
+
+  const CacheProbe pa = c.probe(a);
+  ASSERT_FALSE(pa.hit);
+  const CacheSlot sa = c.fill(a, pa).slot;
+  // a's fingerprint matches b's, but its tag does not.
+  const CacheProbe pb = c.probe(b);
+  ASSERT_FALSE(pb.hit);
+  const CacheSlot sb = c.fill(b, pb).slot;
+  ASSERT_NE(sa.way, sb.way);
+  const std::optional<CacheSlot> fa = c.lookup(a);
+  const std::optional<CacheSlot> fb = c.lookup(b);
+  ASSERT_TRUE(fa && fb);
+  EXPECT_EQ(fa->way, sa.way);
+  EXPECT_EQ(fb->way, sb.way);
+  EXPECT_FALSE(c.lookup(absent).has_value());
+
+  // Removing one twin leaves the other found at its own way.
+  c.invalidate(sa);
+  EXPECT_FALSE(c.lookup(a).has_value());
+  const std::optional<CacheSlot> fb2 = c.lookup(b);
+  ASSERT_TRUE(fb2.has_value());
+  EXPECT_EQ(fb2->way, sb.way);
+}
+
 // ---------------------------------------------------------------------
 // The tag row and occupancy word are the only record of which line a way
-// holds. Random traffic against a plain per-way model checks every slot
-// after every operation.
+// holds, and probe() finds a line only through its fingerprint word.
+// Random traffic against a plain per-way model checks every slot, and
+// every resident line's lookup, after every operation.
 
 struct PlacementCase {
   const char* name;
   std::uint64_t sets;
   std::uint32_t ways;
   unsigned index_shift;
+  /// Percent of operations that clear the array. A 64-way set needs
+  /// runs of some 200 operations between clears to fill up.
+  std::uint64_t clear_pct;
 };
 
 // Without it, gtest prints the struct's bytes, `name`'s address among
@@ -278,7 +323,7 @@ TEST_P(CacheArrayPlacement, MatchesAModelOfTheWays) {
         }
         m = ModelWay{true, line, ++clock};
       }
-    } else if (kind < 97) {
+    } else if (kind < 100 - pc.clear_pct) {
       const std::optional<EvictedLine> e = c.invalidate(line);
       ModelWay* m = find(set, line);
       ASSERT_EQ(e.has_value(), m != nullptr) << "op " << op;
@@ -323,8 +368,12 @@ TEST_P(CacheArrayPlacement, MatchesAModelOfTheWays) {
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheArrayPlacement,
-    ::testing::Values(PlacementCase{"Sets4Ways2", 4, 2, 0},
-                      PlacementCase{"LlcSlice64x16", 64, 16, 2}),
+    // Sets8Ways12 leaves half its second fingerprint word as padding;
+    // Sets2Ways64 is the 64-way cap, eight fingerprint words per set.
+    ::testing::Values(PlacementCase{"Sets4Ways2", 4, 2, 0, 3},
+                      PlacementCase{"LlcSlice64x16", 64, 16, 2, 3},
+                      PlacementCase{"Sets8Ways12", 8, 12, 0, 3},
+                      PlacementCase{"Sets2Ways64", 2, 64, 0, 1}),
     [](const ::testing::TestParamInfo<PlacementCase>& info) {
       return std::string(info.param.name);
     });
