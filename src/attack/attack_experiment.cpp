@@ -95,8 +95,9 @@ PrimeProbeExperimentResult run_prime_probe_experiment(
   }
   result.key_accuracy = static_cast<double>(correct) / cfg.iterations;
   result.system_stats = sim.system().stats();
-  result.monitor_captures = sim.system().monitor().captures();
-  result.monitor_prefetches = sim.system().monitor().prefetches_issued();
+  const MonitorIface& mon = sim.system().active_monitor();
+  result.monitor_captures = mon.captures();
+  result.monitor_prefetches = mon.prefetches_issued();
   return result;
 }
 

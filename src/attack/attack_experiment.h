@@ -36,6 +36,7 @@ struct PrimeProbeExperimentResult {
   /// Fraction of rounds in which each target was observed.
   std::vector<double> observed_rate;
   System::Stats system_stats;
+  /// The active defense's monitor counters (System::active_monitor()).
   std::uint64_t monitor_captures = 0;
   std::uint64_t monitor_prefetches = 0;
 };

@@ -12,8 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <vector>
 
 #include "common/types.h"
 #include "pipo/monitor_iface.h"
@@ -27,7 +25,8 @@ struct BitpConfig {
 
 class BitpPrefetcher final : public MonitorIface {
  public:
-  explicit BitpPrefetcher(const BitpConfig& cfg) : cfg_(cfg) {}
+  explicit BitpPrefetcher(const BitpConfig& cfg)
+      : MonitorIface(/*tags_prefetch_fills=*/false), cfg_(cfg) {}
 
   const BitpConfig& config() const { return cfg_; }
 
@@ -40,42 +39,20 @@ class BitpPrefetcher final : public MonitorIface {
   /// The trigger: a private copy died with an LLC eviction.
   void on_back_invalidation(Tick now, LineAddr line) override {
     ++back_invalidations_;
-    pending_.push_back(Pending{now + cfg_.prefetch_delay, line});
-    ++prefetches_issued_;
-  }
-
-  std::vector<MonitorPrefetchRequest> take_due_prefetches(
-      Tick now) override {
-    std::vector<MonitorPrefetchRequest> due;
-    while (!pending_.empty() && pending_.front().ready <= now) {
-      due.push_back(MonitorPrefetchRequest{pending_.front().ready,
-                                           pending_.front().line,
-                                           /*tag=*/false});
-      pending_.pop_front();
-    }
-    return due;
-  }
-
-  Tick next_due_tick() const override {
-    return pending_.empty() ? kNeverTick : pending_.front().ready;
+    schedule_prefetch(now + cfg_.prefetch_delay, line);
   }
 
   std::uint64_t captures() const override { return back_invalidations_; }
+  /// BITP counts a prefetch as issued when it schedules it, not when the
+  /// system pops it: one per back-invalidation.
   std::uint64_t prefetches_issued() const override {
-    return prefetches_issued_;
+    return back_invalidations_;
   }
   std::uint64_t back_invalidations() const { return back_invalidations_; }
 
  private:
-  struct Pending {
-    Tick ready;
-    LineAddr line;
-  };
-
   BitpConfig cfg_;
-  std::deque<Pending> pending_;
   std::uint64_t back_invalidations_ = 0;
-  std::uint64_t prefetches_issued_ = 0;
 };
 
 }  // namespace pipo

@@ -8,7 +8,7 @@
 namespace pipo {
 
 DirectoryMonitor::DirectoryMonitor(const DirectoryMonitorConfig& cfg)
-    : cfg_(cfg) {
+    : MonitorIface(/*tags_prefetch_fills=*/true), cfg_(cfg) {
   if (cfg_.sets == 0 || !is_pow2(cfg_.sets)) {
     throw std::invalid_argument(
         "DirectoryMonitor: sets must be a power of two");
@@ -72,21 +72,8 @@ bool DirectoryMonitor::on_pevict(Tick now, LineAddr line, bool accessed,
     rearm = c && *c >= cfg_.sec_thr;
   }
   if (!rearm) return false;
-  pending_.push_back(Pending{now + cfg_.prefetch_delay, line});
+  schedule_prefetch(now + cfg_.prefetch_delay, line);
   return true;
-}
-
-std::vector<MonitorPrefetchRequest> DirectoryMonitor::take_due_prefetches(
-    Tick now) {
-  std::vector<MonitorPrefetchRequest> due;
-  while (!pending_.empty() && pending_.front().ready <= now) {
-    due.push_back(MonitorPrefetchRequest{pending_.front().ready,
-                                         pending_.front().line,
-                                         /*tag=*/true});
-    pending_.pop_front();
-    ++prefetches_issued_;
-  }
-  return due;
 }
 
 std::optional<std::uint32_t> DirectoryMonitor::counter_of(

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -62,18 +61,12 @@ class DirectoryMonitor final : public MonitorIface {
   /// miss inserts with counter 0, evicting the set's LRU entry.
   MonitorAccessResult on_access(LineAddr line) override;
 
-  /// Same pEvict semantics as PiPoMonitor's strict gate: accessed lines
-  /// re-arm; unaccessed lines re-arm while the table still reports the
-  /// line captured.
+  /// Same pEvict semantics as PiPoMonitor's default gate,
+  /// PrefetchGate::kCapturedInFilter: an eviction caused by a prefetch
+  /// fill never re-arms; a demand-caused one re-arms an accessed line,
+  /// and an unaccessed line while the table still reports it captured.
   bool on_pevict(Tick now, LineAddr line, bool accessed,
                  bool demand_caused) override;
-
-  std::vector<MonitorPrefetchRequest> take_due_prefetches(
-      Tick now) override;
-
-  Tick next_due_tick() const override {
-    return pending_.empty() ? kNeverTick : pending_.front().ready;
-  }
 
   /// Counter of `line`'s entry, if tracked (test/analysis hook).
   std::optional<std::uint32_t> counter_of(LineAddr line) const;
@@ -82,9 +75,6 @@ class DirectoryMonitor final : public MonitorIface {
   bool tracks(LineAddr line) const { return counter_of(line).has_value(); }
 
   std::uint64_t captures() const override { return captures_; }
-  std::uint64_t prefetches_issued() const override {
-    return prefetches_issued_;
-  }
   std::uint64_t evictions() const { return evictions_; }
 
  private:
@@ -94,10 +84,6 @@ class DirectoryMonitor final : public MonitorIface {
     std::uint32_t counter = 0;
     std::uint64_t lru = 0;  ///< last-touch stamp
   };
-  struct Pending {
-    Tick ready;
-    LineAddr line;
-  };
 
   std::size_t set_of(LineAddr line) const { return line & (cfg_.sets - 1); }
   Entry* find(LineAddr line);
@@ -106,10 +92,8 @@ class DirectoryMonitor final : public MonitorIface {
   DirectoryMonitorConfig cfg_;
   std::vector<Entry> table_;
   std::uint64_t stamp_ = 0;
-  std::deque<Pending> pending_;
 
   std::uint64_t captures_ = 0;
-  std::uint64_t prefetches_issued_ = 0;
   std::uint64_t evictions_ = 0;
 };
 

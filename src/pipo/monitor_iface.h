@@ -4,11 +4,11 @@
 // (CacheGuard-style, Related Work), and the BITP back-invalidation
 // prefetcher. The System routes its three observation points (Access,
 // pEvict, back-invalidation) through this interface and drains the
-// monitor's prefetch queue into the LLC.
+// monitor's prefetch FIFO into the LLC.
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <deque>
 
 #include "common/types.h"
 
@@ -20,19 +20,15 @@ struct MonitorAccessResult {
   bool ping_pong = false;      ///< capture: tag the returning fill
 };
 
-/// A prefetch request ready to enter the MC fetch queue; `ready` is the
-/// tick at which the monitor issued it, which the system uses to
-/// backdate the fetch when draining lazily.
-struct MonitorPrefetchRequest {
-  Tick ready = 0;
-  LineAddr line = 0;
-  /// Whether the LLC fill should carry the Ping-Pong tag (detection-based
-  /// monitors re-tag their restored lines; BITP's fills are plain).
-  bool tag = true;
-};
-
 class MonitorIface {
  public:
+  /// A prefetch waiting to enter the MC fetch queue at tick `ready`;
+  /// the system backdates the fetch to `ready` when it drains lazily.
+  struct ScheduledPrefetch {
+    Tick ready;
+    LineAddr line;
+  };
+
   virtual ~MonitorIface() = default;
 
   /// A demand Access from the LLC to memory for `line`.
@@ -50,31 +46,48 @@ class MonitorIface {
     (void)line;
   }
 
-  /// Pops every scheduled prefetch whose issue time is <= now.
-  virtual std::vector<MonitorPrefetchRequest> take_due_prefetches(
-      Tick now) = 0;
-
   /// Issue time of the front of the prefetch FIFO — the earliest tick at
-  /// which take_due_prefetches() pops anything — or kNeverTick when
-  /// nothing is pending.
-  virtual Tick next_due_tick() const = 0;
+  /// which pop_due() pops anything — or kNeverTick when nothing is
+  /// pending.
+  Tick next_due_tick() const {
+    return fifo_.empty() ? kNeverTick : fifo_.front().ready;
+  }
+
+  /// Pops the front of the prefetch FIFO into `out` if it is due by
+  /// `now`, and counts it; returns false, leaving `out` alone, otherwise.
+  bool pop_due(Tick now, ScheduledPrefetch& out) {
+    if (fifo_.empty() || fifo_.front().ready > now) return false;
+    out = fifo_.front();
+    fifo_.pop_front();
+    ++popped_;
+    return true;
+  }
+
+  /// Whether the LLC fills of this monitor's prefetches carry the
+  /// Ping-Pong tag (detection-based monitors re-tag their restored
+  /// lines; BITP's fills are plain).
+  bool tags_prefetch_fills() const { return tags_prefetch_fills_; }
 
   // --- statistics common to all monitors ---
   virtual std::uint64_t captures() const = 0;
-  virtual std::uint64_t prefetches_issued() const = 0;
-};
+  /// Prefetches issued: by default those popped from the FIFO.
+  virtual std::uint64_t prefetches_issued() const { return popped_; }
 
-/// Monitor of the undefended baseline: observes nothing, issues nothing.
-class NullMonitor final : public MonitorIface {
- public:
-  MonitorAccessResult on_access(LineAddr) override { return {}; }
-  bool on_pevict(Tick, LineAddr, bool, bool) override { return false; }
-  std::vector<MonitorPrefetchRequest> take_due_prefetches(Tick) override {
-    return {};
+ protected:
+  explicit MonitorIface(bool tags_prefetch_fills)
+      : tags_prefetch_fills_(tags_prefetch_fills) {}
+
+  /// Queues a prefetch of `line` to issue at `ready`. Each monitor
+  /// schedules at `now` plus its constant delay, which keeps the FIFO
+  /// sorted by `ready`.
+  void schedule_prefetch(Tick ready, LineAddr line) {
+    fifo_.push_back(ScheduledPrefetch{ready, line});
   }
-  Tick next_due_tick() const override { return kNeverTick; }
-  std::uint64_t captures() const override { return 0; }
-  std::uint64_t prefetches_issued() const override { return 0; }
+
+ private:
+  std::deque<ScheduledPrefetch> fifo_;
+  std::uint64_t popped_ = 0;
+  bool tags_prefetch_fills_;
 };
 
 }  // namespace pipo

@@ -34,20 +34,8 @@ bool PiPoMonitor::on_pevict(Tick now, LineAddr line, bool accessed,
     ++pevicts_dropped_;
     return false;
   }
-  pending_.push_back(Pending{now + cfg_.prefetch_delay, line});
+  schedule_prefetch(now + cfg_.prefetch_delay, line);
   return true;
-}
-
-std::vector<PiPoMonitor::PrefetchRequest> PiPoMonitor::take_due_prefetches(
-    Tick now) {
-  std::vector<PrefetchRequest> due;
-  while (!pending_.empty() && pending_.front().ready <= now) {
-    due.push_back(PrefetchRequest{pending_.front().ready,
-                                  pending_.front().line, /*tag=*/true});
-    pending_.pop_front();
-    ++prefetches_issued_;
-  }
-  return due;
 }
 
 }  // namespace pipo

@@ -22,8 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <vector>
 
 #include "common/types.h"
 #include "filter/auto_cuckoo_filter.h"
@@ -76,7 +74,9 @@ class PiPoMonitor final : public MonitorIface {
  public:
   explicit PiPoMonitor(const MonitorConfig& cfg,
                        FilterObserver* filter_observer = nullptr)
-      : cfg_(cfg), filter_(cfg.filter, filter_observer) {}
+      : MonitorIface(/*tags_prefetch_fills=*/true),
+        cfg_(cfg),
+        filter_(cfg.filter, filter_observer) {}
 
   const MonitorConfig& config() const { return cfg_; }
 
@@ -94,20 +94,11 @@ class PiPoMonitor final : public MonitorIface {
   /// `demand_caused` tells whether a demand fill (rather than one of the
   /// monitor's own prefetch fills) evicted it. Depending on the gate
   /// policy this schedules a prefetch for now + prefetch_delay, or drops
-  /// the event (returns false).
+  /// the event (returns false). The system pops it from the FIFO once
+  /// due, pushes it into the MC fetch queue and fills the LLC (tagged,
+  /// accessed = false).
   bool on_pevict(Tick now, LineAddr line, bool accessed,
                  bool demand_caused) override;
-
-  using PrefetchRequest = MonitorPrefetchRequest;
-
-  /// Pops every scheduled prefetch whose issue time is <= now. The system
-  /// pushes these into the MC fetch queue and fills the LLC (tagged,
-  /// accessed = false).
-  std::vector<PrefetchRequest> take_due_prefetches(Tick now) override;
-
-  Tick next_due_tick() const override {
-    return pending_.empty() ? kNeverTick : pending_.front().ready;
-  }
 
   AutoCuckooFilter& filter() { return filter_; }
   const AutoCuckooFilter& filter() const { return filter_; }
@@ -117,25 +108,15 @@ class PiPoMonitor final : public MonitorIface {
   std::uint64_t captures() const override { return captures_; }
   std::uint64_t pevicts() const { return pevicts_; }
   std::uint64_t pevicts_dropped() const { return pevicts_dropped_; }
-  std::uint64_t prefetches_issued() const override {
-    return prefetches_issued_;
-  }
 
  private:
-  struct Pending {
-    Tick ready;
-    LineAddr line;
-  };
-
   MonitorConfig cfg_;
   AutoCuckooFilter filter_;
-  std::deque<Pending> pending_;  // FIFO: constant delay keeps it sorted
 
   std::uint64_t accesses_ = 0;
   std::uint64_t captures_ = 0;
   std::uint64_t pevicts_ = 0;
   std::uint64_t pevicts_dropped_ = 0;
-  std::uint64_t prefetches_issued_ = 0;
 };
 
 }  // namespace pipo

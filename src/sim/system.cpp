@@ -78,15 +78,14 @@ System::System(const SystemConfig& cfg, FilterObserver* filter_observer)
   mem_ = std::make_unique<MemController>(cfg_.mem);
 
   // Defense wiring: the PiPoMonitor object always exists (tests and the
-  // baseline address it directly; disabled it is inert); the other
-  // engines are built only for their kind.
+  // baseline address it directly; disabled it is inert) and is the
+  // active monitor unless the defense brings its own; the other engines
+  // are built only for their kind.
   MonitorConfig mcfg = cfg_.monitor;
   if (cfg_.defense != DefenseKind::kPiPoMonitor) mcfg.enabled = false;
   pipo_monitor_ = std::make_unique<PiPoMonitor>(mcfg, filter_observer);
+  active_monitor_ = pipo_monitor_.get();
   switch (cfg_.defense) {
-    case DefenseKind::kPiPoMonitor:
-      active_monitor_ = pipo_monitor_.get();
-      break;
     case DefenseKind::kDirectoryMonitor:
       dir_monitor_ = std::make_unique<DirectoryMonitor>(cfg_.dir_monitor);
       active_monitor_ = dir_monitor_.get();
@@ -97,11 +96,10 @@ System::System(const SystemConfig& cfg, FilterObserver* filter_observer)
       break;
     case DefenseKind::kSharp:
       sharp_ = std::make_unique<SharpChooser>(cfg_.seed + 400);
-      [[fallthrough]];
+      break;
+    case DefenseKind::kPiPoMonitor:
     case DefenseKind::kRic:
     case DefenseKind::kNone:
-      null_monitor_ = std::make_unique<NullMonitor>();
-      active_monitor_ = null_monitor_.get();
       break;
   }
 }
@@ -792,8 +790,10 @@ void System::drain_prefetches(Tick now) {
   // prefetch issued between two victim accesses lands before the second
   // one, exactly as the hardware would behave.
   //
-  // Stage 1: pEvicts whose delay has elapsed become MC fetch requests.
-  for (const auto& req : active_monitor_->take_due_prefetches(now)) {
+  // Stage 1: pEvicts whose delay has elapsed become MC fetch requests,
+  // popped from the monitor's FIFO in place.
+  MonitorIface& mon = *active_monitor_;
+  for (MonitorIface::ScheduledPrefetch req{}; mon.pop_due(now, req);) {
     if (l3_->lookup(req.line) ||
         (exclusive() && privately_held(req.line))) {
       // Line came back on its own (or, in exclusive mode, lives
@@ -803,7 +803,7 @@ void System::drain_prefetches(Tick now) {
     }
     const Tick done =
         mem_->fetch(req.ready, req.line, MemController::Reason::kPrefetch);
-    inflight_prefetch_.push_back(InflightPrefetch{done, req.line, req.tag});
+    inflight_prefetch_.push_back(InflightPrefetch{done, req.line});
   }
   // Stage 2: fills whose DRAM data has arrived by `now`.
   while (!inflight_prefetch_.empty() &&
@@ -815,7 +815,8 @@ void System::drain_prefetches(Tick now) {
       ++stats_.prefetch_drops;  // a demand fetch beat the prefetch back
       continue;
     }
-    fill_l3(pf.fill_at, l3p, pf.line, /*pp_tagged=*/pf.tag,
+    fill_l3(pf.fill_at, l3p, pf.line,
+            /*pp_tagged=*/mon.tags_prefetch_fills(),
             /*from_prefetch=*/true, kInvalidCore);
     ++stats_.prefetch_fills;
   }

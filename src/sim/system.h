@@ -116,8 +116,9 @@ class System {
   AccessOutcome access(Tick now, CoreId core, Addr addr, AccessType type,
                        bool bypass_private = false);
 
-  /// Applies every due PiPoMonitor prefetch (pEvict + delay elapsed and
-  /// DRAM data arrived). Called internally by access(); the simulation
+  /// Applies every due prefetch of the active monitor (delay elapsed,
+  /// popped from the monitor's FIFO in place, and DRAM data arrived).
+  /// Called internally by access(); the simulation
   /// driver's uncore tick also calls it so prefetches land on time even
   /// while all cores are idle.
   void drain_prefetches(Tick now);
@@ -135,12 +136,14 @@ class System {
   CacheArray& l2(CoreId c) { return *l2_[c]; }
   CacheArray& l1d(CoreId c) { return *l1d_[c]; }
   CacheArray& l1i(CoreId c) { return *l1i_[c]; }
-  /// The PiPoMonitor (valid when the active defense is kPiPoMonitor or
-  /// kNone — the disabled monitor is inert).
+  /// The PiPoMonitor. It always exists, but only under kPiPoMonitor is
+  /// it enabled; under every other defense it is disabled and inert, and
+  /// its counters read 0 (read active_monitor() for the defense's own).
   PiPoMonitor& monitor() { return *pipo_monitor_; }
   const PiPoMonitor& monitor() const { return *pipo_monitor_; }
-  /// The active defense's monitor-side engine (NullMonitor for kNone,
-  /// kSharp and kRic, which act purely on the cache side).
+  /// The active defense's monitor-side engine: the DirectoryMonitor or
+  /// BITP under their kinds, otherwise the PiPoMonitor (disabled under
+  /// kNone, kSharp and kRic, which act purely on the cache side).
   MonitorIface& active_monitor() { return *active_monitor_; }
   const MonitorIface& active_monitor() const { return *active_monitor_; }
   /// Valid when the active defense is kDirectoryMonitor.
@@ -299,15 +302,14 @@ class System {
   std::unique_ptr<PiPoMonitor> pipo_monitor_;
   std::unique_ptr<DirectoryMonitor> dir_monitor_;
   std::unique_ptr<BitpPrefetcher> bitp_;
-  std::unique_ptr<NullMonitor> null_monitor_;
   MonitorIface* active_monitor_ = nullptr;
   std::unique_ptr<SharpChooser> sharp_;
 
-  /// Prefetches whose DRAM fetch is in flight: fill L3 at `fill_at`.
+  /// Prefetches whose DRAM fetch is in flight: fill L3 at `fill_at`,
+  /// tagged when the active monitor tags its prefetch fills.
   struct InflightPrefetch {
     Tick fill_at;
     LineAddr line;
-    bool tag;  ///< carry the Ping-Pong tag on the fill (monitor kinds)
   };
   std::deque<InflightPrefetch> inflight_prefetch_;
 

@@ -37,6 +37,26 @@ TEST(Experiment, DefendedAttackerIsBlinded) {
   EXPECT_GT(r.monitor_captures, 0u);
 }
 
+/// The result reports the active defense's monitor, not the disabled
+/// PiPoMonitor: it captured, and issued at least every prefetch that
+/// landed in the LLC.
+void expect_active_monitor_counters(DefenseKind kind) {
+  PrimeProbeExperimentConfig cfg = base_experiment(false);
+  cfg.system.defense = kind;
+  const auto r = run_prime_probe_experiment(cfg);
+  EXPECT_GT(r.monitor_captures, 0u);
+  EXPECT_GT(r.system_stats.prefetch_fills, 0u);
+  EXPECT_GE(r.monitor_prefetches, r.system_stats.prefetch_fills);
+}
+
+TEST(Experiment, ReportsDirectoryMonitorCounters) {
+  expect_active_monitor_counters(DefenseKind::kDirectoryMonitor);
+}
+
+TEST(Experiment, ReportsBitpCounters) {
+  expect_active_monitor_counters(DefenseKind::kBitp);
+}
+
 TEST(Experiment, DefenseDestroysKeyInformation) {
   const auto undefended = run_prime_probe_experiment(base_experiment(false));
   const auto defended = run_prime_probe_experiment(base_experiment(true));

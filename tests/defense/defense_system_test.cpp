@@ -35,6 +35,32 @@ Tick fill_congruent(System& sys, Tick t, CoreId core, int round) {
   return t;
 }
 
+/// Five rounds of core 1 loading kTarget, then core 0 filling its LLC
+/// set: the Ping-Pong pattern an enabled monitor captures. Returns the
+/// tick after the last fill.
+Tick reload_between_fills(System& sys) {
+  Tick t = 0;
+  for (int round = 0; round < 5; ++round) {
+    sys.access(t, 1, kTarget, AccessType::kLoad);
+    t += 300;
+    t = fill_congruent(sys, t, 0, round);
+  }
+  return t;
+}
+
+/// Eight rounds of core 0 probing nine L3-congruent lines LLC-direct,
+/// one more than the set holds, from tick `t`; returns the tick after.
+Tick probe_nine_congruent(System& sys, Tick t) {
+  for (int round = 0; round < 8; ++round) {
+    for (int i = 1; i <= 9; ++i) {
+      sys.access(t, 0, kTarget + static_cast<Addr>(100 + i) * kStride,
+                 AccessType::kLoad, /*bypass_private=*/true);
+      t += 300;
+    }
+  }
+  return t;
+}
+
 // ---------------------------------------------------------------- SHARP
 
 TEST(SharpDefense, VictimLineSurvivesAttackerPrime) {
@@ -165,12 +191,7 @@ TEST(RicDefense, SilentUpgradeDetectedThroughDirtyMerge) {
 
 TEST(DirectoryDefense, CapturesAndPrefetchesLikePipo) {
   System sys(mini_with(DefenseKind::kDirectoryMonitor));
-  Tick t = 0;
-  for (int round = 0; round < 5; ++round) {
-    sys.access(t, 1, kTarget, AccessType::kLoad);
-    t += 300;
-    t = fill_congruent(sys, t, 0, round);
-  }
+  const Tick t = reload_between_fills(sys);
   sys.drain_prefetches(t + 10'000);
   EXPECT_GT(sys.directory_monitor().captures(), 0u);
   EXPECT_GT(sys.stats().prefetch_fills, 0u);
@@ -179,12 +200,7 @@ TEST(DirectoryDefense, CapturesAndPrefetchesLikePipo) {
 
 TEST(DirectoryDefense, PipoMonitorObjectStaysInert) {
   System sys(mini_with(DefenseKind::kDirectoryMonitor));
-  Tick t = 0;
-  for (int round = 0; round < 5; ++round) {
-    sys.access(t, 1, kTarget, AccessType::kLoad);
-    t += 300;
-    t = fill_congruent(sys, t, 0, round);
-  }
+  reload_between_fills(sys);
   EXPECT_EQ(sys.monitor().accesses(), 0u);
   EXPECT_EQ(sys.monitor().captures(), 0u);
 }
@@ -211,16 +227,40 @@ TEST(DefenseConfig, WithDefenseFactorySetsMonitorFlag) {
 
 TEST(DefenseConfig, BaselineSystemHasNoDefenseActivity) {
   System sys(mini_with(DefenseKind::kNone));
-  Tick t = 0;
-  for (int round = 0; round < 5; ++round) {
-    sys.access(t, 1, kTarget, AccessType::kLoad);
-    t += 300;
-    t = fill_congruent(sys, t, 0, round);
-  }
+  const Tick t = reload_between_fills(sys);
   sys.drain_prefetches(t + 10'000);
   EXPECT_EQ(sys.stats().prefetch_fills, 0u);
   EXPECT_EQ(sys.stats().pp_tag_fills, 0u);
   EXPECT_EQ(sys.active_monitor().prefetches_issued(), 0u);
+}
+
+TEST(DefenseConfig, CacheSideDefensesHaveNoMonitorActivity) {
+  // SHARP and RIC act on the cache side only: their active monitor is
+  // the disabled PiPoMonitor, disabled even when the config enables it.
+  // It must stay inert under the baseline test's traffic followed by
+  // LLC-direct probes of nine lines of one 8-way set, which an enabled
+  // monitor captures and prefetches.
+  const auto run = [](System& sys) {
+    const Tick t0 = reload_between_fills(sys);
+    const Tick t = probe_nine_congruent(sys, t0);
+    sys.drain_prefetches(t + 10'000);
+  };
+  {
+    System pipo(mini_with(DefenseKind::kPiPoMonitor));
+    run(pipo);
+    ASSERT_GT(pipo.active_monitor().captures(), 0u);
+    ASSERT_GT(pipo.active_monitor().prefetches_issued(), 0u);
+  }
+  for (const DefenseKind kind : {DefenseKind::kSharp, DefenseKind::kRic}) {
+    SystemConfig cfg = mini_with(kind);
+    cfg.monitor.enabled = true;
+    System sys(cfg);
+    run(sys);
+    const MonitorIface& mon = sys.active_monitor();
+    EXPECT_EQ(mon.captures(), 0u) << to_string(kind);
+    EXPECT_EQ(mon.prefetches_issued(), 0u) << to_string(kind);
+    EXPECT_EQ(mon.next_due_tick(), kNeverTick) << to_string(kind);
+  }
 }
 
 }  // namespace

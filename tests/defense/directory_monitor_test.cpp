@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include "filter/filter_config.h"
+#include "tests/pipo/monitor_test_util.h"
 
 namespace pipo {
 namespace {
+
+using testutil::pop_all_due;
 
 DirectoryMonitorConfig small_table() {
   DirectoryMonitorConfig cfg;
@@ -94,11 +97,12 @@ TEST(DirectoryMonitor, PrefetchAfterDelay) {
   DirectoryMonitor mon(small_table());
   for (int i = 0; i < 4; ++i) mon.on_access(0x400);
   ASSERT_TRUE(mon.on_pevict(100, 0x400, true, true));
-  EXPECT_TRUE(mon.take_due_prefetches(100).empty());
-  const auto due = mon.take_due_prefetches(100 + mon.config().prefetch_delay);
+  EXPECT_TRUE(pop_all_due(mon, 100).empty());
+  EXPECT_EQ(mon.prefetches_issued(), 0u) << "counted when popped";
+  const auto due = pop_all_due(mon, 100 + mon.config().prefetch_delay);
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0].line, 0x400u);
-  EXPECT_TRUE(due[0].tag);
+  EXPECT_TRUE(mon.tags_prefetch_fills());
   EXPECT_EQ(mon.prefetches_issued(), 1u);
 }
 

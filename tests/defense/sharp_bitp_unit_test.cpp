@@ -4,9 +4,12 @@
 
 #include "defense/bitp.h"
 #include "defense/sharp.h"
+#include "tests/pipo/monitor_test_util.h"
 
 namespace pipo {
 namespace {
+
+using testutil::pop_all_due;
 
 CacheLine line_with(std::uint32_t presence) {
   CacheLine l;
@@ -52,11 +55,13 @@ TEST(SharpChooser, RandomChoiceCoversAllUnownedWays) {
 TEST(BitpPrefetcher, QueuesOnBackInvalidation) {
   BitpPrefetcher bitp(BitpConfig{});
   bitp.on_back_invalidation(100, 0xABC);
-  EXPECT_TRUE(bitp.take_due_prefetches(100).empty());
-  const auto due = bitp.take_due_prefetches(100 + 32);
+  EXPECT_EQ(bitp.prefetches_issued(), 1u) << "counted when scheduled";
+  EXPECT_TRUE(pop_all_due(bitp, 100).empty());
+  const auto due = pop_all_due(bitp, 100 + 32);
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0].line, 0xABCu);
-  EXPECT_FALSE(due[0].tag) << "BITP fills carry no Ping-Pong tag";
+  EXPECT_FALSE(bitp.tags_prefetch_fills())
+      << "BITP fills carry no Ping-Pong tag";
   EXPECT_EQ(bitp.prefetches_issued(), 1u);
 }
 
@@ -73,11 +78,11 @@ TEST(BitpPrefetcher, FifoOrderAcrossInvalidations) {
   bitp.on_back_invalidation(10, 0x1);
   bitp.on_back_invalidation(20, 0x2);
   bitp.on_back_invalidation(30, 0x3);
-  const auto due = bitp.take_due_prefetches(55);
+  const auto due = pop_all_due(bitp, 55);
   ASSERT_EQ(due.size(), 2u);
   EXPECT_EQ(due[0].line, 0x1u);
   EXPECT_EQ(due[1].line, 0x2u);
-  EXPECT_EQ(bitp.take_due_prefetches(100).size(), 1u);
+  EXPECT_EQ(pop_all_due(bitp, 100).size(), 1u);
 }
 
 }  // namespace

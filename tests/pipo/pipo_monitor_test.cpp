@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/pipo/monitor_test_util.h"
+
 namespace pipo {
 namespace {
+
+using testutil::pop_all_due;
 
 MonitorConfig small_monitor() {
   MonitorConfig cfg;
@@ -33,7 +37,7 @@ TEST(PiPoMonitor, DisabledMonitorIsInert) {
     EXPECT_FALSE(mon.on_access(0xBBB).ping_pong);
   }
   mon.on_pevict(100, 0xBBB, /*accessed=*/true, /*demand=*/true);
-  EXPECT_TRUE(mon.take_due_prefetches(1'000'000).empty());
+  EXPECT_TRUE(pop_all_due(mon, 1'000'000).empty());
   EXPECT_EQ(mon.accesses(), 0u);
   EXPECT_EQ(mon.pevicts(), 0u);
 }
@@ -42,15 +46,16 @@ TEST(PiPoMonitor, PrefetchIssuesAfterDelay) {
   PiPoMonitor mon(small_monitor());
   ASSERT_TRUE(mon.on_pevict(100, 0xCCC, /*accessed=*/true, /*demand=*/true));
   EXPECT_EQ(mon.pevicts(), 1u);
-  EXPECT_TRUE(mon.take_due_prefetches(100).empty());
-  EXPECT_TRUE(mon.take_due_prefetches(131).empty());
-  const auto due = mon.take_due_prefetches(132);  // 100 + 32
+  EXPECT_TRUE(pop_all_due(mon, 100).empty());
+  EXPECT_TRUE(pop_all_due(mon, 131).empty());
+  EXPECT_EQ(mon.prefetches_issued(), 0u) << "counted when popped";
+  const auto due = pop_all_due(mon, 132);  // 100 + 32
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0].line, 0xCCCu);
   EXPECT_EQ(due[0].ready, 132u);
   EXPECT_EQ(mon.prefetches_issued(), 1u);
   // Popped exactly once.
-  EXPECT_TRUE(mon.take_due_prefetches(10'000).empty());
+  EXPECT_TRUE(pop_all_due(mon, 10'000).empty());
 }
 
 TEST(PiPoMonitor, MultiplePendingPrefetchesInFifoOrder) {
@@ -58,7 +63,7 @@ TEST(PiPoMonitor, MultiplePendingPrefetchesInFifoOrder) {
   mon.on_pevict(10, 0x1, true, true);
   mon.on_pevict(20, 0x2, true, true);
   mon.on_pevict(30, 0x3, true, true);
-  const auto due = mon.take_due_prefetches(52);  // 42 and 52 ready
+  const auto due = pop_all_due(mon, 52);  // 42 and 52 ready
   ASSERT_EQ(due.size(), 2u);
   EXPECT_EQ(due[0].line, 0x1u);
   EXPECT_EQ(due[1].line, 0x2u);
@@ -74,7 +79,7 @@ TEST(PiPoMonitor, NextDueTickTellsTickZeroFromNone) {
   EXPECT_EQ(mon.next_due_tick(), kNeverTick);
   ASSERT_TRUE(mon.on_pevict(0, 0x7, /*accessed=*/true, /*demand=*/true));
   EXPECT_EQ(mon.next_due_tick(), 0u);
-  ASSERT_EQ(mon.take_due_prefetches(0).size(), 1u);
+  ASSERT_EQ(pop_all_due(mon, 0).size(), 1u);
   EXPECT_EQ(mon.next_due_tick(), kNeverTick);
 }
 
