@@ -18,16 +18,13 @@
 #include "attack/attack_experiment.h"
 #include "attack/victim.h"
 #include "defense/directory_monitor.h"
+#include "fabric/campaign.h"
 #include "filter/filter_config.h"
 
 int main() {
   using namespace pipo;
 
-  const std::vector<DefenseKind> kinds = {
-      DefenseKind::kNone,   DefenseKind::kPiPoMonitor,
-      DefenseKind::kDirectoryMonitor, DefenseKind::kSharp,
-      DefenseKind::kBitp,   DefenseKind::kRic,
-  };
+  const std::vector<DefenseKind> kinds = all_defenses();
 
   // --- (1) security: Fig 6 experiment per defense ---
   std::printf("Defense comparison, Table II machine\n\n");

@@ -57,6 +57,7 @@ Options parse_args(int argc, char** argv) {
       if (++i >= argc) throw std::invalid_argument(arg + " needs a value");
       return argv[i];
     };
+    if (parse_axis_flag(arg, value, o.fuzz)) continue;
     if (arg == "--seed") {
       o.fuzz.seed = parse_uint(value(), "--seed");
     } else if (arg == "--generations") {
@@ -65,16 +66,6 @@ Options parse_args(int argc, char** argv) {
       o.fuzz.population = parse_uint32(value(), "--population", 4, 4096);
     } else if (arg == "--workers") {
       o.fuzz.workers = parse_uint32(value(), "--workers", 0, 256);
-    } else if (arg == "--defenses") {
-      o.fuzz.defenses = parse_defense_list(value());
-    } else if (arg == "--llc") {
-      o.fuzz.inclusion = parse_inclusion(value());
-    } else if (arg == "--slice-hash") {
-      const auto h = parse_slice_hash(value());
-      if (!h) throw std::invalid_argument("--slice-hash wants low|cas");
-      o.fuzz.slice_hash = *h;
-    } else if (arg == "--monitor-level") {
-      o.fuzz.monitor_level = parse_monitor_level(value());
     } else if (arg == "--perm-rounds") {
       o.fuzz.perm_rounds = parse_uint32(value(), "--perm-rounds", 1);
     } else if (arg == "--p-threshold") {

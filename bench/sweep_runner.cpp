@@ -8,10 +8,11 @@
 // configuration (an array on stdout or --out FILE), ready for BENCH_*.json
 // trajectory tracking.
 //
-// The campaign itself — enumeration order, per-config execution, record
-// rendering — lives in src/fabric/campaign.h, shared with the distributed
-// sweep fabric (tools/pipo_coordinator.cpp): a fabric campaign run with
-// the same flags merges to bytes identical to this runner under
+// The campaign itself — enumeration order, the thread pool that runs it
+// (run_campaign, which the scenario fuzzer uses too), record rendering —
+// lives in src/fabric/campaign.h, shared with the distributed sweep
+// fabric (tools/pipo_coordinator.cpp): a fabric campaign run with the
+// same flags merges to bytes identical to this runner under
 // --deterministic.
 //
 // Usage:
@@ -47,7 +48,6 @@
 // DIR/mix<m>_<defense>_s<seed>/core<i>.trace (recording is invisible to
 // the run: simulated fields match a non-recording sweep byte for byte).
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -108,12 +108,10 @@ Options parse_args(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   Options opt;
-  std::vector<ConfigKey> keys;
   try {
     opt = parse_args(argc, argv);
     opt.spec.scenarios = expand_trace_paths(opt.trace_paths);
     opt.spec.validate();
-    keys = enumerate_campaign(opt.spec);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "sweep_runner: %s\n", e.what());
     return 2;
@@ -121,33 +119,17 @@ int main(int argc, char** argv) {
 
   // Results are indexed by config id, so the output order (and the
   // record bytes, under --deterministic) is identical at any --threads.
-  std::vector<ConfigResult> results(keys.size());
-  std::atomic<std::size_t> next{0};
   const auto sweep_start = std::chrono::steady_clock::now();
-
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= keys.size()) return;
-      // Per-config exceptions become structured error records inside
-      // run_campaign_config; an escaping exception would std::terminate
-      // the whole sweep.
-      results[i] = run_campaign_config(opt.spec, i, keys[i]);
-    }
-  };
-
-  const unsigned n_threads =
-      static_cast<unsigned>(std::min<std::size_t>(opt.threads, keys.size()));
-  std::vector<std::thread> pool;
-  pool.reserve(n_threads);
-  for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(worker);
-  for (auto& th : pool) th.join();
-
+  const std::vector<ConfigResult> results =
+      run_campaign(opt.spec, opt.threads);
   const double sweep_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     sweep_start)
           .count();
 
+  // The threads run_campaign used: a valid campaign has >= 1 config.
+  const unsigned n_threads = static_cast<unsigned>(
+      std::min<std::size_t>(opt.threads, results.size()));
   std::size_t failed = 0;
   std::vector<std::string> records;
   records.reserve(results.size());
@@ -184,7 +166,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "sweep_runner: %zu configs on %u threads in %.2fs "
                "(%.1f configs/sec), %zu failed\n",
-               keys.size(), n_threads, sweep_s,
-               static_cast<double>(keys.size()) / sweep_s, failed);
+               results.size(), n_threads, sweep_s,
+               static_cast<double>(results.size()) / sweep_s, failed);
   return failed ? 1 : 0;
 }

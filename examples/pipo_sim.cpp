@@ -255,7 +255,7 @@ int run_attack_cmd(int argc, char** argv) {
   cfg.system = o.system;
   cfg.iterations = o.iters;
   cfg.interval = o.interval;
-  cfg.key = make_test_key(o.iters, cfg.seed);
+  cfg.key = make_test_key(o.iters, 0xA77AC4);
   const auto r = run_prime_probe_experiment(cfg);
   std::printf("Prime+Probe on %s, %u iterations @ %llu cycles\n\n",
               to_string(o.system.defense), o.iters,

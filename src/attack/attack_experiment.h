@@ -19,7 +19,6 @@ struct PrimeProbeExperimentConfig {
   std::vector<bool> key;           ///< victim key bits (high to low)
   CoreId attacker_core = 0;
   CoreId victim_core = 1;
-  std::uint64_t seed = 0xA77AC4;
 };
 
 struct PrimeProbeExperimentResult {

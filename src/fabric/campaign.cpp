@@ -1,9 +1,11 @@
 #include "fabric/campaign.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <stdexcept>
+#include <thread>
 
 #include "common/parse_num.h"
 #include "fuzz/genotype.h"
@@ -80,14 +82,13 @@ std::vector<DefenseKind> all_defenses() {
 }
 
 DefenseKind parse_defense(const std::string& s) {
-  if (s == "none") return DefenseKind::kNone;
-  if (s == "pipo") return DefenseKind::kPiPoMonitor;
-  if (s == "dir") return DefenseKind::kDirectoryMonitor;
-  if (s == "sharp") return DefenseKind::kSharp;
-  if (s == "bitp") return DefenseKind::kBitp;
-  if (s == "ric") return DefenseKind::kRic;
-  throw std::invalid_argument("unknown defense: " + s +
-                              " (none|pipo|dir|sharp|bitp|ric)");
+  std::string names;
+  for (DefenseKind k : all_defenses()) {
+    if (s == defense_short_name(k)) return k;
+    if (!names.empty()) names += '|';
+    names += defense_short_name(k);
+  }
+  throw std::invalid_argument("unknown defense: " + s + " (" + names + ")");
 }
 
 std::vector<DefenseKind> parse_defense_list(const std::string& csv) {
@@ -111,6 +112,11 @@ InclusionPolicy parse_inclusion(const std::string& s) {
                               " (want inc|exc)");
 }
 
+SliceHashKind parse_slice_hash_kind(const std::string& s) {
+  if (const auto h = parse_slice_hash(s)) return *h;
+  throw std::invalid_argument("unknown slice hash: " + s + " (want low|cas)");
+}
+
 MonitorLevel parse_monitor_level(const std::string& s) {
   if (s == "l1") return MonitorLevel::kL1;
   if (s == "l2") return MonitorLevel::kL2;
@@ -123,6 +129,7 @@ bool parse_campaign_flag(const std::string& arg,
                          const std::function<std::string()>& value,
                          CampaignSpec& spec,
                          std::vector<std::string>& trace_paths) {
+  if (parse_axis_flag(arg, value, spec)) return true;
   if (arg == "--mixes") {
     const std::string v = value();
     const auto dash = v.find('-');
@@ -132,22 +139,12 @@ bool parse_campaign_flag(const std::string& arg,
       spec.mix_lo = parse_uint32(v.substr(0, dash), "--mixes", 1);
       spec.mix_hi = parse_uint32(v.substr(dash + 1), "--mixes", 1);
     }
-  } else if (arg == "--defenses") {
-    spec.defenses = parse_defense_list(value());
   } else if (arg == "--seeds") {
     spec.seeds = parse_uint32(value(), "--seeds", 1);
   } else if (arg == "--instr") {
     spec.instr = parse_uint(value(), "--instr", 1);
   } else if (arg == "--ws-div") {
     spec.ws_div = parse_uint(value(), "--ws-div", 1);
-  } else if (arg == "--llc") {
-    spec.inclusion = parse_inclusion(value());
-  } else if (arg == "--slice-hash") {
-    const auto h = parse_slice_hash(value());
-    if (!h) throw std::invalid_argument("--slice-hash wants low|cas");
-    spec.slice_hash = *h;
-  } else if (arg == "--monitor-level") {
-    spec.monitor_level = parse_monitor_level(value());
   } else if (arg == "--trace") {
     trace_paths.push_back(value());
   } else if (arg == "--no-mixes") {
@@ -302,6 +299,27 @@ ConfigResult run_campaign_config(const CampaignSpec& spec,
   const auto t1 = std::chrono::steady_clock::now();
   out.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   return out;
+}
+
+std::vector<ConfigResult> run_campaign(const CampaignSpec& spec,
+                                       unsigned threads) {
+  const std::vector<ConfigKey> keys = enumerate_campaign(spec);
+  std::vector<ConfigResult> results(keys.size());
+  // Each result is written by the one thread that took its index, and
+  // read only after every worker has joined.
+  std::atomic<std::size_t> next{0};
+  auto worker = [&] {
+    for (std::size_t i = next++; i < keys.size(); i = next++) {
+      results[i] = run_campaign_config(spec, i, keys[i]);
+    }
+  };
+  const std::size_t n = std::max<std::size_t>(
+      1, std::min<std::size_t>(threads, keys.size()));
+  std::vector<std::jthread> pool;  // joined on unwind as well
+  for (std::size_t t = 1; t < n; ++t) pool.emplace_back(worker);
+  worker();
+  for (std::jthread& th : pool) th.join();
+  return results;
 }
 
 std::string json_escape(const std::string& s) {

@@ -1,8 +1,8 @@
 // Campaign = one sweep of (mix x defense x seed) + trace-replay
 // configurations, as a value that can be enumerated, executed and
-// serialized. This is the code sweep_runner and the distributed fabric
-// (fabric/coordinator.h, fabric/worker.h) share so "the same campaign"
-// means the same thing everywhere:
+// serialized. This is the code sweep_runner, the scenario fuzzer and the
+// distributed fabric (fabric/coordinator.h, fabric/worker.h) share so
+// "the same campaign" means the same thing everywhere:
 //
 //  * enumerate_campaign gives every configuration a dense **config id**
 //    (its index in the fixed enumeration order: the mix grid first —
@@ -14,7 +14,8 @@
 //  * run_campaign_config executes one configuration and never throws:
 //    a per-config failure becomes a structured {"config": ..,
 //    "error": ..} record (ConfigResult::error) so one bad configuration
-//    cannot take down a million-config campaign.
+//    cannot take down a million-config campaign. run_campaign runs a
+//    whole campaign on in-process threads.
 //  * config_result_json renders the one canonical record form. Both the
 //    standalone runner and the fabric emit through it; `include_wall`
 //    adds the host-timing field (wall_ms), which deterministic outputs
@@ -47,9 +48,9 @@ struct TraceScenario {
 /// carried in its canonical "PPG1:..." text form so this header and the
 /// wire codec stay independent of the fuzzer) to run against each of
 /// the campaign's defenses on the campaign's hierarchy-variant axes.
-/// This is how the scenario fuzzer fans candidate populations out
-/// through the same lease table, merge order and failure handling as
-/// every other campaign.
+/// The scenario fuzzer runs each generation as one campaign of these
+/// through run_campaign, as sweep_runner runs its grid, so candidates
+/// get the same config-id order and failure records as every campaign.
 struct FuzzCell {
   std::string name;      ///< label for the JSON record ("g17" etc.)
   std::string genotype;  ///< ScenarioGenotype canonical text form
@@ -95,13 +96,37 @@ std::vector<DefenseKind> parse_defense_list(const std::string& csv);
 /// "inc|inclusive" or "exc|exclusive" -> policy; throws
 /// std::invalid_argument.
 InclusionPolicy parse_inclusion(const std::string& s);
+/// parse_slice_hash, throwing std::invalid_argument on a bad name.
+SliceHashKind parse_slice_hash_kind(const std::string& s);
 /// "l1|l2|llc" -> level; throws std::invalid_argument.
 MonitorLevel parse_monitor_level(const std::string& s);
 
+/// The one parser of the four cell-axis flags (--defenses, --llc,
+/// --slice-hash, --monitor-level) for all three campaign binaries, into
+/// a CampaignSpec or a FuzzerConfig (any `Axes` with those four fields).
+/// Returns false, without calling `value`, for any other flag; throws
+/// std::invalid_argument on a bad value.
+template <class Axes>
+bool parse_axis_flag(const std::string& arg,
+                     const std::function<std::string()>& value, Axes& axes) {
+  if (arg == "--defenses") {
+    axes.defenses = parse_defense_list(value());
+  } else if (arg == "--llc") {
+    axes.inclusion = parse_inclusion(value());
+  } else if (arg == "--slice-hash") {
+    axes.slice_hash = parse_slice_hash_kind(value());
+  } else if (arg == "--monitor-level") {
+    axes.monitor_level = parse_monitor_level(value());
+  } else {
+    return false;
+  }
+  return true;
+}
+
 /// Parses `arg` if it is one of the ten campaign flags sweep_runner and
-/// pipo_coordinator share (--mixes, --defenses, --seeds, --instr,
-/// --ws-div, --llc, --slice-hash, --monitor-level, --trace, --no-mixes)
-/// into `spec`, collecting --trace arguments into `trace_paths` for
+/// pipo_coordinator share (parse_axis_flag's four, plus --mixes,
+/// --seeds, --instr, --ws-div, --trace and --no-mixes) into `spec`,
+/// collecting --trace arguments into `trace_paths` for
 /// expand_trace_paths. `value` yields the flag's argument. Returns false,
 /// without calling `value`, for a flag it does not own; throws
 /// std::invalid_argument on a bad value.
@@ -156,6 +181,12 @@ struct ConfigResult {
 ConfigResult run_campaign_config(const CampaignSpec& spec,
                                  std::uint64_t config_id,
                                  const ConfigKey& key);
+
+/// Runs every config of enumerate_campaign(spec) (unvalidated) on
+/// max(1, min(threads, configs)) threads, the caller's among them, and
+/// returns the results indexed by config id, as at any thread count.
+std::vector<ConfigResult> run_campaign(const CampaignSpec& spec,
+                                       unsigned threads);
 
 std::string json_escape(const std::string& s);
 

@@ -137,6 +137,16 @@ WireReader reader_for(const Frame& f, FrameType want) {
   return WireReader(f.payload);
 }
 
+/// A 32-bit spec field: rejects a larger value rather than truncate it
+/// into a campaign the coordinator never sent.
+std::uint32_t varint32(WireReader& r, const char* what) {
+  const std::uint64_t v = r.varint(what);
+  if (v > UINT32_MAX) {
+    r.bad(what, "value " + std::to_string(v) + " exceeds 32 bits");
+  }
+  return static_cast<std::uint32_t>(v);
+}
+
 }  // namespace
 
 Frame make_hello(const HelloMsg& m) {
@@ -266,8 +276,8 @@ CampaignSpec decode_campaign_spec(WireReader& r) {
   const std::uint8_t mixes = r.u8("spec.run_mixes");
   if (mixes > 1) r.bad("spec.run_mixes", "flag must be 0 or 1");
   spec.run_mixes = mixes != 0;
-  spec.mix_lo = static_cast<unsigned>(r.varint("spec.mix_lo"));
-  spec.mix_hi = static_cast<unsigned>(r.varint("spec.mix_hi"));
+  spec.mix_lo = varint32(r, "spec.mix_lo");
+  spec.mix_hi = varint32(r, "spec.mix_hi");
   const std::uint64_t n_def = r.varint("spec.defenses");
   if (n_def > 64) r.bad("spec.defenses", "implausible defense count");
   spec.defenses.clear();
@@ -278,7 +288,7 @@ CampaignSpec decode_campaign_spec(WireReader& r) {
     }
     spec.defenses.push_back(static_cast<DefenseKind>(k));
   }
-  spec.seeds = static_cast<unsigned>(r.varint("spec.seeds"));
+  spec.seeds = varint32(r, "spec.seeds");
   spec.instr = r.varint("spec.instr");
   spec.ws_div = r.varint("spec.ws_div");
   const std::uint8_t inc = r.u8("spec.inclusion");
@@ -312,8 +322,7 @@ CampaignSpec decode_campaign_spec(WireReader& r) {
     c.genotype = r.str("spec.fuzz.genotype");
     spec.fuzz.push_back(std::move(c));
   }
-  spec.fuzz_perm_rounds =
-      static_cast<std::uint32_t>(r.varint("spec.fuzz_perm_rounds"));
+  spec.fuzz_perm_rounds = varint32(r, "spec.fuzz_perm_rounds");
   return spec;
 }
 

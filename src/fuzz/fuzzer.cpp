@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "common/rng.h"
-#include "fabric/coordinator.h"
+#include "fabric/campaign.h"
 
 namespace pipo {
 
@@ -21,39 +21,12 @@ std::string fmt6(double v) {
   return buf;
 }
 
-/// Extracts `"key": <number>` from one of our own campaign records. We
-/// render these records ourselves (campaign.cpp config_result_json), so
-/// a missing key is a logic error worth throwing on, not tolerating.
-double num_field(const std::string& rec, const std::string& key) {
-  const std::string tag = "\"" + key + "\": ";
-  const auto pos = rec.find(tag);
-  if (pos == std::string::npos) {
-    throw std::runtime_error("fuzz record is missing field '" + key +
-                             "': " + rec);
-  }
-  // lint:allow(raw-parse) prefix extraction from our own %.6f-rendered
-  // record; a malformed field throws std::invalid_argument right here
-  return std::stod(rec.substr(pos + tag.size()));
-}
-
-std::string str_field(const std::string& rec, const std::string& key) {
-  const std::string tag = "\"" + key + "\": \"";
-  const auto pos = rec.find(tag);
-  if (pos == std::string::npos) {
-    throw std::runtime_error("fuzz record is missing field '" + key +
-                             "': " + rec);
-  }
-  const auto start = pos + tag.size();
-  const auto end = rec.find('"', start);
-  if (end == std::string::npos) {
-    throw std::runtime_error("fuzz record field '" + key +
-                             "' is unterminated: " + rec);
-  }
-  return rec.substr(start, end - start);
-}
-
-bool is_error_record(const std::string& rec) {
-  return rec.find("\"error\": ") != std::string::npos;
+/// `v` as campaign records print it (%.6f). Selection ranks on the
+/// digits the records show, so the records alone explain every choice.
+double as_printed(double v) {
+  // lint:allow(raw-parse) reads back our own %.6f rendering; a
+  // malformed value throws std::invalid_argument right here
+  return std::stod(fmt6(v));
 }
 
 }  // namespace
@@ -117,10 +90,9 @@ FuzzReport Fuzzer::run() {
     }
     report.candidates += pop.size();
 
-    // One campaign per generation, fanned out through the degraded
-    // in-process fabric. The merge order (config-id order) is the
-    // fabric's determinism contract, so the records — and everything
-    // derived from them — are identical at any worker count.
+    // One campaign per generation, run in process by run_campaign.
+    // Its results come back in config-id order, so the records — and
+    // everything derived from them — are identical at any worker count.
     CampaignSpec spec;
     spec.run_mixes = false;
     spec.defenses = cfg_.defenses;
@@ -137,16 +109,12 @@ FuzzReport Fuzzer::run() {
       name += std::to_string(i);
       spec.fuzz.push_back(FuzzCell{std::move(name), pop[i].to_string()});
     }
-    CoordinatorOptions opt;
-    opt.listen = false;
-    opt.local_workers = cfg_.workers;
-    Coordinator coordinator(spec, opt);
-    const CampaignOutcome outcome = coordinator.run();
-    report.failed += outcome.failed;
-    report.records.insert(report.records.end(), outcome.records.begin(),
-                          outcome.records.end());
+    const std::vector<ConfigResult> results = run_campaign(spec, cfg_.workers);
+    for (const ConfigResult& r : results) {
+      report.records.push_back(config_result_json(r, /*include_wall=*/false));
+    }
 
-    // Score every candidate from its records: significant leakage
+    // Score every candidate from its results: significant leakage
     // (defended cells weighted 4x) plus a small novelty bonus per
     // first-seen coverage signature.
     std::vector<double> fitness(pop.size(), 0.0);
@@ -155,13 +123,15 @@ FuzzReport Fuzzer::run() {
     std::string gen_best_cell;
     for (std::size_t i = 0; i < pop.size(); ++i) {
       for (std::size_t d = 0; d < n_def; ++d) {
-        const std::string& rec = outcome.records[i * n_def + d];
+        const ConfigResult& r = results[i * n_def + d];
         ++report.evaluations;
-        if (is_error_record(rec)) continue;
-        const double mi = num_field(rec, "mi_bits");
-        const double p = num_field(rec, "p_value");
-        const std::string sig = str_field(rec, "signature");
-        if (seen_signatures.insert(cell_names[d] + "|" + sig).second) {
+        if (!r.error.empty()) {
+          ++report.failed;
+          continue;
+        }
+        const double mi = as_printed(r.mi_bits);
+        const double p = as_printed(r.p_value);
+        if (seen_signatures.insert(cell_names[d] + "|" + r.signature).second) {
           ++report.novel_signatures;
           novel[i] = true;
           fitness[i] += 0.05;
@@ -178,10 +148,9 @@ FuzzReport Fuzzer::run() {
             f.genotype = pop[i];
             f.mi_bits = mi;
             f.p_value = p;
-            f.decoder_acc = num_field(rec, "decoder_acc");
-            f.rounds =
-                static_cast<std::uint32_t>(num_field(rec, "rounds"));
-            f.signature = sig;
+            f.decoder_acc = as_printed(r.decoder_acc);
+            f.rounds = r.fuzz_rounds;
+            f.signature = r.signature;
             best_by_cell[f.cell] = f;
           }
           if (mi > gen_best_mi) {

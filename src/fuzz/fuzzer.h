@@ -2,13 +2,14 @@
 //
 // Search loop: a population of ScenarioGenotypes evolves over
 // generations. Each generation is packaged as one fuzz campaign
-// (fabric/campaign.h FuzzCell) and fanned out through the sweep
-// fabric's Coordinator — with listen=false this degrades to in-process
-// worker threads over the same lease table, and the fabric's
-// byte-identical merge contract makes the whole fuzzer deterministic at
-// any worker count. Every candidate is scored on every (defense) cell
-// of the configured hierarchy axes by the multi-symbol leakage
-// estimator with its permutation-test significance gate.
+// (fabric/campaign.h FuzzCell) and run in process by run_campaign, the
+// thread pool sweep_runner also uses. Its results come back in
+// config-id order whatever the thread count, which makes the whole
+// fuzzer deterministic at any worker count. Every candidate is scored
+// on every (defense) cell of the configured hierarchy axes by the
+// multi-symbol leakage estimator with its permutation-test significance
+// gate. Selection reads each cell's score from its ConfigResult, as the
+// six decimals the campaign record prints.
 //
 // Selection is two-channel, the coverage-guided part:
 //  * fitness — significant leakage, weighted 4x on defended cells
@@ -44,7 +45,7 @@ struct FuzzerConfig {
   std::uint64_t seed = 1;          ///< the whole run derives from this
   std::uint32_t population = 24;   ///< candidates per generation
   std::uint32_t generations = 8;
-  unsigned workers = 0;            ///< in-process fabric workers (0 = 1)
+  unsigned workers = 0;            ///< run_campaign threads (0 = 1)
   /// Cells = defenses x the one hierarchy-variant triple below.
   std::vector<DefenseKind> defenses{DefenseKind::kNone,
                                     DefenseKind::kPiPoMonitor};
@@ -75,7 +76,7 @@ struct FuzzReport {
   /// (with field-level old->new detail), crossover parents, randoms.
   std::vector<std::string> mutation_log;
   /// Every campaign record of every generation, in config-id order
-  /// within each generation (the fabric's deterministic merge order).
+  /// within each generation (run_campaign's result order).
   std::vector<std::string> records;
   /// Best significant find per cell, sorted by cell name.
   std::vector<FuzzFind> best;

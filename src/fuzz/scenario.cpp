@@ -8,7 +8,7 @@
 #include "attack/eviction_set.h"
 #include "attack/prime_probe.h"
 #include "attack/victim.h"
-#include "cache/slice_hash.h"
+#include "fabric/campaign.h"
 #include "sim/simulation.h"
 #include "workload/stream_trace.h"
 #include "workload/trace.h"
@@ -60,46 +60,12 @@ FuzzCellAxes parse_fuzz_cell_name(const std::string& name) {
   if (parts.size() != 4) {
     throw std::invalid_argument(
         "fuzz cell name needs 4 '_'-separated parts "
-        "(<defense>_<inc|exc>_<low|cas>_<level>): " + name);
+        "(<defense>_<inclusion>_<slicehash>_<monitorlevel>): " + name);
   }
-  FuzzCellAxes axes;
-  bool found = false;
-  for (DefenseKind k :
-       {DefenseKind::kNone, DefenseKind::kPiPoMonitor,
-        DefenseKind::kDirectoryMonitor, DefenseKind::kSharp,
-        DefenseKind::kBitp, DefenseKind::kRic}) {
-    if (parts[0] == defense_short_name(k)) {
-      axes.defense = k;
-      found = true;
-    }
-  }
-  if (!found) {
-    throw std::invalid_argument("unknown defense in cell name: " + parts[0]);
-  }
-  if (parts[1] == "inc") {
-    axes.inclusion = InclusionPolicy::kInclusive;
-  } else if (parts[1] == "exc") {
-    axes.inclusion = InclusionPolicy::kExclusive;
-  } else {
-    throw std::invalid_argument("unknown inclusion in cell name: " + parts[1]);
-  }
-  const auto hash = parse_slice_hash(parts[2]);
-  if (!hash) {
-    throw std::invalid_argument("unknown slice hash in cell name: " +
-                                parts[2]);
-  }
-  axes.slice_hash = *hash;
-  if (parts[3] == "l1") {
-    axes.monitor_level = MonitorLevel::kL1;
-  } else if (parts[3] == "l2") {
-    axes.monitor_level = MonitorLevel::kL2;
-  } else if (parts[3] == "llc") {
-    axes.monitor_level = MonitorLevel::kLlc;
-  } else {
-    throw std::invalid_argument("unknown monitor level in cell name: " +
-                                parts[3]);
-  }
-  return axes;
+  // Each part is spelled as its campaign flag's value.
+  return FuzzCellAxes{parse_defense(parts[0]), parse_inclusion(parts[1]),
+                      parse_slice_hash_kind(parts[2]),
+                      parse_monitor_level(parts[3])};
 }
 
 SystemConfig fuzz_system_config(const FuzzCellAxes& axes) {

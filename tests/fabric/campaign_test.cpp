@@ -1,7 +1,8 @@
 // Unit tests for the shared campaign layer (fabric/campaign.h):
 // enumeration order (the config-id contract both sweep_runner and the
 // fabric key on), structured error capture, the JSON record shapes, the
-// shared campaign flags and the checked output writer.
+// in-process campaign runner, the shared campaign flags and the checked
+// output writer.
 #include "fabric/campaign.h"
 
 #include <gtest/gtest.h>
@@ -13,7 +14,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "fuzz/fuzzer.h"
 
 namespace pipo {
 namespace {
@@ -223,6 +227,36 @@ TEST(Campaign, FuzzOutOfRangeCellIsAnErrorRecord) {
   EXPECT_FALSE(r.error.empty());
 }
 
+// sweep_runner and the fuzzer run whole campaigns through run_campaign;
+// at any thread count it must return what the serial loop over
+// run_campaign_config returns, failures included, in config-id order.
+TEST(Campaign, RunCampaignMatchesSerialAtAnyThreadCount) {
+  CampaignSpec spec = small_spec();
+  spec.seeds = 1;
+  spec.instr = 2'000;
+  spec.fuzz = {{"bad", "PPG1:corrupt"}};
+  const std::vector<ConfigKey> keys = enumerate_campaign(spec);
+  ASSERT_EQ(keys.size(), 6u);  // 2 mixes x 2 defenses, 1 cell x 2
+  std::vector<std::string> serial;
+  for (std::size_t id = 0; id < keys.size(); ++id) {
+    serial.push_back(
+        config_result_json(run_campaign_config(spec, id, keys[id]), false));
+  }
+  for (unsigned threads : {0u, 1u, 2u, 4u}) {
+    const std::vector<ConfigResult> results = run_campaign(spec, threads);
+    ASSERT_EQ(results.size(), keys.size()) << threads << " threads";
+    for (std::size_t id = 0; id < results.size(); ++id) {
+      EXPECT_EQ(results[id].config_id, id);
+      EXPECT_EQ(results[id].key, keys[id]);
+      // The corrupt cell's two configs fail; every mix config runs.
+      EXPECT_EQ(results[id].error.empty(), keys[id].fuzz < 0)
+          << threads << " threads, config " << id;
+      EXPECT_EQ(config_result_json(results[id], false), serial[id])
+          << threads << " threads, config " << id;
+    }
+  }
+}
+
 TEST(Campaign, JsonEscapeHandlesQuotesBackslashesAndControlBytes) {
   EXPECT_EQ(json_escape("plain"), "plain");
   EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
@@ -254,7 +288,30 @@ TEST(Campaign, SharedFlagsParseMixesAndRejectBadValues) {
   EXPECT_EQ(spec.mix_hi, 7u);
   EXPECT_TRUE(parse("--trace", "rec/a"));
   EXPECT_EQ(traces, std::vector<std::string>{"rec/a"});
+  // The four cell-axis flags parse the same into a campaign and into the
+  // fuzzer's config, long spellings included.
+  FuzzerConfig fuzz;
+  const std::pair<std::string, std::string> axes[] = {
+      {"--defenses", "none,dir"},
+      {"--llc", "exclusive"},
+      {"--slice-hash", "intel-cas"},
+      {"--monitor-level", "l2"}};
+  for (const auto& [flag, v] : axes) {
+    EXPECT_TRUE(parse(flag, v)) << flag;
+    EXPECT_TRUE(parse_axis_flag(flag, [&] { return v; }, fuzz)) << flag;
+  }
+  EXPECT_EQ(spec.defenses, (std::vector<DefenseKind>{
+                               DefenseKind::kNone,
+                               DefenseKind::kDirectoryMonitor}));
+  EXPECT_EQ(spec.inclusion, InclusionPolicy::kExclusive);
+  EXPECT_EQ(spec.slice_hash, SliceHashKind::kIntelCas);
+  EXPECT_EQ(spec.monitor_level, MonitorLevel::kL2);
+  EXPECT_EQ(fuzz.defenses, spec.defenses);
+  EXPECT_EQ(fuzz.inclusion, spec.inclusion);
+  EXPECT_EQ(fuzz.slice_hash, spec.slice_hash);
+  EXPECT_EQ(fuzz.monitor_level, spec.monitor_level);
   EXPECT_THROW(parse("--slice-hash", "bogus"), std::invalid_argument);
+  EXPECT_THROW(parse("--llc", "bogus"), std::invalid_argument);
   // A flag the caller owns is left to it, and its value is not taken.
   EXPECT_FALSE(parse_campaign_flag(
       "--threads", []() -> std::string { throw std::logic_error("taken"); },

@@ -327,5 +327,61 @@ TEST(FabricFramesMalformed, CampaignSpecBadDefenseKind) {
   EXPECT_THROW(decode_campaign_spec(r), std::invalid_argument);
 }
 
+// mix_lo, mix_hi, seeds and fuzz_perm_rounds are 32-bit fields sent as
+// 64-bit varints. A value above 32 bits must be rejected by name: if it
+// were truncated, mix_lo = 2^32 + 3 would decode as mix 3 and validate.
+TEST(FabricFramesMalformed, CampaignSpecOutOfRangeFieldsRejected) {
+  CampaignSpec spec;
+  spec.mix_lo = 3;
+  spec.mix_hi = 4;
+  spec.defenses = {DefenseKind::kNone};
+  spec.seeds = 2;
+  spec.fuzz = {{"g0_0", "PPG1:x"}};
+  spec.fuzz_perm_rounds = 9;
+  WireWriter w;
+  encode_campaign_spec(w, spec);
+  const std::vector<std::uint8_t> valid = w.take();
+  // Every field below is one varint byte: run_mixes, mix_lo, mix_hi,
+  // the defense count and its one defense byte, then seeds; the
+  // permutation rounds come last.
+  const struct {
+    std::size_t offset;
+    const char* field;
+  } fields[] = {{1, "spec.mix_lo"},
+                {2, "spec.mix_hi"},
+                {5, "spec.seeds"},
+                {valid.size() - 1, "spec.fuzz_perm_rounds"}};
+  // Replaces the one-byte varint at `offset` by `value`'s encoding.
+  const auto with = [&](std::size_t offset, std::uint64_t value) {
+    WireWriter v;
+    v.varint(value);
+    std::vector<std::uint8_t> out(valid.begin(), valid.begin() + offset);
+    out.insert(out.end(), v.bytes().begin(), v.bytes().end());
+    out.insert(out.end(), valid.begin() + offset + 1, valid.end());
+    return out;
+  };
+  for (const auto& f : fields) {
+    ASSERT_LT(valid[f.offset], 0x80) << f.field;
+    {
+      // The largest 32-bit value still decodes.
+      const std::vector<std::uint8_t> bytes = with(f.offset, 0xFFFF'FFFF);
+      WireReader r(bytes);
+      EXPECT_NO_THROW(decode_campaign_spec(r)) << f.field;
+    }
+    const std::uint64_t past = std::uint64_t{1} << 32;
+    for (std::uint64_t v : {past, past + 3, ~std::uint64_t{0}}) {
+      const std::vector<std::uint8_t> bytes = with(f.offset, v);
+      WireReader r(bytes);
+      try {
+        decode_campaign_spec(r);
+        ADD_FAILURE() << f.field << " = " << v << " decoded";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(f.field), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pipo
