@@ -6,12 +6,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <memory>
-#include <mutex>
 #include <thread>
 
 #include "common/log.h"
@@ -23,9 +20,8 @@ namespace pipo {
 
 namespace {
 
-/// Owner ids for in-process workers, disjoint from remote worker ids
-/// (which start at 1 and grow by connection count).
-constexpr std::uint64_t kLocalOwnerBase = 1ull << 62;
+/// Retry hint sent with NoWork when everything is leased.
+constexpr std::uint64_t kNoWorkRetryMs = 20;
 
 std::uint64_t steady_ms() {
   return static_cast<std::uint64_t>(
@@ -45,10 +41,7 @@ struct Coordinator::Impl {
   CampaignSpec spec;
   CoordinatorOptions opt;
   std::vector<ConfigKey> keys;
-
-  // Guarded by mu (shared with local worker threads).
-  std::mutex mu;
-  std::unique_ptr<LeaseTable> table;
+  LeaseTable table;
   struct Rec {
     std::string json;
     bool error = false;
@@ -56,7 +49,6 @@ struct Coordinator::Impl {
   std::vector<Rec> recs;
 
   int listen_fd = -1;
-  int wake_rd = -1, wake_wr = -1;  ///< local workers nudge the poll loop
 
   struct Conn {
     int fd = -1;
@@ -70,27 +62,20 @@ struct Coordinator::Impl {
   std::vector<std::unique_ptr<Conn>> conns;
   std::uint64_t next_worker_id = 1;
 
-  std::vector<std::thread> locals;
-  std::atomic<bool> stop_locals{false};
-  std::uint64_t served_grants = 0;
+  Impl(CampaignSpec s, CoordinatorOptions o)
+      : spec(std::move(s)),
+        opt(o),
+        keys(enumerate_campaign(spec)),
+        table(keys.size(), std::max<std::uint64_t>(o.lease_ms, 1)),
+        recs(keys.size()) {}
+  Impl(const Impl&) = delete;
+  Impl& operator=(const Impl&) = delete;
 
   ~Impl() {
-    stop_locals.store(true, std::memory_order_relaxed);
-    for (auto& t : locals) {
-      if (t.joinable()) t.join();
-    }
     for (auto& c : conns) {
       if (c->fd >= 0) ::close(c->fd);
     }
     if (listen_fd >= 0) ::close(listen_fd);
-    if (wake_rd >= 0) ::close(wake_rd);
-    if (wake_wr >= 0) ::close(wake_wr);
-  }
-
-  void wake() {
-    const char b = 1;
-    // Best effort: a full pipe already guarantees a pending wakeup.
-    [[maybe_unused]] const ssize_t r = ::write(wake_wr, &b, 1);
   }
 
   // --------------------------------------------------- result plumbing
@@ -98,41 +83,10 @@ struct Coordinator::Impl {
   /// Returns true if this was the first completion (the result was
   /// recorded); duplicates return false and are dropped.
   bool store_result(std::uint64_t config_id, std::string json, bool error) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (!table->complete(config_id)) return false;
+    if (!table.complete(config_id)) return false;
     recs[config_id].json = std::move(json);
     recs[config_id].error = error;
     return true;
-  }
-
-  // ---------------------------------------------------- local workers
-
-  void local_worker(unsigned index) {
-    const std::uint64_t owner = kLocalOwnerBase + index;
-    for (;;) {
-      if (stop_locals.load(std::memory_order_relaxed)) break;
-      std::optional<LeaseTable::Grant> grant;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (table->done()) break;
-        grant = table->acquire(owner, steady_ms());
-      }
-      if (!grant) {
-        // Everything is leased out (possibly to remote workers); check
-        // back shortly — expiry may hand us a straggler.
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        continue;
-      }
-      ConfigResult r = run_campaign_config(spec, grant->config_id,
-                                           keys[grant->config_id]);
-      const bool is_err = !r.error.empty();
-      if (store_result(grant->config_id,
-                       config_result_json(r, /*include_wall=*/false),
-                       is_err)) {
-        wake();  // the poll loop may be sleeping on our completion
-      }
-    }
-    wake();
   }
 
   // -------------------------------------------------- connection I/O
@@ -169,11 +123,8 @@ struct Coordinator::Impl {
                     static_cast<unsigned long long>(c.worker_id),
                     why.c_str());
     }
-    std::uint64_t released = 0;
-    if (c.worker_id != 0) {
-      std::lock_guard<std::mutex> lock(mu);
-      released = table->release_owner(c.worker_id);
-    }
+    const std::uint64_t released =
+        c.worker_id != 0 ? table.release_owner(c.worker_id) : 0;
     if (released > 0 && opt.verbose) {
       PIPO_LOG_INFO("coordinator: released %llu lease(s)",
                     static_cast<unsigned long long>(released));
@@ -210,22 +161,15 @@ struct Coordinator::Impl {
           drop(c, "lease request before Hello");
           break;
         }
-        std::optional<LeaseTable::Grant> grant;
-        bool all_done = false;
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          all_done = table->done();
-          if (!all_done) grant = table->acquire(c.worker_id, steady_ms());
-        }
-        if (all_done) {
+        if (table.done()) {
           queue_frame(c, make_shutdown());
-        } else if (grant) {
-          ++served_grants;
+        } else if (const std::optional<LeaseTable::Grant> grant =
+                       table.acquire(c.worker_id, steady_ms())) {
           queue_frame(c, make_lease_grant(LeaseGrantMsg{
                              grant->lease_id, grant->config_id,
                              opt.lease_ms}));
         } else {
-          queue_frame(c, make_no_work(NoWorkMsg{opt.no_work_retry_ms}));
+          queue_frame(c, make_no_work(NoWorkMsg{kNoWorkRetryMs}));
         }
         break;
       }
@@ -320,20 +264,13 @@ struct Coordinator::Impl {
                 conns.end());
   }
 
-  bool campaign_done() {
-    std::lock_guard<std::mutex> lock(mu);
-    return table->done();
-  }
-
   // --------------------------------------------------------- main loop
 
   void event_loop() {
-    while (!campaign_done()) {
+    while (!table.done()) {
       std::vector<pollfd> pfds;
-      pfds.push_back(pollfd{wake_rd, POLLIN, 0});
-      const std::size_t listener_at = pfds.size();
-      if (listen_fd >= 0) pfds.push_back(pollfd{listen_fd, POLLIN, 0});
-      const std::size_t conns_at = pfds.size();
+      pfds.push_back(pollfd{listen_fd, POLLIN, 0});
+      constexpr std::size_t conns_at = 1;
       for (auto& c : conns) {
         short events = POLLIN;
         if (c->outpos < c->outbuf.size()) events |= POLLOUT;
@@ -342,11 +279,7 @@ struct Coordinator::Impl {
 
       // Sleep until the next lease deadline (so expiry is prompt) but
       // at most 200 ms (heartbeat bookkeeping), at least 10 ms.
-      std::uint64_t deadline;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        deadline = table->next_deadline();
-      }
+      const std::uint64_t deadline = table.next_deadline();
       const std::uint64_t now = steady_ms();
       std::uint64_t wait = 200;
       if (deadline != UINT64_MAX) {
@@ -362,14 +295,7 @@ struct Coordinator::Impl {
                              std::strerror(errno));
       }
 
-      if (pfds[0].revents & POLLIN) {
-        char sink[256];
-        while (::read(wake_rd, sink, sizeof sink) > 0) {
-        }
-      }
-      if (listen_fd >= 0 && (pfds[listener_at].revents & POLLIN)) {
-        accept_new();
-      }
+      if (pfds[0].revents & POLLIN) accept_new();
       // Only connections that existed before poll() have a pfds slot;
       // the ones accept_new() just appended wait for the next round.
       const std::size_t polled = pfds.size() - conns_at;
@@ -390,14 +316,10 @@ struct Coordinator::Impl {
 
       // Lease expiry: configs stuck on dead-but-undetected workers
       // return to the pool.
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        const std::uint64_t expired = table->expire(steady_ms());
-        if (expired > 0 && opt.verbose) {
-          PIPO_LOG_INFO("coordinator: %llu lease(s) expired and "
-                        "reassignable",
-                        static_cast<unsigned long long>(expired));
-        }
+      const std::uint64_t expired = table.expire(steady_ms());
+      if (expired > 0 && opt.verbose) {
+        PIPO_LOG_INFO("coordinator: %llu lease(s) expired and reassignable",
+                      static_cast<unsigned long long>(expired));
       }
       // Heartbeat timeouts: a silent connection is a dead worker whose
       // TCP stack never said goodbye (SIGKILL, kernel panic, netsplit).
@@ -417,15 +339,13 @@ struct Coordinator::Impl {
     // in the queue while the last configs finished deserves its
     // Shutdown like everyone else — closing the listener would reset
     // its connection and send it into a futile reconnect spiral.
-    if (listen_fd >= 0) {
-      accept_new();
-      // Then close the listener so any *later* connect is refused
-      // immediately (the worker gives up after max_reconnects) instead
-      // of parking in a backlog nobody will ever accept from — a full
-      // backlog leaves connect() in SYN-SENT indefinitely.
-      ::close(listen_fd);
-      listen_fd = -1;
-    }
+    accept_new();
+    // Then close the listener so any *later* connect is refused
+    // immediately (the worker gives up after max_reconnects) instead
+    // of parking in a backlog nobody will ever accept from — a full
+    // backlog leaves connect() in SYN-SENT indefinitely.
+    ::close(listen_fd);
+    listen_fd = -1;
     // Broadcast Shutdown and give the sockets a moment to drain — a
     // worker blocked in recv gets its clean exit instead of an EOF.
     for (auto& c : conns) {
@@ -453,72 +373,28 @@ struct Coordinator::Impl {
   }
 };
 
-Coordinator::Coordinator(CampaignSpec spec, CoordinatorOptions opt)
-    : impl_(new Impl) {
+Coordinator::Coordinator(CampaignSpec spec, CoordinatorOptions opt) {
   spec.validate();
   if (!spec.record_dir.empty()) {
-    delete impl_;
-    impl_ = nullptr;
     throw std::invalid_argument(
         "coordinator: capture campaigns (record_dir) are standalone-only "
         "— each worker would record to its own disk");
   }
-  impl_->spec = std::move(spec);
-  impl_->opt = opt;
-  impl_->keys = enumerate_campaign(impl_->spec);
-  impl_->table = std::make_unique<LeaseTable>(
-      impl_->keys.size(), opt.lease_ms == 0 ? 1 : opt.lease_ms);
-  impl_->recs.resize(impl_->keys.size());
-
-  int pipefd[2];
-  if (::pipe(pipefd) != 0) {
-    delete impl_;
-    impl_ = nullptr;
-    throw TransportError(std::string("coordinator pipe: ") +
-                         std::strerror(errno));
-  }
-  impl_->wake_rd = pipefd[0];
-  impl_->wake_wr = pipefd[1];
-  set_nonblocking(impl_->wake_rd);
-  set_nonblocking(impl_->wake_wr);
-
-  if (opt.listen) {
-    try {
-      std::uint16_t port = opt.port;
-      impl_->listen_fd = tcp_listen(port, 64);
-      set_nonblocking(impl_->listen_fd);
-      port_ = port;
-    } catch (const TransportError& e) {
-      // No network (sandbox, exhausted ports): degrade to in-process
-      // execution rather than failing the campaign.
-      PIPO_LOG_WARN("coordinator: cannot listen (%s); degrading to "
-                    "in-process workers",
-                    e.what());
-      impl_->listen_fd = -1;
-    }
-  }
-  if (impl_->listen_fd < 0 && impl_->opt.local_workers == 0) {
-    impl_->opt.local_workers = 1;
-  }
+  impl_ = std::make_unique<Impl>(std::move(spec), opt);
+  std::uint16_t port = opt.port;
+  impl_->listen_fd = tcp_listen(port, 64);
+  set_nonblocking(impl_->listen_fd);
+  port_ = port;
 }
 
-Coordinator::~Coordinator() { delete impl_; }
+Coordinator::~Coordinator() = default;
 
 CampaignOutcome Coordinator::run() {
   Impl& im = *impl_;
-  CampaignOutcome out;
-  if (im.keys.empty()) return out;
-
-  im.locals.reserve(im.opt.local_workers);
-  for (unsigned i = 0; i < im.opt.local_workers; ++i) {
-    im.locals.emplace_back([&im, i] { im.local_worker(i); });
-  }
-
   im.event_loop();
   im.shutdown_workers();
-  for (auto& t : im.locals) t.join();
-  im.locals.clear();
 
+  CampaignOutcome out;
   out.records.reserve(im.recs.size());
   for (const Impl::Rec& r : im.recs) {
     out.records.push_back(r.json);

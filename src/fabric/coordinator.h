@@ -1,6 +1,6 @@
 // Campaign coordinator: shards a campaign into config-id-keyed leases,
-// hands them to workers (remote over TCP, or in-process threads), and
-// merges per-config JSON records into one deterministic output.
+// serves them to pipo_worker processes over TCP, and merges their
+// per-config JSON records into one deterministic output.
 //
 // Robustness contract (docs/fabric.md spells out each failure mode):
 //
@@ -15,20 +15,18 @@
 //  * A connection that goes quiet past the heartbeat timeout, sends a
 //    malformed frame, or closes is dropped and its leases released;
 //    the campaign continues.
-//  * Graceful degradation: with no listener (port 0 and no local
-//    workers requested, or bind failure — e.g. a sandbox with no
-//    network) the coordinator runs the campaign on in-process worker
-//    threads that go through the same lease table, so "no fleet" is
-//    just the 1-worker point of the same machinery.
+//  * No listener, no coordinator: a constructor that cannot bind throws
+//    TransportError. A campaign without a fleet runs in process through
+//    run_campaign (fabric/campaign.h), which writes the same records.
 //  * Clean shutdown: once every config has a result the coordinator
 //    broadcasts Shutdown, drains outbound bytes, and only then closes.
 //
-// The coordinator is single-threaded (one poll loop); in-process
-// workers synchronize with it through one mutex around the lease table
-// and result store.
+// The coordinator is single-threaded: one poll loop owns the listener,
+// every connection, the lease table and the result store.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,22 +35,14 @@
 namespace pipo {
 
 struct CoordinatorOptions {
-  /// TCP listen port; 0 picks an ephemeral port (see port()). Set
-  /// listen=false to run without a socket at all.
+  /// TCP listen port; 0 picks an ephemeral port (see port()).
   std::uint16_t port = 0;
-  bool listen = true;
-  /// In-process worker threads sharing the lease table. With listen
-  /// disabled (or bind failure) and local_workers == 0, one local
-  /// worker is forced so the campaign can always make progress.
-  unsigned local_workers = 0;
   /// Lease deadline: a config not completed this long after its grant
   /// is reassigned (the holder may have died mid-run).
   std::uint64_t lease_ms = 60'000;
   /// A connection silent this long (no frames, not even heartbeats) is
   /// dropped and its leases released.
   std::uint64_t heartbeat_timeout_ms = 15'000;
-  /// Retry hint sent with NoWork when everything is leased.
-  std::uint64_t no_work_retry_ms = 20;
   bool verbose = false;  ///< progress lines on stderr
 };
 
@@ -66,14 +56,14 @@ struct CampaignOutcome {
 class Coordinator {
  public:
   /// Validates the spec (and rejects capture campaigns — record_dir is
-  /// standalone-only); binds the listener unless opt.listen is false.
-  /// Throws std::invalid_argument / TransportError.
+  /// standalone-only), then binds the listener. Throws
+  /// std::invalid_argument, or TransportError when it cannot listen.
   Coordinator(CampaignSpec spec, CoordinatorOptions opt);
   ~Coordinator();
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
-  /// The bound listen port (valid after construction when listening).
+  /// The bound listen port.
   std::uint16_t port() const { return port_; }
 
   /// Runs the campaign to completion: serves workers until every
@@ -83,7 +73,7 @@ class Coordinator {
 
  private:
   struct Impl;
-  Impl* impl_;
+  std::unique_ptr<Impl> impl_;
   std::uint16_t port_ = 0;
 };
 

@@ -29,8 +29,8 @@
 //
 // Time is a caller-supplied millisecond clock (steady_clock in the
 // coordinator, a virtual counter in tests), and the table does no
-// locking — the coordinator serializes access (its poll loop plus a
-// mutex for in-process workers).
+// locking — the coordinator's single-threaded poll loop is its only
+// caller.
 #pragma once
 
 #include <cstdint>

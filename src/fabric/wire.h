@@ -1,18 +1,16 @@
 // Byte-level serialization primitives for the fabric's frame payloads.
 //
 // Same conventions as the binary trace codec (workload/trace_codec.h):
-// LEB128 varints for integers (at most 10 bytes), fixed little-endian
-// for the few width-sensitive fields, strings as varint length + raw
-// bytes, doubles as their IEEE-754 bit pattern (bit-exact round trip —
-// a result merged through the fabric must not differ in the last ulp
-// from one computed locally). WireReader rejects every malformed shape
-// (truncated varint, overlong varint, string past the end, trailing
-// junk) with std::invalid_argument naming the field and the byte offset
-// inside the payload.
+// LEB128 varints for integers (at most 10 bytes), single bytes for
+// flags and enums, strings as varint length + raw bytes. Results travel
+// as their rendered JSON text, so no message carries a double.
+// WireReader rejects every malformed shape (truncated varint, overlong
+// varint, string past the end, trailing junk) with
+// std::invalid_argument naming the field and the payload byte it starts
+// at.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,10 +20,6 @@ namespace pipo {
 class WireWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
-
-  void u32le(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back((v >> (8 * i)) & 0xFF);
-  }
 
   void varint(std::uint64_t v) {
     while (v >= 0x80) {
@@ -38,13 +32,6 @@ class WireWriter {
   void str(const std::string& s) {
     varint(s.size());
     buf_.insert(buf_.end(), s.begin(), s.end());
-  }
-
-  void f64(double d) {
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof d);
-    std::memcpy(&bits, &d, sizeof bits);
-    for (int i = 0; i < 8; ++i) buf_.push_back((bits >> (8 * i)) & 0xFF);
   }
 
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
@@ -62,21 +49,13 @@ class WireReader {
       : WireReader(v.data(), v.size()) {}
 
   std::uint8_t u8(const char* what) {
+    field_ = pos_;
     need(1, what);
     return data_[pos_++];
   }
 
-  std::uint32_t u32le(const char* what) {
-    need(4, what);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-
   std::uint64_t varint(const char* what) {
+    field_ = pos_;
     std::uint64_t v = 0;
     for (int shift = 0; shift < 64; shift += 7) {
       if (pos_ >= size_) bad(what, "truncated varint");
@@ -101,30 +80,18 @@ class WireReader {
     return s;
   }
 
-  double f64(const char* what) {
-    need(8, what);
-    std::uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) {
-      bits |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    double d;
-    std::memcpy(&d, &bits, sizeof d);
-    return d;
-  }
-
   bool done() const { return pos_ == size_; }
-  std::size_t offset() const { return pos_; }
 
   /// Payload decoders call this last: a payload with trailing bytes is
   /// malformed (a frame type/version mismatch would look like this).
+  /// Names the first trailing byte.
   void expect_done(const char* what) const {
-    if (!done()) bad(what, "trailing bytes after payload");
+    if (!done()) fail(what, "trailing bytes after payload", pos_);
   }
 
+  /// Rejects the field read last, naming the payload byte it starts at.
   [[noreturn]] void bad(const char* what, const std::string& why) const {
-    throw std::invalid_argument(std::string(what) + ": " + why +
-                                " at payload byte " + std::to_string(pos_));
+    fail(what, why, field_);
   }
 
  private:
@@ -132,9 +99,16 @@ class WireReader {
     if (size_ - pos_ < n) bad(what, "truncated payload");
   }
 
+  [[noreturn]] static void fail(const char* what, const std::string& why,
+                                std::size_t at) {
+    throw std::invalid_argument(std::string(what) + ": " + why +
+                                " at payload byte " + std::to_string(at));
+  }
+
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
+  std::size_t field_ = 0;  ///< first byte of the field read last
 };
 
 }  // namespace pipo

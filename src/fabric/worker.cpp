@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -68,11 +69,6 @@ class HeartbeatPump {
 
 Worker::Worker(WorkerOptions opt) : opt_(std::move(opt)) {
   opt_.faults.validate();
-  if (!opt_.dial) {
-    const std::string host = opt_.host;
-    const std::uint16_t port = opt_.port;
-    opt_.dial = [host, port] { return tcp_connect(host, port); };
-  }
 }
 
 int Worker::run() {
@@ -99,7 +95,7 @@ int Worker::run() {
   while (attempts <= opt_.max_reconnects) {
     std::unique_ptr<ByteLink> link;
     try {
-      link = opt_.dial();
+      link = tcp_connect(opt_.host, opt_.port);
       if (opt_.faults.any()) {
         // Each connection gets its own fault stream so a reconnect
         // does not replay the exact fault that killed the last link.

@@ -24,8 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 
 #include "fabric/transport.h"
@@ -35,9 +33,6 @@ namespace pipo {
 struct WorkerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
-  /// Test hook: replaces tcp_connect(host, port) as the way to obtain
-  /// a fresh link (e.g. socketpair ends in-process).
-  std::function<std::unique_ptr<ByteLink>()> dial;
   /// Fault injection applied to every dialed link (FaultSpec::any()).
   FaultSpec faults;
 

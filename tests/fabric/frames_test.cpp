@@ -259,9 +259,10 @@ TEST(FabricFramesMalformed, TrailingPayloadBytesRejected) {
     decode_hello(f);
     ADD_FAILURE() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("trailing bytes"),
-              std::string::npos)
-        << e.what();
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("trailing bytes"), std::string::npos) << msg;
+    // The one-byte worker id is followed by the first trailing byte.
+    EXPECT_TRUE(msg.ends_with("at payload byte 1")) << msg;
   }
 }
 
@@ -324,12 +325,20 @@ TEST(FabricFramesMalformed, CampaignSpecBadDefenseKind) {
   // + defense count(1).
   bytes[4] = 250;
   WireReader r(bytes);
-  EXPECT_THROW(decode_campaign_spec(r), std::invalid_argument);
+  try {
+    decode_campaign_spec(r);
+    ADD_FAILURE() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("spec.defense"), std::string::npos) << msg;
+    EXPECT_TRUE(msg.ends_with("at payload byte 4")) << msg;
+  }
 }
 
 // mix_lo, mix_hi, seeds and fuzz_perm_rounds are 32-bit fields sent as
-// 64-bit varints. A value above 32 bits must be rejected by name: if it
-// were truncated, mix_lo = 2^32 + 3 would decode as mix 3 and validate.
+// 64-bit varints. A value above 32 bits must be rejected by name and by
+// the payload byte the field starts at: if it were truncated,
+// mix_lo = 2^32 + 3 would decode as mix 3 and validate.
 TEST(FabricFramesMalformed, CampaignSpecOutOfRangeFieldsRejected) {
   CampaignSpec spec;
   spec.mix_lo = 3;
@@ -362,6 +371,8 @@ TEST(FabricFramesMalformed, CampaignSpecOutOfRangeFieldsRejected) {
   };
   for (const auto& f : fields) {
     ASSERT_LT(valid[f.offset], 0x80) << f.field;
+    std::string at = "at payload byte ";
+    at += std::to_string(f.offset);
     {
       // The largest 32-bit value still decodes.
       const std::vector<std::uint8_t> bytes = with(f.offset, 0xFFFF'FFFF);
@@ -376,8 +387,9 @@ TEST(FabricFramesMalformed, CampaignSpecOutOfRangeFieldsRejected) {
         decode_campaign_spec(r);
         ADD_FAILURE() << f.field << " = " << v << " decoded";
       } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find(f.field), std::string::npos)
-            << e.what();
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(f.field), std::string::npos) << msg;
+        EXPECT_TRUE(msg.ends_with(at)) << msg;
       }
     }
   }

@@ -1,7 +1,8 @@
 // Unit tests for the fabric transport layer (fabric/transport.h):
 // FrameChannel over a real socketpair (send/recv, timeout, clean EOF
-// vs mid-frame truncation) and the deterministic FaultyTransport —
-// same seed, same frame sequence, same fault schedule, every time.
+// vs mid-frame truncation), a coordinator that cannot listen, and the
+// deterministic FaultyTransport — same seed, same frame sequence, same
+// fault schedule, every time.
 #include "fabric/transport.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "fabric/coordinator.h"
 #include "fabric/frames.h"
 
 namespace pipo {
@@ -127,6 +129,20 @@ TEST(TransportTest, ConnectRefusedThrowsTransportError) {
   const int fd = tcp_listen(port, 1);
   ::close(fd);
   EXPECT_THROW(tcp_connect("127.0.0.1", port), TransportError);
+}
+
+// A coordinator serves TCP workers only: one whose port another
+// listener holds throws rather than run the campaign some other way.
+TEST(Coordinator, HeldPortThrowsTransportError) {
+  std::uint16_t port = 0;
+  const int held = tcp_listen(port, 1);
+  CampaignSpec spec;
+  spec.mix_hi = 1;
+  spec.defenses = {DefenseKind::kNone};
+  CoordinatorOptions opt;
+  opt.port = port;
+  EXPECT_THROW({ Coordinator coord(spec, opt); }, TransportError);
+  ::close(held);
 }
 
 // --------------------------------------------------- fault injection

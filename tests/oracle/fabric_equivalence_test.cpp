@@ -98,31 +98,6 @@ void expect_identical(const std::vector<std::string>& serial,
   }
 }
 
-TEST(FabricEquivalence, DegradedModeLocalThreadsMatchSerial) {
-  const CampaignSpec spec = test_spec();
-  const auto serial = serial_records(spec);
-  for (unsigned local : {1u, 2u, 4u}) {
-    CoordinatorOptions copt;
-    copt.listen = false;
-    copt.local_workers = local;
-    std::vector<WorkerRun> none;
-    const CampaignOutcome out = run_fabric(spec, copt, none);
-    expect_identical(serial, out.records,
-                     "local_workers=" + std::to_string(local));
-    EXPECT_EQ(out.failed, 0u);
-  }
-}
-
-TEST(FabricEquivalence, NoListenerAndNoWorkersForcesOneLocalWorker) {
-  const CampaignSpec spec = test_spec(1);
-  CoordinatorOptions copt;
-  copt.listen = false;
-  copt.local_workers = 0;  // would deadlock if honored literally
-  std::vector<WorkerRun> none;
-  const CampaignOutcome out = run_fabric(spec, copt, none);
-  expect_identical(serial_records(spec), out.records, "forced local");
-}
-
 TEST(FabricEquivalence, TcpWorkersMatchSerialAtEveryWorkerCount) {
   const CampaignSpec spec = test_spec(3);
   const auto serial = serial_records(spec);
@@ -153,19 +128,6 @@ TEST(FabricEquivalence, TcpWorkersMatchSerialAtEveryWorkerCount) {
     // be deduped, so total == campaign size exactly.
     EXPECT_EQ(total, serial.size());
   }
-}
-
-TEST(FabricEquivalence, MixedLocalAndTcpWorkersMatchSerial) {
-  const CampaignSpec spec = test_spec(3);
-  std::vector<WorkerRun> workers(2);
-  workers[0].opt.seed = 1;
-  workers[1].opt.seed = 2;
-  fast_backoff(workers[0].opt);
-  fast_backoff(workers[1].opt);
-  CoordinatorOptions copt;
-  copt.local_workers = 2;
-  const CampaignOutcome out = run_fabric(spec, copt, workers);
-  expect_identical(serial_records(spec), out.records, "2 local + 2 tcp");
 }
 
 // Workers crash at the two interesting instants: holding an unfinished

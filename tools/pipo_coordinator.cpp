@@ -5,7 +5,8 @@
 // worker count and under any worker failure schedule (docs/fabric.md).
 //
 // Usage:
-//   pipo_coordinator [--port P] [--port-file FILE] [--workers N]
+//   pipo_coordinator [--port P] [--port-file FILE]
+//                    [--no-listen [--workers N]]
 //                    [--lease-ms L] [--heartbeat-timeout-ms H]
 //                    [--mixes a-b] [--defenses all|none,pipo,...]
 //                    [--seeds K] [--instr M] [--ws-div D]
@@ -14,14 +15,17 @@
 //                    [--trace PATH]... [--no-mixes] [--out FILE]
 //                    [--verbose]
 //
-// --workers N runs N in-process worker threads alongside (or instead
-// of) the fleet; with --port 0 and no --port-file the kernel still
-// picks a port, so pass --no-listen to run purely in-process.
-// --port-file writes the bound port (a line of digits) once listening —
-// scripts wait for the file instead of racing the bind. Exit status: 0
-// if every config succeeded, 1 if any produced an error record, 2 for
-// usage errors.
+// --port 0 lets the kernel pick the port; --port-file writes the bound
+// port (a line of digits) once listening — scripts wait for the file
+// instead of racing the bind. --no-listen opens no socket and runs the
+// campaign on N in-process threads (default 1) through run_campaign,
+// writing the records `sweep_runner --deterministic` writes; so does a
+// coordinator that cannot bind its port, on one thread, after a warning.
+// To add this host's cores to a fleet, start pipo_worker processes on
+// it. Exit status: 0 if every config succeeded, 1 if any produced an
+// error record, 2 for usage errors.
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -30,6 +34,7 @@
 #include "common/parse_num.h"
 #include "fabric/campaign.h"
 #include "fabric/coordinator.h"
+#include "fabric/transport.h"
 
 namespace {
 
@@ -38,6 +43,8 @@ using namespace pipo;
 struct Options {
   CampaignSpec spec;
   CoordinatorOptions coord;
+  bool listen = true;
+  unsigned workers = 0;  ///< in-process threads under --no-listen
   std::string out;
   std::string port_file;
   std::vector<std::string> trace_paths;
@@ -59,9 +66,9 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--port-file") {
       o.port_file = value();
     } else if (arg == "--no-listen") {
-      o.coord.listen = false;
+      o.listen = false;
     } else if (arg == "--workers") {
-      o.coord.local_workers = parse_uint32(value(), "--workers", 0, 1024);
+      o.workers = parse_uint32(value(), "--workers", 0, 1024);
     } else if (arg == "--lease-ms") {
       o.coord.lease_ms = parse_uint(value(), "--lease-ms", 1);
     } else if (arg == "--heartbeat-timeout-ms") {
@@ -76,7 +83,46 @@ Options parse_args(int argc, char** argv) {
       throw std::invalid_argument("unknown argument: " + arg);
     }
   }
+  if (o.listen && o.workers > 0) {
+    throw std::invalid_argument(
+        "--workers needs --no-listen; to add this host's cores to the "
+        "fleet, start pipo_worker processes here");
+  }
   return o;
+}
+
+/// The campaign on `threads` in-process threads: the records
+/// `sweep_runner --deterministic` writes.
+CampaignOutcome run_in_process(const CampaignSpec& spec, unsigned threads) {
+  CampaignOutcome out;
+  for (const ConfigResult& r : run_campaign(spec, threads)) {
+    out.records.push_back(config_result_json(r, /*include_wall=*/false));
+    out.failed += r.error.empty() ? 0 : 1;
+  }
+  return out;
+}
+
+/// Serves the campaign to pipo_worker processes, or runs it in process
+/// when the listener cannot bind (a sandbox with no network).
+CampaignOutcome serve(const Options& opt) {
+  std::optional<Coordinator> coord;
+  try {
+    coord.emplace(opt.spec, opt.coord);
+  } catch (const TransportError& e) {
+    PIPO_LOG_WARN("coordinator: cannot listen (%s); degrading to "
+                  "in-process workers",
+                  e.what());
+    return run_in_process(opt.spec, 1);
+  }
+  if (!opt.port_file.empty()) {
+    std::FILE* pf = std::fopen(opt.port_file.c_str(), "w");
+    if (!pf) throw std::runtime_error("cannot open " + opt.port_file);
+    std::fprintf(pf, "%u\n", coord->port());
+    std::fclose(pf);
+  }
+  std::fprintf(stderr, "pipo_coordinator: listening on port %u\n",
+               coord->port());
+  return coord->run();
 }
 
 }  // namespace
@@ -93,24 +139,8 @@ int main(int argc, char** argv) {
   }
 
   try {
-    Coordinator coord(opt.spec, opt.coord);
-    if (!opt.port_file.empty()) {
-      std::FILE* pf = std::fopen(opt.port_file.c_str(), "w");
-      if (!pf) {
-        std::fprintf(stderr, "pipo_coordinator: cannot open %s\n",
-                     opt.port_file.c_str());
-        return 2;
-      }
-      std::fprintf(pf, "%u\n", coord.port());
-      std::fclose(pf);
-    }
-    if (coord.port() != 0) {
-      std::fprintf(stderr, "pipo_coordinator: listening on port %u\n",
-                   coord.port());
-    }
-
-    const CampaignOutcome outcome = coord.run();
-
+    const CampaignOutcome outcome =
+        opt.listen ? serve(opt) : run_in_process(opt.spec, opt.workers);
     write_campaign_file(opt.out, outcome.records);
 
     std::fprintf(stderr,
