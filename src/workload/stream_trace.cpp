@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <stdexcept>
+#include <utility>
 
 namespace pipo {
 
@@ -15,58 +16,25 @@ std::unique_ptr<std::istream> open_input(const std::string& path) {
 
 }  // namespace
 
-TraceReader::TraceReader(const std::string& path)
-    : TraceReader(open_input(path)) {}
-
-TraceReader::TraceReader(std::unique_ptr<std::istream> is)
-    : is_(std::move(is)),
-      format_(detect_trace_format(*is_)),
-      decoder_(make_trace_decoder(*is_, format_)) {}
-
-TraceReader::TraceReader(std::unique_ptr<std::istream> is,
-                         std::unique_ptr<TraceDecoder> decoder,
-                         TraceFormat format)
-    : is_(std::move(is)), format_(format), decoder_(std::move(decoder)) {}
-
-std::size_t TraceReader::fill(MemRequest* out, std::size_t max) {
-  std::size_t n = 0;
-  while (n < max) {
-    auto r = decoder_->next();
-    if (!r) break;
-    out[n++] = *r;
-  }
-  return n;
-}
-
-StreamingTraceWorkload::StreamingTraceWorkload(const std::string& path,
-                                               std::size_t chunk_requests)
-    : StreamingTraceWorkload(TraceReader(path), chunk_requests) {}
+StreamingTraceWorkload::StreamingTraceWorkload(const std::string& path)
+    : StreamingTraceWorkload(open_input(path)) {}
 
 StreamingTraceWorkload::StreamingTraceWorkload(
-    std::unique_ptr<std::istream> is, std::size_t chunk_requests)
-    : StreamingTraceWorkload(TraceReader(std::move(is)), chunk_requests) {}
+    std::unique_ptr<std::istream> is)
+    : is_(std::move(is)), decoder_(make_trace_decoder(*is_)) {}
 
-StreamingTraceWorkload::StreamingTraceWorkload(TraceReader reader,
-                                               std::size_t chunk_requests)
-    : reader_(std::move(reader)) {
-  // Fixed-size once: resize() here, never push_back, so the buffer's
-  // capacity stays at the configured chunk for the life of the replay.
-  chunk_.resize(chunk_requests == 0 ? 1 : chunk_requests);
-  chunk_.shrink_to_fit();
-}
+StreamingTraceWorkload::StreamingTraceWorkload(
+    std::unique_ptr<std::istream> is, std::unique_ptr<TraceDecoder> decoder)
+    : is_(std::move(is)), decoder_(std::move(decoder)) {}
 
 bool StreamingTraceWorkload::has_requests() {
-  if (pos_ >= len_) {
-    len_ = reader_.fill(chunk_.data(), chunk_.size());
-    pos_ = 0;
-  }
-  return pos_ < len_;
+  if (!ahead_) ahead_ = decoder_->next();
+  return ahead_.has_value();
 }
 
 std::optional<MemRequest> StreamingTraceWorkload::next(Tick) {
-  if (!has_requests()) return std::nullopt;
-  ++replayed_;
-  return chunk_[pos_++];
+  if (ahead_) return std::exchange(ahead_, std::nullopt);
+  return decoder_->next();
 }
 
 namespace {

@@ -1,14 +1,9 @@
 #include "workload/trace_frame.h"
 
-#include <algorithm>
 #include <array>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
-
-#if defined(PIPO_HAVE_ZSTD)
-#include <zstd.h>
-#endif
 
 namespace pipo {
 
@@ -16,7 +11,7 @@ namespace {
 
 constexpr std::uint8_t kFrameEnd = 0x00;
 constexpr std::uint8_t kFrameRaw = 0x01;
-constexpr std::uint8_t kFrameZstd = 0x02;
+constexpr std::uint8_t kRetiredFrameZstd = 0x02;
 constexpr char kFramedIndexMagic[8] = {'P', 'I', 'P', 'O',
                                        'I', 'D', 'X', '1'};
 // A frame the encoder would never write (the default is ~tens of KiB);
@@ -40,6 +35,18 @@ std::string bad_magic(const char* magic) {
            "with trace_convert from an older build)";
   }
   return "bad magic (want \"PIPOTRC3\")";
+}
+
+/// The diagnostic for a frame marker other than raw (0x01) or the end
+/// marker (0x00). Marker 0x02, the retired zstd-compressed frame, is
+/// named for the same reason as the retired magic above.
+std::string bad_marker(int marker) {
+  if (marker == kRetiredFrameZstd) {
+    return "frame marker 0x02 is the retired zstd-compressed frame, which "
+           "this build no longer reads (convert the trace to text with "
+           "trace_convert from an older build)";
+  }
+  return "unknown frame marker";
 }
 
 void append_u32le(std::vector<std::uint8_t>& out, std::uint32_t v) {
@@ -91,14 +98,6 @@ std::uint64_t read_u64le(Source& src, const char* what) {
 
 }  // namespace
 
-bool framed_zstd_available() {
-#if defined(PIPO_HAVE_ZSTD)
-  return true;
-#else
-  return false;
-#endif
-}
-
 std::uint32_t framed_crc32(const std::uint8_t* data, std::size_t len) {
   static const std::array<std::uint32_t, 256> table = [] {
     std::array<std::uint32_t, 256> t{};
@@ -124,11 +123,6 @@ FramedTraceEncoder::FramedTraceEncoder(std::ostream& os,
                                        FramedTraceOptions opts)
     : os_(os), opts_(opts) {
   if (opts_.frame_requests == 0) opts_.frame_requests = 1;
-  if (opts_.compress && !framed_zstd_available()) {
-    throw std::runtime_error(
-        "zstd frame compression requested but this build has no zstd "
-        "(rebuild with zstd headers available, or store frames raw)");
-  }
   write_bytes(reinterpret_cast<const std::uint8_t*>(kTraceMagicV3),
               sizeof kTraceMagicV3);
 }
@@ -154,35 +148,16 @@ void FramedTraceEncoder::put(const MemRequest& r) {
 
 void FramedTraceEncoder::flush_frame() {
   if (frame_count_ == 0) return;
-  const std::uint8_t* stored = payload_.data();
-  std::uint64_t stored_len = payload_.size();
-  const std::uint64_t raw_len = payload_.size();
-  std::uint8_t marker = kFrameRaw;
-#if defined(PIPO_HAVE_ZSTD)
-  if (opts_.compress) {
-    const std::size_t bound = ZSTD_compressBound(payload_.size());
-    zbuf_.resize(bound);
-    const std::size_t zn =
-        ZSTD_compress(zbuf_.data(), bound, payload_.data(), payload_.size(),
-                      opts_.compression_level);
-    // A frame compression fails to shrink is stored raw — the reader
-    // treats the two markers uniformly.
-    if (!ZSTD_isError(zn) && zn < payload_.size()) {
-      marker = kFrameZstd;
-      stored = zbuf_.data();
-      stored_len = zn;
-    }
-  }
-#endif
   head_.clear();
-  head_.push_back(marker);
+  head_.push_back(kFrameRaw);
   trace_v2::append_varint(head_, frame_count_);
-  trace_v2::append_varint(head_, stored_len);
-  trace_v2::append_varint(head_, raw_len);
-  append_u32le(head_, framed_crc32(stored, stored_len));
+  // payload_len, then raw_len: equal, as in every frame v3 writes.
+  trace_v2::append_varint(head_, payload_.size());
+  trace_v2::append_varint(head_, payload_.size());
+  append_u32le(head_, framed_crc32(payload_.data(), payload_.size()));
   index_.push_back({written_, frame_count_});
   write_bytes(head_.data(), head_.size());
-  write_bytes(stored, stored_len);
+  write_bytes(payload_.data(), payload_.size());
   payload_.clear();
   prev_line_ = 0;  // each frame is a delta-base restart point
   frame_count_ = 0;
@@ -278,7 +253,11 @@ bool FramedTraceDecoder::load_next_frame() {
     validate_index_and_footer(marker_off);
     return false;
   }
-  if (m != kFrameRaw && m != kFrameZstd) src_.bad("unknown frame marker");
+  if (m != kFrameRaw) {
+    throw std::invalid_argument("framed trace, byte " +
+                                std::to_string(marker_off) + ": " +
+                                bad_marker(m));
+  }
 
   const std::uint64_t requests =
       trace_v2::read_varint(src_, "frame request count");
@@ -290,13 +269,10 @@ bool FramedTraceDecoder::load_next_frame() {
   if (payload_len == 0 || payload_len > kMaxFramePayloadBytes) {
     src_.bad("implausible frame payload length");
   }
-  if (raw_len > kMaxFramePayloadBytes) {
-    src_.bad("implausible frame raw length");
-  }
-  if (m == kFrameRaw && raw_len != payload_len) {
+  if (raw_len != payload_len) {
     src_.bad("raw frame whose raw length differs from its payload length");
   }
-  if (requests > raw_len / kMinRecordBytes) {
+  if (requests > payload_len / kMinRecordBytes) {
     src_.bad("frame request count exceeds what the payload could hold");
   }
   const std::uint32_t want_crc = read_u32le(src_, "frame checksum");
@@ -308,32 +284,8 @@ bool FramedTraceDecoder::load_next_frame() {
         "framed trace, byte " + std::to_string(marker_off) +
         ": frame checksum mismatch (payload corrupt)");
   }
-
-  const std::uint8_t* data = stored_.data();
-  std::size_t n = stored_.size();
-  if (m == kFrameZstd) {
-#if defined(PIPO_HAVE_ZSTD)
-    raw_.resize(raw_len);
-    const std::size_t got =
-        ZSTD_decompress(raw_.data(), raw_len, stored_.data(), stored_.size());
-    if (ZSTD_isError(got) || got != raw_len) {
-      throw std::invalid_argument(
-          "framed trace, byte " + std::to_string(marker_off) +
-          ": zstd frame does not decompress to its raw length");
-    }
-    data = raw_.data();
-    n = raw_len;
-#else
-    throw std::invalid_argument(
-        "framed trace, byte " + std::to_string(marker_off) +
-        ": zstd-compressed frame but this build has no zstd "
-        "(rebuild with zstd, or reconvert the trace with frames raw)");
-#endif
-  }
-  // For raw frames the base offset makes record diagnostics absolute
-  // file bytes; for zstd frames the position is within the decompressed
-  // payload, anchored at the payload's file offset.
-  cur_.emplace(data, n, payload_off, "framed trace");
+  // The base offset makes record diagnostics absolute file bytes.
+  cur_.emplace(stored_.data(), stored_.size(), payload_off, "framed trace");
   prev_line_ = 0;
   frame_left_ = requests;
   seen_.push_back({marker_off, requests});
@@ -484,21 +436,8 @@ FramedTraceFile::FramedTraceFile(std::string path) : path_(std::move(path)) {
   end_marker_offset_ = end_off;
 }
 
-std::size_t FramedTraceFile::frame_of_request(std::uint64_t n) const {
-  if (n >= total_requests_) {
-    throw std::out_of_range("request index " + std::to_string(n) +
-                            " past the end of the trace (" +
-                            std::to_string(total_requests_) + " requests)");
-  }
-  const auto it = std::upper_bound(
-      frames_.begin(), frames_.end(), n,
-      [](std::uint64_t v, const FramedFrameInfo& f) {
-        return v < f.first_request;
-      });
-  return static_cast<std::size_t>((it - frames_.begin()) - 1);
-}
-
-TraceReader FramedTraceFile::reader_from_frame(std::size_t k) const {
+std::unique_ptr<StreamingTraceWorkload> FramedTraceFile::workload_from_frame(
+    std::size_t k) const {
   if (k > frames_.size()) {
     throw std::out_of_range("frame index " + std::to_string(k) +
                             " past the end of the trace (" +
@@ -517,13 +456,8 @@ TraceReader FramedTraceFile::reader_from_frame(std::size_t k) const {
   }
   auto dec = std::make_unique<FramedTraceDecoder>(*f, kTraceChunkBytes, off,
                                                   k, skipped_requests);
-  return TraceReader(std::move(f), std::move(dec), TraceFormat::kFramedV3);
-}
-
-std::unique_ptr<StreamingTraceWorkload> FramedTraceFile::workload_from_frame(
-    std::size_t k, std::size_t chunk_requests) const {
-  return std::make_unique<StreamingTraceWorkload>(reader_from_frame(k),
-                                                  chunk_requests);
+  return std::make_unique<StreamingTraceWorkload>(std::move(f),
+                                                  std::move(dec));
 }
 
 }  // namespace pipo

@@ -17,9 +17,10 @@
 //     | marker | varint        | varint      | varint  | u32   | payload |
 //     | 1 byte | request_count | payload_len | raw_len | crc32 | bytes   |
 //     +--------+---------------+-------------+---------+-------+---------+
-//     marker 0x01 = raw payload, 0x02 = zstd-compressed payload
+//     marker 0x01 = raw payload (the only frame kind; 0x02 was the
+//     retired zstd-compressed frame and is rejected by name)
 //     request_count > 0; payload_len = stored payload bytes;
-//     raw_len = decoded payload bytes (== payload_len for raw frames);
+//     raw_len = decoded payload bytes (always == payload_len);
 //     crc32 (IEEE, poly 0xEDB88320) covers the stored payload bytes.
 //     The payload is a record stream (trace_record.h) whose line-delta
 //     base restarts at line 0 — each frame decodes independently.
@@ -46,10 +47,6 @@
 // k is byte-identical to the tail of a full replay
 // (tests/oracle/trace_frame_oracle_test.cpp pins this, request stream
 // and System::Stats both).
-//
-// zstd frames exist only when the build found zstd headers
-// (PIPO_HAVE_ZSTD, probed by CMake); a decoder built without zstd
-// rejects marker 0x02 with a clear diagnostic instead of guessing.
 #pragma once
 
 #include <cstdint>
@@ -66,9 +63,6 @@
 
 namespace pipo {
 
-/// True when the build can compress/decompress zstd frames.
-bool framed_zstd_available();
-
 /// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) — the frame and
 /// index checksum. Exposed for tools and tests that craft or verify
 /// container bytes by hand.
@@ -80,11 +74,6 @@ struct FramedTraceOptions {
   /// ~8-byte header. The default keeps a frame around 64 KiB of
   /// payload for typical captures.
   std::size_t frame_requests = 1 << 14;
-  /// Compress each frame with zstd. Requires framed_zstd_available();
-  /// the encoder constructor throws std::runtime_error otherwise. A
-  /// frame that compression fails to shrink is stored raw.
-  bool compress = false;
-  int compression_level = 3;
 };
 
 /// Streaming writer for the framed container. put() buffers records
@@ -120,7 +109,6 @@ class FramedTraceEncoder final : public TraceEncoder {
   std::ostream& os_;
   FramedTraceOptions opts_;
   std::vector<std::uint8_t> payload_;  ///< current frame's record bytes
-  std::vector<std::uint8_t> zbuf_;     ///< compression scratch
   std::vector<std::uint8_t> head_;     ///< header/index scratch
   LineAddr prev_line_ = 0;             ///< restarts at 0 per frame
   std::uint64_t frame_count_ = 0;      ///< requests in the current frame
@@ -168,7 +156,6 @@ class FramedTraceDecoder final : public TraceDecoder {
 
   trace_v2::StreamByteSource src_;
   std::vector<std::uint8_t> stored_;   ///< current frame, as on disk
-  std::vector<std::uint8_t> raw_;      ///< decompressed (zstd frames)
   std::optional<trace_v2::BufferByteSource> cur_;  ///< record cursor
   LineAddr prev_line_ = 0;
   std::uint64_t frame_left_ = 0;       ///< records left in this frame
@@ -186,7 +173,7 @@ struct FramedFrameInfo {
 };
 
 /// Seek handle over a framed trace file: opens the footer and index
-/// only (O(index) I/O and memory), then hands out decoders positioned
+/// only (O(index) I/O and memory), then hands out workloads positioned
 /// at any frame boundary. Throws std::runtime_error if the file cannot
 /// be opened and std::invalid_argument if the magic, footer or index is
 /// malformed.
@@ -198,23 +185,14 @@ class FramedTraceFile {
   const std::vector<FramedFrameInfo>& frames() const { return frames_; }
   std::uint64_t total_requests() const { return total_requests_; }
 
-  /// Index of the frame containing request `n` (0-based across the
-  /// whole trace). Throws std::out_of_range past the end.
-  std::size_t frame_of_request(std::uint64_t n) const;
-
-  /// Streaming decoder over frames [k, end); decoded() counts from 0.
-  /// `k == frames().size()` yields an immediately-exhausted decoder
-  /// (it still validates the index on its first next()).
-  /// The decoder validates frame checksums and the trailing index
-  /// exactly like a from-the-start decode.
-  TraceReader reader_from_frame(std::size_t k) const;
-
-  /// The reader wrapped as a replayable workload — replaying frames
-  /// [k, end) is stats-identical to the tail of a full replay.
+  /// Replays frames [k, end) — stats-identical to the tail of a full
+  /// replay; replayed() counts from 0. `k == frames().size()` yields an
+  /// immediately-exhausted workload (it still validates the index on
+  /// its first next()). The decoder underneath validates frame
+  /// checksums and the trailing index exactly like a from-the-start
+  /// decode. Throws std::out_of_range for `k > frames().size()`.
   std::unique_ptr<StreamingTraceWorkload> workload_from_frame(
-      std::size_t k,
-      std::size_t chunk_requests =
-          StreamingTraceWorkload::kDefaultChunkRequests) const;
+      std::size_t k) const;
 
  private:
   std::string path_;

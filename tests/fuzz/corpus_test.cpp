@@ -12,7 +12,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "workload/stream_trace.h"
+#include "workload/trace_codec.h"
 
 namespace pipo {
 namespace {
@@ -80,7 +80,8 @@ TEST(Corpus, ArchiveLoadVerifyRoundTrip) {
   EXPECT_TRUE(fs::exists(fs::path(written.dir) / "genotype.txt"));
   const fs::path trace = fs::path(written.dir) / "core0.trace";
   ASSERT_TRUE(fs::exists(trace));
-  EXPECT_EQ(TraceReader(trace.string()).format(), TraceFormat::kTextV1);
+  std::ifstream trace_file(trace, std::ios::binary);
+  EXPECT_EQ(detect_trace_format(trace_file), TraceFormat::kTextV1);
 
   const auto loaded = load_corpus_dir(tmp.root);
   ASSERT_EQ(loaded.size(), 1u);

@@ -63,6 +63,12 @@ void expect_equal(const std::vector<MemRequest>& got,
   }
 }
 
+std::vector<MemRequest> drain(Workload& w) {
+  std::vector<MemRequest> out;
+  while (auto r = w.next(0)) out.push_back(*r);
+  return out;
+}
+
 // Framed decode must agree with the text reference on the same request
 // stream, for adversarial frame sizes and refill chunks.
 TEST(TraceFrameDifferential, FramedAgreesWithTextReference) {
@@ -215,11 +221,7 @@ TEST_F(TraceFrameSeekOracle, SeekReplayEqualsTailOfFullReplay) {
   ASSERT_GE(n_frames, 10u);
 
   // Full decode once — the reference the tails are cut from.
-  std::vector<MemRequest> full(t.size() + 1);
-  {
-    TraceReader r0 = file.reader_from_frame(0);
-    full.resize(r0.fill(full.data(), full.size()));
-  }
+  const std::vector<MemRequest> full = drain(*file.workload_from_frame(0));
   expect_equal(full, t, "full decode");
 
   // Random frame boundaries, plus both ends.
@@ -232,9 +234,7 @@ TEST_F(TraceFrameSeekOracle, SeekReplayEqualsTailOfFullReplay) {
     const std::vector<MemRequest> tail(t.begin() + first, t.end());
 
     // Axis 1: the decoded request stream.
-    TraceReader reader = file.reader_from_frame(k);
-    std::vector<MemRequest> got(t.size() + 1);
-    got.resize(reader.fill(got.data(), got.size()));
+    const std::vector<MemRequest> got = drain(*file.workload_from_frame(k));
     expect_equal(got, tail, label);
 
     // Axis 2: the simulated stats, seek replay vs. materialized tail.

@@ -1,9 +1,8 @@
-// Streaming trace subsystem (workload/stream_trace.h): chunked replay
-// equals whole-vector replay for both formats, the chunk buffer stays
-// at its configured size on traces much larger than it (the O(chunk)
-// memory property — the ASan CI leg additionally watches this test for
-// leaks/overflows), and TraceRecorder captures exactly the stream the
-// simulation consumed.
+// Streaming trace subsystem (workload/stream_trace.h): streaming replay
+// equals whole-vector replay for both formats, a trace spanning many
+// frames replays in full (the ASan CI leg additionally watches this
+// test for leaks/overflows), and TraceRecorder captures exactly the
+// stream the simulation consumed.
 #include "workload/stream_trace.h"
 
 #include <gtest/gtest.h>
@@ -37,8 +36,8 @@ std::vector<MemRequest> random_trace(std::size_t n, std::uint64_t seed) {
 constexpr TraceFormat kAllFormats[] = {TraceFormat::kTextV1,
                                        TraceFormat::kFramedV3};
 
-/// Framed traces are packed 50 requests per frame: against the tests'
-/// 64-request chunk, refills straddle frame boundaries.
+/// Framed traces are packed 50 requests per frame, so every replay
+/// crosses frame boundaries.
 constexpr std::size_t kFrameRequests = 50;
 
 std::unique_ptr<std::istream> encoded_stream(
@@ -59,12 +58,10 @@ std::unique_ptr<std::istream> encoded_stream(
 TEST(StreamingTrace, MatchesVectorReplayBothFormats) {
   const auto t = random_trace(777, 1);
   for (TraceFormat fmt : kAllFormats) {
-    StreamingTraceWorkload streaming(encoded_stream(t, fmt),
-                                     /*chunk_requests=*/64);
+    StreamingTraceWorkload streaming(encoded_stream(t, fmt));
     TraceWorkload vec(t);
-    EXPECT_EQ(streaming.format(), fmt);
-    // Priming the first chunk consumes nothing: next() below must still
-    // start at request 0.
+    // Decoding ahead consumes nothing: next() below must still start at
+    // request 0.
     ASSERT_TRUE(streaming.has_requests()) << to_string(fmt);
     EXPECT_EQ(streaming.replayed(), 0u) << to_string(fmt);
     for (std::size_t i = 0;; ++i) {
@@ -84,31 +81,25 @@ TEST(StreamingTrace, MatchesVectorReplayBothFormats) {
   }
 }
 
-// The O(chunk) property: a trace 100x larger than the chunk replays
-// fully while the request buffer's capacity never grows past the
-// configured chunk. (Run under the ASan CI leg, this also proves the
-// refill loop neither leaks nor overflows.)
+// A trace of 129 frames, the last one partial, replays in full. (Run
+// under the ASan CI leg, this also proves the decode loop neither leaks
+// nor overflows.)
 TEST(StreamingTrace, ChunkBufferStaysFixedOnLargeTrace) {
-  constexpr std::size_t kChunk = 64;
-  constexpr std::size_t kRequests = 100 * kChunk + 13;  // non-multiple
+  constexpr std::size_t kRequests = 128 * kFrameRequests + 13;
   const auto t = random_trace(kRequests, 2);
   for (TraceFormat fmt : kAllFormats) {
-    StreamingTraceWorkload w(encoded_stream(t, fmt), kChunk);
+    StreamingTraceWorkload w(encoded_stream(t, fmt));
     std::size_t n = 0;
-    while (w.next(0)) {
-      ++n;
-      ASSERT_LE(w.chunk_capacity(), kChunk) << to_string(fmt);
-    }
+    while (w.next(0)) ++n;
     EXPECT_EQ(n, kRequests) << to_string(fmt);
-    EXPECT_EQ(w.chunk_capacity(), kChunk) << to_string(fmt);
   }
 }
 
 TEST(StreamingTrace, MalformedStreamThrowsFromNext) {
-  // chunk 1: the bad line is reached by the refill of the second next()
-  // (with a larger chunk the first refill would surface it immediately).
+  // Requests are decoded one at a time: the first next() returns the
+  // good line and only the second reaches the bad one.
   auto ss = std::make_unique<std::stringstream>("1000 L 0\nbogus\n");
-  StreamingTraceWorkload w(std::move(ss), 1);
+  StreamingTraceWorkload w(std::move(ss));
   EXPECT_TRUE(w.next(0).has_value());
   EXPECT_THROW(w.next(0), std::invalid_argument);
 }
@@ -176,7 +167,7 @@ TEST(TraceRecorderTest, SyntheticSnapshotReplaysDeterministically) {
   rec.finish();
 
   StreamingTraceWorkload replay(
-      std::make_unique<std::stringstream>(sink_view->str()), 32);
+      std::make_unique<std::stringstream>(sink_view->str()));
   SyntheticWorkload fresh(profile, base, kBudget, kSeed);
   for (std::size_t i = 0;; ++i) {
     const auto a = replay.next(0);

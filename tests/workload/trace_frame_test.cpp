@@ -201,14 +201,6 @@ TEST_F(TraceFrameFileTest, SeekIndexDescribesEveryFrame) {
     cum += fi.request_count;
   }
   EXPECT_EQ(cum, t.size());
-  // frame_of_request: both boundaries of every frame.
-  for (std::size_t k = 0; k < file.frames().size(); ++k) {
-    const auto& fi = file.frames()[k];
-    EXPECT_EQ(file.frame_of_request(fi.first_request), k);
-    EXPECT_EQ(
-        file.frame_of_request(fi.first_request + fi.request_count - 1), k);
-  }
-  EXPECT_THROW(file.frame_of_request(t.size()), std::out_of_range);
 }
 
 TEST_F(TraceFrameFileTest, ReaderFromFrameYieldsExactTail) {
@@ -219,17 +211,16 @@ TEST_F(TraceFrameFileTest, ReaderFromFrameYieldsExactTail) {
 
   FramedTraceFile file(path);
   for (std::size_t k = 0; k <= file.frames().size(); ++k) {
-    TraceReader reader = file.reader_from_frame(k);
-    std::vector<MemRequest> got(t.size() + 1);
-    const std::size_t n = reader.fill(got.data(), got.size());
-    got.resize(n);
+    const auto w = file.workload_from_frame(k);
+    std::vector<MemRequest> got;
+    while (auto r = w->next(0)) got.push_back(*r);
     const std::uint64_t first = k == file.frames().size()
                                     ? t.size()
                                     : file.frames()[k].first_request;
     const std::vector<MemRequest> want(t.begin() + first, t.end());
     expect_equal(got, want, "frame " + std::to_string(k));
   }
-  EXPECT_THROW(file.reader_from_frame(file.frames().size() + 1),
+  EXPECT_THROW(file.workload_from_frame(file.frames().size() + 1),
                std::out_of_range);
 }
 
@@ -268,12 +259,28 @@ TEST(TraceFrameReject, UnknownFrameMarker) {
 }
 
 TEST(TraceFrameReject, ZstdFrameWithoutZstdOrCorrupt) {
-  // Flip a raw frame's marker to the zstd marker: without zstd support
-  // the decoder must name the missing feature; with it, the payload is
-  // not valid zstd and must still throw.
+  // Flip a raw frame's marker to 0x02, the retired zstd frame: both the
+  // streaming decode and a seek replay from frame 0 must name it at the
+  // marker's byte.
   std::string bytes = sample_container();
   bytes[8] = '\x02';
-  expect_reject(bytes, "zstd", "marker flipped to zstd");
+  const std::string needle =
+      "byte 8: frame marker 0x02 is the retired zstd-compressed frame";
+  expect_reject(bytes, needle, "marker flipped to zstd");
+
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("pipo_TraceFrameReject_zstd_" + std::to_string(getpid()) + ".trace");
+  std::ofstream(path, std::ios::binary) << bytes;
+  const auto w = FramedTraceFile(path.string()).workload_from_frame(0);
+  try {
+    w->next(0);
+    ADD_FAILURE() << "seek replay decoded a retired zstd frame";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << "seek replay: message was '" << e.what() << "'";
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(TraceFrameReject, FrameRequestCountZero) {
@@ -388,27 +395,6 @@ TEST(TraceFrameReject, IndexDisagreeingWithFramesThrows) {
   }
   expect_reject(spliced, "seek index", "spliced index");
 }
-
-#if defined(PIPO_HAVE_ZSTD)
-TEST(TraceFrame, CompressedRoundTrip) {
-  ASSERT_TRUE(framed_zstd_available());
-  FramedTraceOptions opts;
-  opts.frame_requests = 16;
-  opts.compress = true;
-  const auto t = random_trace(31, 100);
-  const std::string bytes = encode_framed(t, opts);
-  expect_equal(decode_framed(bytes), t, "zstd frames");
-  expect_equal(decode_framed(bytes, 1), t, "zstd frames, 1-byte chunks");
-}
-#else
-TEST(TraceFrame, CompressRequestWithoutZstdThrows) {
-  ASSERT_FALSE(framed_zstd_available());
-  std::ostringstream os(std::ios::binary);
-  FramedTraceOptions opts;
-  opts.compress = true;
-  EXPECT_THROW(FramedTraceEncoder(os, opts), std::runtime_error);
-}
-#endif
 
 }  // namespace
 }  // namespace pipo

@@ -23,7 +23,8 @@
 // coordinator that cannot bind its port, on one thread, after a warning.
 // To add this host's cores to a fleet, start pipo_worker processes on
 // it. Exit status: 0 if every config succeeded, 1 if any produced an
-// error record, 2 for usage errors.
+// error record, 2 for usage errors and when the port file or the output
+// cannot be written.
 #include <cstdio>
 #include <optional>
 #include <stdexcept>
@@ -117,8 +118,13 @@ CampaignOutcome serve(const Options& opt) {
   if (!opt.port_file.empty()) {
     std::FILE* pf = std::fopen(opt.port_file.c_str(), "w");
     if (!pf) throw std::runtime_error("cannot open " + opt.port_file);
-    std::fprintf(pf, "%u\n", coord->port());
-    std::fclose(pf);
+    // A full disk surfaces at fclose's flush; a script waiting for the
+    // port would otherwise wait on an empty file while we serve.
+    const bool wrote = std::fprintf(pf, "%u\n", coord->port()) > 0;
+    if (std::fclose(pf) != 0 || !wrote) {
+      throw std::runtime_error("failed to write the port to " +
+                               opt.port_file);
+    }
   }
   std::fprintf(stderr, "pipo_coordinator: listening on port %u\n",
                coord->port());

@@ -1,17 +1,16 @@
 // trace_convert — translate request traces between the text v1 and
-// framed v3 formats (docs/traces.md), streaming record by record so
-// multi-gigabyte traces convert in O(chunk) memory.
+// framed v3 formats (docs/traces.md), pulling each request from the
+// input's decoder straight into the output's encoder, so multi-gigabyte
+// traces convert in the codecs' own buffers.
 //
 // Usage:
-//   trace_convert <in> <out> [--to text|framed]
-//                 [--frame-requests N] [--compress]
+//   trace_convert <in> <out> [--to text|framed] [--frame-requests N]
 //
 // The input format is autodetected. Without --to, the output is the
 // other format. Because both codecs are lossless, converting
 // text -> framed -> text reproduces the canonical text byte-for-byte
 // (the CI smoke step pins this with cmp).
-// --frame-requests sets the framed container's restart interval;
-// --compress stores zstd frames (only in builds with zstd).
+// --frame-requests sets the framed container's restart interval.
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -20,7 +19,6 @@
 #include <string>
 
 #include "common/parse_num.h"
-#include "workload/stream_trace.h"
 #include "workload/trace_codec.h"
 #include "workload/trace_frame.h"
 
@@ -30,8 +28,8 @@ using namespace pipo;
 
 [[noreturn]] void usage() {
   std::fprintf(stderr,
-               "usage: trace_convert <in> <out> [--to text|framed]\n"
-               "                     [--frame-requests N] [--compress]\n"
+               "usage: trace_convert <in> <out> [--to text|framed] "
+               "[--frame-requests N]\n"
                "input format is autodetected; default output is the "
                "other format\n");
   std::exit(2);
@@ -65,8 +63,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "%s\n", e.what());
         usage();
       }
-    } else if (std::strcmp(argv[i], "--compress") == 0) {
-      framed_opts.compress = true;
     } else {
       std::fprintf(stderr, "unknown argument '%s'\n", argv[i]);
       usage();
@@ -81,11 +77,14 @@ int main(int argc, char** argv) {
       throw std::runtime_error("input and output are the same file: " +
                                in_path);
     }
-    TraceReader reader(in_path);
+    std::ifstream in(in_path, std::ios::binary);
+    if (!in) throw std::runtime_error("cannot open trace file: " + in_path);
+    const TraceFormat from = detect_trace_format(in);
     if (!have_to) {
-      to = reader.format() == TraceFormat::kTextV1 ? TraceFormat::kFramedV3
-                                                   : TraceFormat::kTextV1;
+      to = from == TraceFormat::kTextV1 ? TraceFormat::kFramedV3
+                                        : TraceFormat::kTextV1;
     }
+    const auto decoder = make_trace_decoder(in, from);
     std::ofstream out(out_path, std::ios::binary);
     if (!out) {
       throw std::runtime_error("cannot open output file: " + out_path);
@@ -95,16 +94,12 @@ int main(int argc, char** argv) {
             ? std::unique_ptr<TraceEncoder>(
                   std::make_unique<FramedTraceEncoder>(out, framed_opts))
             : make_trace_encoder(out, to);
-    MemRequest chunk[4096];
-    std::size_t n;
-    while ((n = reader.fill(chunk, std::size(chunk))) > 0) {
-      for (std::size_t i = 0; i < n; ++i) encoder->put(chunk[i]);
-    }
+    while (const auto r = decoder->next()) encoder->put(*r);
     encoder->finish();
     if (!out) throw std::runtime_error("write failed: " + out_path);
     std::fprintf(stderr, "trace_convert: %llu requests, %s -> %s\n",
                  static_cast<unsigned long long>(encoder->encoded()),
-                 to_string(reader.format()), to_string(to));
+                 to_string(from), to_string(to));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "trace_convert: %s\n", e.what());
     return 1;
