@@ -51,12 +51,12 @@ std::optional<MemRequest> PrimeProbeAttacker::next(Tick now) {
   MemRequest req;
   req.addr = cfg_.eviction_sets[target][idx];
   req.type = AccessType::kLoad;
-  req.bypass_private = cfg_.llc_probes;
+  req.bypass_private = true;
   // Mixed probe pattern: a bypass_pct below 100 sends the remainder of
   // the probes through the private hierarchy. The historical pure
   // pattern (100) must stay byte-identical, so the RNG is only drawn
   // when a mix is actually configured.
-  if (cfg_.llc_probes && cfg_.bypass_pct < 100) {
+  if (cfg_.bypass_pct < 100) {
     req.bypass_private = mix_rng_.below(100) < cfg_.bypass_pct;
   }
   if (pos_ == 0) {

@@ -35,20 +35,19 @@ struct AttackerConfig {
   Tick interval = 5000;          ///< paper: probe every 5000 cycles
   std::uint32_t traversals = 101;  ///< prime + 100 observation rounds
   std::uint32_t miss_threshold = 135;  ///< latency above this = LLC miss
-  /// Probes go straight to the LLC (MemRequest::bypass_private): the
-  /// standard engineered probe pattern. Without it the attacker's own
-  /// L1/L2 absorb probes, stale-dating its lines in the LLC replacement
-  /// order and blinding the attack with self-eviction noise.
-  bool llc_probes = true;
 
   // --- fuzzer-explored schedule variations (src/fuzz/). The defaults
   // reproduce the historical attacker bit for bit: with bypass_pct at
   // 100 no RNG is ever drawn and with far_period 0 no delay is ever
   // injected, so existing experiments are unchanged. ---
-  /// Percentage of probes that honor llc_probes; the rest go through
-  /// the private hierarchy (a mixed probe pattern some defenses see
-  /// very differently from a pure-bypass one). Drawn per probe from a
-  /// deterministic stream seeded by `mix_seed`.
+  /// Percentage of probes sent straight to the LLC
+  /// (MemRequest::bypass_private), the standard engineered probe
+  /// pattern: through its own L1/L2 the attacker would stale-date its
+  /// lines in the LLC replacement order and blind itself with
+  /// self-eviction noise. The rest go through the private hierarchy (a
+  /// mixed probe pattern some defenses see very differently from a
+  /// pure-bypass one). Drawn per probe from a deterministic stream
+  /// seeded by `mix_seed`.
   std::uint32_t bypass_pct = 100;
   std::uint64_t mix_seed = 0x9B57;
   /// Long-gap schedule perturbation: every `far_period`-th probe

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "common/bitutil.h"
 
@@ -15,6 +16,11 @@ DirectoryMonitor::DirectoryMonitor(const DirectoryMonitorConfig& cfg)
   }
   if (cfg_.ways == 0) {
     throw std::invalid_argument("DirectoryMonitor: ways must be >= 1");
+  }
+  if (cfg_.counter_bits == 0 || cfg_.counter_bits > 8) {
+    throw std::invalid_argument(
+        "DirectoryMonitor: counter_bits must be in [1,8], got " +
+        std::to_string(cfg_.counter_bits));
   }
   if (cfg_.sec_thr > cfg_.counter_max()) {
     throw std::invalid_argument(

@@ -21,12 +21,6 @@
 
 namespace pipo {
 
-struct SharpConfig {
-  /// Alarm threshold per 1M cycles the paper's SHARP description uses for
-  /// flagging a suspicious core (reported, not enforced, here).
-  std::uint64_t alarm_threshold = 2000;
-};
-
 /// Victim chooser implementing SHARP's two-step policy. Stateless apart
 /// from alarm statistics; plugged into CacheArray::fill by the System on
 /// LLC fills when the SHARP defense is selected.

@@ -74,10 +74,6 @@ class AutoCuckooFilter {
   std::uint64_t ping_pong_captures() const { return ping_pong_captures_; }
 
  private:
-  /// Never-failing insert with autonomic deletion at MNK kicks.
-  void insert_new(LineAddr x, std::uint32_t fp, std::size_t b1,
-                  std::size_t b2);
-
   BucketArray array_;
   Rng rng_;
   FilterObserver* observer_;

@@ -1,4 +1,5 @@
-// Storage shared by the classic Cuckoo filter and the Auto-Cuckoo filter.
+// Storage and operations shared by the classic Cuckoo filter and the
+// Auto-Cuckoo filter.
 //
 // Mirrors the hardware microarchitecture of Section V-C / Fig 5: an fPrint
 // Array (Valid flag + f-bit fingerprint per entry) and a Data Array (the
@@ -12,16 +13,23 @@
 // lookup loop compares against a single masked word per slot instead of
 // loading a padded three-field struct, and the total valid count is
 // maintained incrementally so occupancy() is O(1) rather than O(l*b).
+//
+// Both filters run the one insert below and the one two-candidate
+// lookup. They differ only in what happens to the record still in hand
+// after MNK relocations: the classic filter parks it in its stash and
+// reports a failed insert, the Auto-Cuckoo filter drops it (autonomic
+// deletion, Section V-A).
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/bitutil.h"
+#include "common/rng.h"
 #include "common/types.h"
 #include "filter/filter_config.h"
 #include "filter/hash.h"
+#include "filter/observer.h"
 
 namespace pipo {
 
@@ -51,17 +59,6 @@ class BucketArray {
         alt_hash_(cfg.hash_seed ^ 0xD6E8FEB86659FD93ull),
         words_(static_cast<std::size_t>(cfg.l) * cfg.b, 0) {
     cfg.validate();
-    // For small fingerprint widths, precompute the alternate-bucket XOR
-    // offset hash(fp) mod l for EVERY fingerprint: the third hash module
-    // of Fig 5 becomes a table lookup (16 KiB at the paper's f=12, l
-    // always <= 2^32 so entries fit in 32 bits). Wider fingerprints fall
-    // back to computing the mix on the fly.
-    if (cfg.f <= kAltTableMaxF) {
-      alt_xor_.resize(std::size_t{1} << cfg.f);
-      for (std::size_t fp = 0; fp < alt_xor_.size(); ++fp) {
-        alt_xor_[fp] = static_cast<std::uint32_t>(alt_hash_(fp) & index_mask_);
-      }
-    }
   }
 
   const FilterConfig& config() const { return cfg_; }
@@ -79,9 +76,6 @@ class BucketArray {
   /// Alternate bucket for a fingerprint currently stored in `bucket`
   /// (partial-key cuckoo hashing; an involution by XOR construction).
   std::size_t alt_bucket(std::size_t bucket, std::uint32_t fprint) const {
-    if (!alt_xor_.empty()) {
-      return (bucket ^ alt_xor_[fprint & fprint_mask_]) & index_mask_;
-    }
     return static_cast<std::size_t>(
         (bucket ^ alt_hash_(fprint & fprint_mask_)) & index_mask_);
   }
@@ -94,16 +88,11 @@ class BucketArray {
     std::size_t b2 = 0;
   };
 
-  /// Computes the triple in a single fused pass: one interleaved dual
-  /// mix for Hash1 + fPrintHash, and the precomputed XOR table (or one
-  /// more mix for wide fingerprints) for the alternate bucket — instead
-  /// of the seed's three independent full MixHash passes per access.
-  /// Bit-identical to {fingerprint(x), bucket1(x), bucket2(x)}; the
-  /// hash-equivalence oracle in tests/oracle/ enforces it.
+  /// One MixHash pass per hash module of Fig 5: Hash1, fPrintHash and
+  /// the fingerprint re-hash for the alternate bucket.
   Candidates candidates(LineAddr x) const {
-    const HashPair h = mix2(x, hash1_.seed(), fprint_hash_.seed());
-    const auto fp = static_cast<std::uint32_t>(h.b & fprint_mask_);
-    const auto b1 = static_cast<std::size_t>(h.a & index_mask_);
+    const std::uint32_t fp = fingerprint(x);
+    const std::size_t b1 = bucket1(x);
     return Candidates{fp, b1, alt_bucket(b1, fp)};
   }
 
@@ -140,18 +129,8 @@ class BucketArray {
         (static_cast<std::uint64_t>(v & security_mask_) << security_shift_);
   }
 
-  /// Swaps only the fingerprint field with `fp` (classic-filter kick: the
-  /// resident Security stays with its slot).
-  void swap_fprint(std::size_t bucket, std::size_t slot, std::uint32_t& fp) {
-    std::uint64_t& w = words_[index(bucket, slot)];
-    const auto resident = static_cast<std::uint32_t>((w >> 1) & fprint_mask_);
-    w = (w & ~(fprint_mask_ << 1))
-        | (static_cast<std::uint64_t>(fp & fprint_mask_) << 1);
-    fp = resident;
-  }
-
-  /// Swaps the whole entry with `e` (Auto-Cuckoo kick: fingerprint and
-  /// Security relocate together, fPrint and Data arrays in lockstep).
+  /// Swaps the whole entry with `e` (one kick: fingerprint and Security
+  /// relocate together, fPrint and Data arrays in lockstep).
   void swap_entry(std::size_t bucket, std::size_t slot, FilterEntry& e) {
     std::uint64_t& w = words_[index(bucket, slot)];
     const std::uint64_t incoming = pack(e);
@@ -181,6 +160,71 @@ class BucketArray {
       if (!(w[s] & 1u)) return s;
     }
     return npos;
+  }
+
+  /// Where a lookup found its fingerprint; slot is npos if nowhere.
+  struct Match {
+    std::size_t bucket = 0;
+    std::size_t slot = npos;
+    bool found() const { return slot != npos; }
+  };
+
+  /// A valid entry matching `fprint` in candidate bucket b1, else in b2
+  /// (scanned once when the two alias).
+  Match find(std::uint32_t fprint, std::size_t b1, std::size_t b2) const {
+    const std::size_t slot = find_in_bucket(b1, fprint);
+    if (slot != npos || b1 == b2) return Match{b1, slot};
+    return Match{b2, find_in_bucket(b2, fprint)};
+  }
+
+  /// The record an insert could not place. entry.valid is false when
+  /// every record found a slot.
+  struct Leftover {
+    FilterEntry entry;
+    std::size_t bucket = 0;  ///< the bucket `entry` was displaced from
+  };
+
+  /// The cuckoo insert of Section II-B, run by both filters. `fprint`
+  /// takes a vacancy in b1 or b2 if either has one. Otherwise it
+  /// displaces a random victim of a random candidate, and the record in
+  /// hand moves to its alternate bucket, displacing a random victim
+  /// there if that is full too, at most MNK times. Each relocation adds
+  /// one to `kicks`; every step is reported to `observer`, a record
+  /// still in hand at the end as on_drop().
+  Leftover insert(std::uint32_t fprint, std::size_t b1, std::size_t b2,
+                  Rng& rng, FilterObserver& observer, std::uint64_t& kicks) {
+    for (std::size_t bkt : {b1, b2}) {
+      const std::size_t slot = find_vacancy(bkt);
+      if (slot != npos) {
+        set_entry(bkt, slot, FilterEntry{true, fprint, 0});
+        observer.on_place(bkt, slot);
+        return Leftover{};
+      }
+      if (b1 == b2) break;
+    }
+
+    std::size_t bkt = rng.chance(0.5) ? b1 : b2;
+    FilterEntry in_hand{true, fprint, 0};
+    {
+      const std::size_t victim_slot = rng.below(cfg_.b);
+      swap_entry(bkt, victim_slot, in_hand);
+      observer.on_swap(bkt, victim_slot);
+    }
+    for (std::uint32_t relocation = 0; relocation < cfg_.mnk; ++relocation) {
+      ++kicks;
+      bkt = alt_bucket(bkt, in_hand.fprint);
+      const std::size_t slot = find_vacancy(bkt);
+      if (slot != npos) {
+        set_entry(bkt, slot, in_hand);
+        observer.on_place(bkt, slot);
+        return Leftover{};
+      }
+      const std::size_t victim_slot = rng.below(cfg_.b);
+      swap_entry(bkt, victim_slot, in_hand);
+      observer.on_swap(bkt, victim_slot);
+    }
+    observer.on_drop();
+    return Leftover{in_hand, bkt};
   }
 
   /// Number of valid entries across the whole array. O(1): maintained
@@ -237,14 +281,9 @@ class BucketArray {
   std::uint64_t fprint_mask_;
   std::uint64_t security_mask_;
   unsigned security_shift_;
-  /// Widest fingerprint whose alternate-bucket hash is fully tabulated
-  /// (2^16 * 4 B = 256 KiB worst case; the paper's f=12 needs 16 KiB).
-  static constexpr std::uint32_t kAltTableMaxF = 16;
-
   MixHash hash1_;
   MixHash fprint_hash_;
   MixHash alt_hash_;
-  std::vector<std::uint32_t> alt_xor_;  ///< fp -> alt_hash_(fp) & index_mask_
   std::vector<std::uint64_t> words_;
   std::int64_t valid_count_ = 0;
 };

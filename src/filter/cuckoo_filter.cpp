@@ -6,85 +6,45 @@ bool CuckooFilter::insert(LineAddr x) {
   // While the victim stash is occupied the filter is declared full (the
   // reference implementation's behaviour) — further inserts fail without
   // disturbing resident records.
-  if (stash_.used) {
+  if (stash_.entry.valid) {
     ++failed_inserts_;
     return false;
   }
 
   const auto [fp, b1, b2] = array_.candidates(x);
   observer_->on_insert_start(x);
+  const BucketArray::Leftover left =
+      array_.insert(fp, b1, b2, rng_, *observer_, total_kicks_);
+  if (!left.entry.valid) return true;
 
-  // Fast path: a vacancy in either candidate bucket.
-  for (std::size_t bkt : {b1, b2}) {
-    const std::size_t slot = array_.find_vacancy(bkt);
-    if (slot != BucketArray::npos) {
-      array_.set_entry(bkt, slot, FilterEntry{true, fp, 0});
-      observer_->on_place(bkt, slot);
-      return true;
-    }
-    if (b1 == b2) break;
-  }
-
-  // Relocation chain (Fan et al., CoNEXT'14): the new fingerprint kicks a
-  // random victim, and displaced fingerprints relocate until a vacancy is
-  // found or MNK relocations are spent.
-  std::size_t bkt = rng_.chance(0.5) ? b1 : b2;
-  std::uint32_t in_hand = fp;
-  {
-    const std::size_t victim_slot = rng_.below(config().b);
-    array_.swap_fprint(bkt, victim_slot, in_hand);
-    observer_->on_swap(bkt, victim_slot);
-  }
-  for (std::uint32_t relocation = 0; relocation < config().mnk;
-       ++relocation) {
-    ++total_kicks_;
-    bkt = array_.alt_bucket(bkt, in_hand);
-    const std::size_t slot = array_.find_vacancy(bkt);
-    if (slot != BucketArray::npos) {
-      array_.set_entry(bkt, slot, FilterEntry{true, in_hand, 0});
-      observer_->on_place(bkt, slot);
-      return true;
-    }
-    const std::size_t victim_slot = rng_.below(config().b);
-    array_.swap_fprint(bkt, victim_slot, in_hand);
-    observer_->on_swap(bkt, victim_slot);
-  }
-
-  // MNK exhausted: the displaced fingerprint parks in the stash and the
-  // insert reports failure. (Note `bkt` is the bucket the fingerprint was
-  // displaced from, so it remains one of its candidate buckets.)
-  stash_ = Stash{true, in_hand, bkt};
+  // MNK exhausted: the displaced fingerprint parks in the stash, with
+  // the bucket it was displaced from (one of its candidate buckets), and
+  // the insert reports failure.
+  stash_ = left;
   ++failed_inserts_;
-  observer_->on_drop();
   return false;
 }
 
-bool CuckooFilter::stash_matches(LineAddr x) const {
-  if (!stash_.used) return false;
-  const std::uint32_t fp = array_.fingerprint(x);
-  if (fp != stash_.fprint) return false;
-  const std::size_t b1 = array_.bucket1(x);
-  return b1 == stash_.bucket || array_.alt_bucket(b1, fp) == stash_.bucket;
+bool CuckooFilter::stash_matches(std::uint32_t fp, std::size_t b1,
+                                 std::size_t b2) const {
+  return stash_.entry.valid && stash_.entry.fprint == fp &&
+         (stash_.bucket == b1 || stash_.bucket == b2);
 }
 
 bool CuckooFilter::contains(LineAddr x) const {
   const auto [fp, b1, b2] = array_.candidates(x);
-  if (array_.find_in_bucket(b1, fp) != BucketArray::npos) return true;
-  if (array_.find_in_bucket(b2, fp) != BucketArray::npos) return true;
-  return stash_matches(x);
+  return array_.find(fp, b1, b2).found() || stash_matches(fp, b1, b2);
 }
 
 bool CuckooFilter::erase(LineAddr x) {
   const auto [fp, b1, b2] = array_.candidates(x);
-  for (std::size_t bkt : {b1, b2}) {
-    const std::size_t slot = array_.find_in_bucket(bkt, fp);
-    if (slot != BucketArray::npos) {
-      array_.clear_entry(bkt, slot);
-      return true;
-    }
+  const BucketArray::Match hit = array_.find(fp, b1, b2);
+  if (hit.found()) {
+    array_.clear_entry(hit.bucket, hit.slot);
+    return true;
   }
-  if (stash_matches(x)) {
-    stash_ = Stash{};
+  if (stash_matches(fp, b1, b2)) {
+    stash_ = BucketArray::Leftover{};
     return true;
   }
   return false;

@@ -4,12 +4,12 @@
 //   1. the baseline whose weaknesses motivate the Auto-Cuckoo filter —
 //      insertions fail once MNK relocations are exhausted, and the manual
 //      delete() operation enables the false-deletion attack of Section V-A;
-//   2. a reference for differential testing of the shared cuckoo-hashing
-//      machinery.
+//   2. the filter the Auto-Cuckoo filter is built from: both run
+//      BucketArray::insert and differ only in what happens to the record
+//      still in hand after MNK relocations (here: the stash).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "common/rng.h"
 #include "common/types.h"
@@ -53,31 +53,24 @@ class CuckooFilter {
 
   void clear() {
     array_.clear();
-    stash_ = Stash{};
+    stash_ = BucketArray::Leftover{};
   }
 
   // --- statistics ---
   std::uint64_t total_kicks() const { return total_kicks_; }
   std::uint64_t failed_inserts() const { return failed_inserts_; }
 
-  bool stash_in_use() const { return stash_.used; }
-
  private:
-  /// Single-entry victim stash (Fan et al. §4): holds the fingerprint a
-  /// failed relocation chain displaced, together with one of its
-  /// candidate buckets (the one it was displaced from).
-  struct Stash {
-    bool used = false;
-    std::uint32_t fprint = 0;
-    std::size_t bucket = 0;
-  };
-
-  bool stash_matches(LineAddr x) const;
+  /// True if the stash holds fingerprint `fp` displaced from b1 or b2.
+  bool stash_matches(std::uint32_t fp, std::size_t b1, std::size_t b2) const;
 
   BucketArray array_;
   Rng rng_;
   FilterObserver* observer_;
-  Stash stash_;
+  /// Single-entry victim stash (Fan et al. §4): the fingerprint a failed
+  /// relocation chain left in hand and the candidate bucket it was
+  /// displaced from; used while stash_.entry.valid.
+  BucketArray::Leftover stash_;
   std::uint64_t total_kicks_ = 0;
   std::uint64_t failed_inserts_ = 0;
 };

@@ -74,8 +74,8 @@ CorpusEntry parse_corpus_entry_text(const std::string& text) {
       e.genotype = ScenarioGenotype::parse(value);
       have_genotype = true;
     } else if (key == "perm_rounds") {
-      e.perm_rounds =
-          static_cast<std::uint32_t>(parse_double_field(key, value));
+      const std::string what = "corpus entry field '" + key + "'";
+      e.perm_rounds = parse_uint32(value, what.c_str(), 1);
     } else if (key == "mi_lo") {
       e.mi_lo = parse_double_field(key, value);
     } else if (key == "mi_hi") {

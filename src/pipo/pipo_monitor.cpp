@@ -4,9 +4,7 @@ namespace pipo {
 
 PiPoMonitor::AccessResult PiPoMonitor::on_access(LineAddr line) {
   if (!cfg_.enabled) return AccessResult{};
-  ++accesses_;
   const AutoCuckooFilter::Response resp = filter_.access(line);
-  if (resp.ping_pong) ++captures_;
   return AccessResult{resp.security, resp.ping_pong};
 }
 

@@ -104,8 +104,10 @@ class PiPoMonitor final : public MonitorIface {
   const AutoCuckooFilter& filter() const { return filter_; }
 
   // --- statistics ---
-  std::uint64_t accesses() const { return accesses_; }
-  std::uint64_t captures() const override { return captures_; }
+  std::uint64_t accesses() const { return filter_.accesses(); }
+  std::uint64_t captures() const override {
+    return filter_.ping_pong_captures();
+  }
   std::uint64_t pevicts() const { return pevicts_; }
   std::uint64_t pevicts_dropped() const { return pevicts_dropped_; }
 
@@ -113,8 +115,6 @@ class PiPoMonitor final : public MonitorIface {
   MonitorConfig cfg_;
   AutoCuckooFilter filter_;
 
-  std::uint64_t accesses_ = 0;
-  std::uint64_t captures_ = 0;
   std::uint64_t pevicts_ = 0;
   std::uint64_t pevicts_dropped_ = 0;
 };

@@ -7,7 +7,6 @@
 #include "cache/slice_hash.h"
 #include "defense/bitp.h"
 #include "defense/directory_monitor.h"
-#include "defense/sharp.h"
 #include "mem/mem_controller.h"
 #include "pipo/pipo_monitor.h"
 
@@ -75,7 +74,6 @@ struct SystemConfig {
   DefenseKind defense = DefenseKind::kPiPoMonitor;
   MonitorConfig monitor = MonitorConfig::paper_default();
   DirectoryMonitorConfig dir_monitor;
-  SharpConfig sharp;
   BitpConfig bitp;
   std::uint64_t seed = 0x5EED;
 

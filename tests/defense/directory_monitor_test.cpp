@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "filter/filter_config.h"
 #include "tests/pipo/monitor_test_util.h"
 
@@ -30,6 +33,22 @@ TEST(DirectoryMonitor, CapturesAtThreshold) {
   EXPECT_TRUE(r.ping_pong);
   EXPECT_EQ(r.security, 3u);
   EXPECT_EQ(mon.captures(), 1u);
+}
+
+TEST(DirectoryMonitor, RejectsCounterWidthsOutsideOneToEight) {
+  // counter_max() shifts by counter_bits, so a width of 32 must be
+  // rejected before anything evaluates it.
+  for (std::uint32_t bits : {0u, 9u, 32u}) {
+    DirectoryMonitorConfig cfg = small_table();
+    cfg.counter_bits = bits;
+    try {
+      DirectoryMonitor mon(cfg);
+      ADD_FAILURE() << "counter_bits " << bits << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("counter_bits"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(DirectoryMonitor, CounterSaturates) {

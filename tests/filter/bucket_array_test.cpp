@@ -138,16 +138,6 @@ TEST(BucketArray, SwapEntryExchangesBothDirections) {
   EXPECT_EQ(arr.valid_count(), 1u);  // swap of two valid entries: unchanged
 }
 
-TEST(BucketArray, SwapFprintKeepsResidentSecurity) {
-  BucketArray arr(small_config());
-  arr.set_entry(7, 2, FilterEntry{true, 0x33, 2});
-  std::uint32_t fp = 0x44;
-  arr.swap_fprint(7, 2, fp);
-  EXPECT_EQ(fp, 0x33u);
-  EXPECT_EQ(arr.entry(7, 2).fprint, 0x44u);
-  EXPECT_EQ(arr.entry(7, 2).security, 2u);  // Security stays with the slot
-}
-
 TEST(BucketArray, ValidCountTracksOverwrites) {
   BucketArray arr(small_config());
   arr.set_entry(0, 0, FilterEntry{true, 1, 0});

@@ -69,6 +69,21 @@ TEST(Corpus, MalformedMetadataNamesTheLine) {
   EXPECT_THROW(parse_corpus_entry_text(""), std::invalid_argument);
 }
 
+TEST(Corpus, PermRoundsMustBeAPositiveInteger) {
+  for (const char* bad : {"-1", "1e12", "2.5", "0", "4294967296"}) {
+    std::string text = corpus_entry_text(sample_entry("x"));
+    text.replace(text.find("perm_rounds: 99"), 15,
+                 std::string("perm_rounds: ") + bad);
+    try {
+      parse_corpus_entry_text(text);
+      ADD_FAILURE() << "perm_rounds " << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("perm_rounds"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Corpus, ArchiveLoadVerifyRoundTrip) {
   TempCorpus tmp("roundtrip");
   const CorpusEntry written =

@@ -1,12 +1,13 @@
-// Differential oracle for the Auto-Cuckoo filter: the production filter
-// (bit-packed words, single fused hash pass, alt-bucket XOR table) versus
-// the reference filter (unpacked entries, three independent MixHash
-// passes) driven through identical randomized access streams.
+// Differential oracle for both filters: each production filter
+// (bit-packed BucketArray words, the insert both filters share) versus
+// its reference (unpacked entries, three independent MixHash passes,
+// its own relocation chain) driven through identical randomized traces.
 //
-// Both consume the same seeded RNG sequence for victim-slot and bucket
-// choices, so every relocation chain and autonomic deletion happens in
-// lockstep; any divergence in hashing, packing, counter saturation or
-// kick order shows up as a mismatched Response at a precise step.
+// Each pair consumes the same seeded RNG sequence for victim-slot and
+// bucket choices, so every relocation chain, autonomic deletion and
+// stash fill happens in lockstep; any divergence in hashing, packing,
+// counter saturation, kick order or stash handling shows up as a
+// mismatched result at a precise step.
 #include <cstdint>
 #include <vector>
 
@@ -14,12 +15,14 @@
 
 #include "common/rng.h"
 #include "filter/auto_cuckoo_filter.h"
+#include "filter/cuckoo_filter.h"
 #include "tests/oracle/reference_filter.h"
 
 namespace pipo {
 namespace {
 
 using oracle::ReferenceAutoCuckooFilter;
+using oracle::ReferenceCuckooFilter;
 
 struct TraceShape {
   FilterConfig cfg;
@@ -64,7 +67,7 @@ std::vector<TraceShape> shapes() {
     v.push_back({c, 64 * 4, 2000});
   }
   {
-    FilterConfig c;  // f above the alt-table cutoff: on-the-fly alt hash
+    FilterConfig c;  // wide fingerprints
     c.l = 64;
     c.b = 4;
     c.f = 24;
@@ -121,6 +124,98 @@ TEST(FilterDifferential, RandomTracesMatchReference) {
       if (testing::Test::HasFatalFailure()) return;
     }
   }
+}
+
+/// The classic filter's shapes: the Auto-Cuckoo shapes plus one bucket
+/// (l = 1, so both candidates alias) and one-entry buckets (b = 1).
+std::vector<TraceShape> classic_shapes() {
+  std::vector<TraceShape> v = shapes();
+  {
+    FilterConfig c;
+    c.l = 1;
+    c.b = 8;
+    c.f = 8;
+    v.push_back({c, 8 * 4, 400});
+  }
+  {
+    FilterConfig c;
+    c.l = 64;
+    c.b = 1;
+    c.f = 8;
+    c.mnk = 3;
+    v.push_back({c, 64 * 3, 800});
+  }
+  return v;
+}
+
+/// What a classic trace exercised, summed over traces (anti-vacuity).
+struct ClassicCoverage {
+  std::uint64_t kicks = 0;
+  std::uint64_t failed_inserts = 0;
+  std::uint64_t steps_with_stash = 0;
+  std::uint64_t stash_erases = 0;  ///< erases that emptied the stash
+};
+
+void run_classic_trace(const TraceShape& shape, std::uint64_t trace_seed,
+                       ClassicCoverage& cov) {
+  FilterConfig cfg = shape.cfg;
+  cfg.hash_seed ^= trace_seed * 0x9E3779B97F4A7C15ull;
+
+  CuckooFilter fast(cfg);
+  ReferenceCuckooFilter ref(cfg);
+  Rng rng(trace_seed);
+  std::vector<LineAddr> inserted;
+
+  for (int i = 0; i < shape.accesses; ++i) {
+    // Half the keys repeat an earlier insert, so erases and probes often
+    // find a record, the stashed one included.
+    const LineAddr x = !inserted.empty() && rng.chance(0.5)
+                           ? inserted[rng.below(inserted.size())]
+                           : rng.below(shape.universe);
+    const std::uint64_t op = rng.below(8);  // 4/8 insert, 2/8 erase
+    const bool stash_before = ref.stash_used();
+    if (op < 4) {
+      ASSERT_EQ(fast.insert(x), ref.insert(x))
+          << "insert: trace seed " << trace_seed << ", step " << i
+          << ", addr " << x;
+      inserted.push_back(x);
+    } else if (op < 6) {
+      ASSERT_EQ(fast.erase(x), ref.erase(x))
+          << "erase: trace seed " << trace_seed << ", step " << i
+          << ", addr " << x;
+      cov.stash_erases += stash_before && !ref.stash_used();
+    }
+    ASSERT_EQ(fast.contains(x), ref.contains(x))
+        << "contains: trace seed " << trace_seed << ", step " << i
+        << ", addr " << x;
+    ASSERT_EQ(fast.size(), ref.size())
+        << "trace seed " << trace_seed << ", step " << i;
+    ASSERT_EQ(fast.total_kicks(), ref.total_kicks())
+        << "trace seed " << trace_seed << ", step " << i;
+    ASSERT_EQ(fast.failed_inserts(), ref.failed_inserts())
+        << "trace seed " << trace_seed << ", step " << i;
+    cov.steps_with_stash += ref.stash_used();
+  }
+  cov.kicks += ref.total_kicks();
+  cov.failed_inserts += ref.failed_inserts();
+}
+
+TEST(FilterDifferential, ClassicTracesMatchReference) {
+  const std::vector<TraceShape> all = classic_shapes();
+  ClassicCoverage cov;
+  // 40 traces x 7 shapes of mixed insert / erase / contains steps.
+  for (std::uint64_t t = 0; t < 40; ++t) {
+    for (std::size_t s = 0; s < all.size(); ++s) {
+      run_classic_trace(all[s], 0xC1000 + t * 16 + s, cov);
+      if (testing::Test::HasFatalFailure()) return;
+    }
+  }
+  // The traces reach every branch: relocation chains, failed inserts
+  // that fill the stash, and erases that empty it again.
+  EXPECT_GT(cov.kicks, 1'500u);
+  EXPECT_GT(cov.failed_inserts, 50'000u);
+  EXPECT_GT(cov.steps_with_stash, 100'000u);
+  EXPECT_GT(cov.stash_erases, 200u);
 }
 
 }  // namespace
