@@ -14,7 +14,6 @@ Tick MemController::fetch(Tick now, LineAddr line, Reason reason) {
   switch (reason) {
     case Reason::kDemand: ++demand_fetches_; break;
     case Reason::kPrefetch: ++prefetch_fetches_; break;
-    case Reason::kWriteback: break;  // fetches are never writebacks
   }
   const Tick start = occupy_channel(now);
   return start + cfg_.dram_latency;

@@ -27,8 +27,8 @@ class MemController {
  public:
   explicit MemController(const MemConfig& cfg) : cfg_(cfg) {}
 
-  /// Kind of request, for statistics.
-  enum class Reason : std::uint8_t { kDemand, kPrefetch, kWriteback };
+  /// Kind of fetch, for statistics. Writebacks go through writeback().
+  enum class Reason : std::uint8_t { kDemand, kPrefetch };
 
   /// Issues a line fetch at `now`; returns the tick at which data is
   /// available at the LLC. Queueing delay accrues when the channel is

@@ -8,9 +8,19 @@
 //
 // Scheduling discipline: because the core is blocking, at most one event
 // of this core is ever in flight, so the pending request lives in a
-// member and every scheduled callback captures only `this`, which fits
-// the event queue's 16-byte inline callable, making steady-state
-// simulation allocation-free.
+// member and its one callback captures only `this`, which fits the event
+// queue's 16-byte inline callable, making steady-state simulation
+// allocation-free. A core alternates two phases: a step asks the
+// workload for its next request, and pre_delay cycles later an issue
+// sends it into the memory system; the next step follows at the access's
+// completion. Each phase ends by handing the tick of the next one to
+// EventQueue::advance_if_next: while no other event comes first, the core
+// runs ahead in place, and it schedules its callback only for a phase
+// that must wait. Every phase runs at the tick, and in the order among
+// all events, that scheduling it would give (event_queue.h), so the
+// System, the workload and the uncore tick see the same calls either way
+// (tests/oracle/run_ahead_oracle_test replays the two-event core that
+// schedules every phase).
 #pragma once
 
 #include <cstdint>
@@ -37,7 +47,7 @@ class CoreModel {
 
   /// Schedules the first instruction at `start`.
   void start(Tick start_tick) {
-    queue_->schedule(start_tick, [this] { step(); });
+    queue_->schedule(start_tick, [this] { run(); });
   }
 
   bool done() const { return done_; }
@@ -50,26 +60,33 @@ class CoreModel {
   std::uint64_t mem_accesses() const { return mem_accesses_; }
 
  private:
-  void step() {
-    const auto req = workload_->next(queue_->now());
-    if (!req) {
-      done_ = true;
-      finish_tick_ = queue_->now();
-      if (running_cores_) --*running_cores_;
-      return;
-    }
-    pending_ = *req;
-    queue_->schedule(queue_->now() + req->pre_delay, [this] { issue(); });
-  }
-
-  void issue() {
-    const Tick issued = queue_->now();
-    const System::AccessOutcome out = system_->access(
-        issued, id_, pending_.addr, pending_.type, pending_.bypass_private);
-    instructions_ += 1 + pending_.pre_delay;
-    ++mem_accesses_;
-    workload_->on_complete(pending_, issued, out.complete);
-    queue_->schedule(out.complete, [this] { step(); });
+  /// The core's event: runs the due phase, then each next one in place
+  /// while the queue allows, and schedules the first that must wait.
+  void run() {
+    Tick next = 0;
+    do {
+      const Tick now = queue_->now();
+      if (issuing_) {
+        const System::AccessOutcome out = system_->access(
+            now, id_, pending_.addr, pending_.type, pending_.bypass_private);
+        instructions_ += 1 + pending_.pre_delay;
+        ++mem_accesses_;
+        workload_->on_complete(pending_, now, out.complete);
+        next = out.complete;
+      } else {
+        const auto req = workload_->next(now);
+        if (!req) {
+          done_ = true;
+          finish_tick_ = now;
+          if (running_cores_) --*running_cores_;
+          return;
+        }
+        pending_ = *req;
+        next = now + req->pre_delay;
+      }
+      issuing_ = !issuing_;
+    } while (queue_->advance_if_next(next));
+    queue_->schedule(next, [this] { run(); });
   }
 
   CoreId id_;
@@ -77,7 +94,8 @@ class CoreModel {
   EventQueue* queue_;
   Workload* workload_;
   std::uint32_t* running_cores_;
-  MemRequest pending_;  ///< request between its step() and issue() events
+  MemRequest pending_;  ///< request between its step and its issue
+  bool issuing_ = false;  ///< the next phase is pending_'s issue
   bool done_ = false;
   Tick finish_tick_ = 0;
   std::uint64_t instructions_ = 0;

@@ -80,7 +80,10 @@ class Simulation {
   /// never fire into dead CoreModels. The drive loop is
   /// EventQueue::run_active(max_ticks): the event that crosses the cap
   /// still executes (a started access completes), and the clock stops at
-  /// the last dispatched event's tick rather than at max_ticks.
+  /// the last dispatched event's tick rather than at max_ticks. A core
+  /// runs its next step or issue in place when no pending event precedes
+  /// it (EventQueue::advance_if_next), which changes no result: that
+  /// phase runs at the tick and in the order the queue would give it.
   Tick run(Tick max_ticks = kNeverTick);
 
   System& system() { return system_; }
@@ -102,7 +105,9 @@ class Simulation {
   static constexpr Tick kUncoreTickPeriod = 64;
 
   /// Events the last run() dispatched: core steps and issues plus uncore
-  /// ticks. A host-cost diagnostic that goes into no record.
+  /// ticks, the steps and issues a core ran in place included
+  /// (EventQueue::ran_in_place() counts those alone, over the queue's
+  /// life). A host-cost diagnostic that goes into no record.
   std::uint64_t events_dispatched() const { return events_dispatched_; }
 
  private:

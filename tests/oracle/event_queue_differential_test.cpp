@@ -16,6 +16,7 @@
 // divergence anywhere fails with the trace seed in the message, so
 // failures are reproducible by construction.
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -82,6 +83,34 @@ struct Chain {
   }
 };
 
+/// A Chain whose production copy runs each next hop in place while
+/// advance_if_next allows and schedules the first hop that must wait; the
+/// reference copy schedules every hop. Both draw the same deltas in the
+/// same order, so the logs match iff each in-place hop is exactly the
+/// event the reference pops next.
+template <typename Q>
+struct AheadChain {
+  Side<Q>* s;
+  int id;
+  int hops;
+  void operator()() const {
+    AheadChain c = *this;
+    for (;;) {
+      s->log.emplace_back(s->q.now(), c.id);
+      if (c.hops == 0) return;
+      const Tick when = s->q.now() + mixed_delta(s->rng);
+      c = AheadChain{s, s->next_id++, c.hops - 1};
+      if constexpr (std::is_same_v<Q, EventQueue>) {
+        // After a ceiling event ran, `when` can wrap below now(); only
+        // schedule() takes such a tick, on both sides alike.
+        if (when >= s->q.now() && s->q.advance_if_next(when)) continue;
+      }
+      s->q.schedule(when, c);
+      return;
+    }
+  }
+};
+
 /// Mid-dispatch cancellation of everything pending, far events included.
 template <typename Q>
 struct ClearShot {
@@ -93,8 +122,12 @@ struct ClearShot {
   }
 };
 
+/// Drives one randomized trace through both queues. When `ran_in_place`
+/// is non-null, chains are AheadChains and the production queue's
+/// in-place runs are added to it.
 template <typename ProdQ, typename RefQ>
-void drive_trace(std::uint64_t seed, bool deep_bias) {
+void drive_trace(std::uint64_t seed, bool deep_bias,
+                 std::uint64_t* ran_in_place = nullptr) {
   Side<ProdQ> a(seed * 2 + 1);
   Side<RefQ> b(seed * 2 + 1);
   Rng op(seed);
@@ -102,7 +135,11 @@ void drive_trace(std::uint64_t seed, bool deep_bias) {
   auto schedule_both = [&](Tick delta, bool chain) {
     const int id = a.next_id++;
     b.next_id++;
-    if (chain) {
+    if (chain && ran_in_place) {
+      const int hops = 1 + static_cast<int>(op.below(8));
+      a.q.schedule_in(delta, AheadChain<ProdQ>{&a, id, hops});
+      b.q.schedule_in(delta, AheadChain<RefQ>{&b, id, hops});
+    } else if (chain) {
       const int hops = 1 + static_cast<int>(op.below(3));
       a.q.schedule_in(delta, Chain<ProdQ>{&a, id, hops});
       b.q.schedule_in(delta, Chain<RefQ>{&b, id, hops});
@@ -211,6 +248,7 @@ void drive_trace(std::uint64_t seed, bool deep_bias) {
     ASSERT_EQ(a.log[i], b.log[i]) << "seed " << seed << " event " << i;
   }
   ASSERT_EQ(a.next_id, b.next_id) << "seed " << seed;
+  if (ran_in_place) *ran_in_place += a.q.ran_in_place();
 }
 
 TEST(EventQueueDifferential, RandomTraces) {
@@ -229,6 +267,21 @@ TEST(EventQueueDifferential, DeepQueueTraces) {
         0xD0000 + static_cast<std::uint64_t>(t), /*deep_bias=*/true);
     if (HasFatalFailure()) return;
   }
+}
+
+TEST(EventQueueDifferential, RunAheadTraces) {
+  // Chains of up to eight hops that run ahead in place on the production
+  // queue, interleaved with scheduling, run_one, run_active to random
+  // stops and clears: every hop must land where the reference pops it,
+  // and run_active must count the in-place hops as dispatched.
+  std::uint64_t ran_in_place = 0;
+  for (int t = 0; t < kTraces; ++t) {
+    drive_trace<EventQueue, oracle::ReferenceEventQueue>(
+        0xA0000 + static_cast<std::uint64_t>(t), /*deep_bias=*/false,
+        &ran_in_place);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(ran_in_place, 10u * kTraces);
 }
 
 TEST(EventQueueDifferential, SameTickFifoAcrossSchedulingTimes) {

@@ -145,9 +145,10 @@ class QueueDepthProbe : public Workload {
 
 TEST(Simulation, QueueHoldsOneEventPerCorePlusTheUncoreTick) {
   // The bound the event queue's sorted array relies on: every blocking
-  // core has one event in flight and Simulation one uncore tick. Inside
-  // next() the asking core's own event is already popped, so the deepest
-  // queue it can see is num_cores.
+  // core has at most one event in flight and Simulation one uncore tick.
+  // Inside next() the asking core holds no queued event (its own was
+  // popped, or it runs ahead in place), so the deepest queue it can see
+  // is num_cores.
   for (const unsigned mix : {1u, 3u, 7u}) {
     for (const DefenseKind d : {DefenseKind::kNone, DefenseKind::kPiPoMonitor,
                                 DefenseKind::kBitp}) {

@@ -89,6 +89,97 @@ TEST(EventQueue, RunActiveExecutesTheCrossingEvent) {
   EXPECT_EQ(q.pending(), 1u);
 }
 
+TEST(EventQueue, AdvanceIfNextStopsWhereRunActiveStops) {
+  // advance_if_next mirrors run_active's now() < stop: from below the
+  // stop a callback may run ahead to the event that crosses it, as the
+  // loop would dispatch that event, and from there on nothing runs
+  // ahead. Limits on the in-place tick and between two in-place ticks.
+  for (const Tick stop : {Tick{20}, Tick{25}}) {
+    EventQueue q;
+    std::vector<bool> answers;
+    q.schedule(10, [&] {
+      for (const Tick when : {Tick{20}, Tick{30}, Tick{40}}) {
+        answers.push_back(q.advance_if_next(when));
+        if (!answers.back()) {
+          q.schedule(when, [] {});
+          return;
+        }
+      }
+    });
+    const std::vector<bool> expected =
+        stop == 20 ? std::vector<bool>{true, false}
+                   : std::vector<bool>{true, true, false};
+    EXPECT_EQ(q.run_active(stop), expected.size()) << "stop " << stop;
+    EXPECT_EQ(answers, expected) << "stop " << stop;
+    EXPECT_EQ(q.now(), stop == 20 ? 20u : 30u);
+    EXPECT_EQ(q.pending(), 1u);
+    EXPECT_EQ(q.ran_in_place(), expected.size() - 1);
+  }
+}
+
+TEST(EventQueue, AdvanceIfNextRunsTheNextEventInPlace) {
+  // Only later pending events: the event at `when` is the next dispatch,
+  // so the clock moves there and the run counts as one.
+  EventQueue q;
+  std::vector<Tick> ticks;
+  q.schedule(30, [&] { ticks.push_back(q.now()); });
+  q.schedule(10, [&] {
+    ASSERT_TRUE(q.advance_if_next(10));  // the same tick, nothing pending
+    ASSERT_TRUE(q.advance_if_next(19));
+    ticks.push_back(q.now());
+    ASSERT_TRUE(q.advance_if_next(29));
+    ticks.push_back(q.now());
+  });
+  EXPECT_EQ(q.run_active(kNeverTick), 5u);  // 10, 10, 19, 29, 30
+  EXPECT_EQ(ticks, (std::vector<Tick>{19, 29, 30}));
+  EXPECT_EQ(q.ran_in_place(), 3u);
+  // run_all counts them as well, with nothing left pending at the end.
+  q.schedule(40, [&] { ASSERT_TRUE(q.advance_if_next(50)); });
+  EXPECT_EQ(q.run_all(), 2u);
+  EXPECT_EQ(q.now(), 50u);
+  EXPECT_EQ(q.ran_in_place(), 4u);
+}
+
+TEST(EventQueue, AdvanceIfNextRefusesWhenAnEventIsDueFirst) {
+  // A pending event due at `when` runs first by same-tick FIFO, and one
+  // due earlier runs first by time: running ahead would overtake either.
+  EventQueue q;
+  std::vector<bool> answers;
+  q.schedule(20, [] {});
+  q.schedule(10, [&] {
+    answers.push_back(q.advance_if_next(20));
+    answers.push_back(q.advance_if_next(25));
+    EXPECT_EQ(q.now(), 10u);
+  });
+  EXPECT_EQ(q.run_all(), 2u);
+  EXPECT_EQ(answers, (std::vector<bool>{false, false}));
+  EXPECT_EQ(q.ran_in_place(), 0u);
+}
+
+TEST(EventQueue, AdvanceIfNextRefusesOutsideADriveLoop) {
+  EventQueue q;
+  EXPECT_FALSE(q.advance_if_next(5));  // no loop is running
+  // Under run_one, also when run_one is called from a callback that
+  // run_active dispatched; that callback may run ahead again afterwards.
+  std::vector<bool> answers;
+  q.schedule(1, [&] { answers.push_back(q.advance_if_next(5)); });
+  EXPECT_TRUE(q.run_one());
+  q.schedule(2, [&] {
+    q.schedule(3, [&] { answers.push_back(q.advance_if_next(5)); });
+    q.run_one();
+    answers.push_back(q.advance_if_next(6));
+  });
+  EXPECT_EQ(q.run_active(100), 2u);  // tick 2 and its run ahead to 6
+  EXPECT_EQ(answers, (std::vector<bool>{false, false, true}));
+  // After a callback threw out of run_active, as a trace decode error
+  // does.
+  q.schedule(7, [] { throw std::runtime_error("decode"); });
+  EXPECT_THROW(q.run_active(100), std::runtime_error);
+  EXPECT_EQ(q.now(), 7u);
+  EXPECT_FALSE(q.advance_if_next(8));
+  EXPECT_EQ(q.ran_in_place(), 1u);
+}
+
 /// Shared state of the stress tests' one-shots, reached through one
 /// pointer so each callable fits the queue's inline buffer.
 struct StressLog {
