@@ -42,11 +42,12 @@
 // (docs/traces.md): each --trace PATH is a trace file (drives core 0),
 // a scenario directory holding core<i>.trace files, or a directory of
 // such scenario directories — every scenario runs against every
-// --defenses entry via streaming replay (O(chunk) memory). --no-mixes
-// drops the mix grid and runs traces only. --record DIR captures every
-// mix configuration's per-core request streams to
-// DIR/mix<m>_<defense>_s<seed>/core<i>.trace (recording is invisible to
-// the run: simulated fields match a non-recording sweep byte for byte).
+// --defenses entry via streaming replay (one frame's payload or text
+// line in memory per core). --no-mixes drops the mix grid and runs
+// traces only. --record DIR captures every mix configuration's per-core
+// request streams to DIR/mix<m>_<defense>_s<seed>/core<i>.trace
+// (recording is invisible to the run: simulated fields match a
+// non-recording sweep byte for byte).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>

@@ -19,8 +19,8 @@
 // `mix --record DIR` captures each core's consumed request stream to
 // DIR/core<i>.trace; `trace` replays a single file on --core (default
 // 0) or a whole captured directory of core<i>.trace files across all
-// cores, streaming any trace format in O(chunk) memory
-// (docs/traces.md). A replayed capture reproduces the live run's stats
+// cores, streaming any trace format with one frame's payload or text
+// line in memory (docs/traces.md). A replayed capture reproduces the live run's stats
 // byte-identically.
 //
 // Examples:

@@ -61,11 +61,11 @@ bool is_core_trace_name(const std::string& filename,
                         std::string* digits = nullptr);
 
 /// Assigns a recorded trace scenario to `sim`'s cores via streaming
-/// readers (O(chunk) memory per core), idle-filling undriven cores.
-/// `path` is either a single trace file (drives `single_file_core`) or
-/// a directory holding per-core files named core<i>.trace — the layout
-/// TraceCapture writes, in which case `single_file_core` is ignored;
-/// formats are autodetected per file. Returns the number of driven
+/// readers (one frame's payload or text line in memory per core),
+/// idle-filling undriven cores. `path` is either a single trace file
+/// (drives `single_file_core`) or a directory holding per-core files
+/// named core<i>.trace — the layout TraceCapture writes, in which case
+/// `single_file_core` is ignored; formats are autodetected per file. Returns the number of driven
 /// cores. Throws std::runtime_error if the directory has no
 /// core<i>.trace files, if it names a core the simulation does not have
 /// (including zero-padded spellings the loader would miss), if

@@ -23,7 +23,7 @@ class SlicedCache {
   /// each of the `num_slices` slices gets total.size_bytes / num_slices.
   SlicedCache(const CacheConfig& total, std::uint32_t num_slices,
               SliceHashKind hash = SliceHashKind::kLowBits)
-      : total_cfg_(total), num_slices_(num_slices), hash_(hash) {
+      : num_slices_(num_slices), hash_(hash) {
     if (!is_pow2(num_slices) || num_slices == 0) {
       throw std::invalid_argument("LLC slice count must be a power of two");
     }
@@ -52,8 +52,6 @@ class SlicedCache {
   }
 
   std::uint32_t num_slices() const { return num_slices_; }
-  std::uint32_t latency() const { return total_cfg_.latency; }
-  const CacheConfig& total_config() const { return total_cfg_; }
   SliceHashKind hash_kind() const { return hash_; }
 
   std::uint32_t slice_of(LineAddr line) const {
@@ -107,7 +105,6 @@ class SlicedCache {
   }
 
  private:
-  CacheConfig total_cfg_;
   std::uint32_t num_slices_;
   SliceHashKind hash_ = SliceHashKind::kLowBits;
   std::vector<CacheArray> slices_;

@@ -48,7 +48,6 @@ class BitpPrefetcher final : public MonitorIface {
   std::uint64_t prefetches_issued() const override {
     return back_invalidations_;
   }
-  std::uint64_t back_invalidations() const { return back_invalidations_; }
 
  private:
   BitpConfig cfg_;

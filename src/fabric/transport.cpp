@@ -155,7 +155,6 @@ FaultyTransport::FaultyTransport(std::unique_ptr<ByteLink> inner,
 }
 
 void FaultyTransport::send_all(const void* data, std::size_t n) {
-  ++frames_;
   // One draw per frame partitioned by cumulative rates: the schedule is
   // a pure function of (seed, frame index), independent of host timing.
   const std::uint64_t roll = rng_.below(100);

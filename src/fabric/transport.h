@@ -111,14 +111,12 @@ class FaultyTransport final : public ByteLink {
                            int timeout_ms) override;
   void close_link() override;
 
-  std::uint64_t frames_seen() const { return frames_; }
   std::uint64_t faults_injected() const { return faults_; }
 
  private:
   std::unique_ptr<ByteLink> inner_;
   FaultSpec spec_;
   Rng rng_;
-  std::uint64_t frames_ = 0;
   std::uint64_t faults_ = 0;
 };
 

@@ -59,6 +59,7 @@ class EventQueue {
                       alignof(Fn) <= alignof(void*),
                   "EventQueue callables must be trivially copyable and fit "
                   "kInlineBytes; capture one context pointer instead");
+    assert(when >= now_);
     Event ev{when, &invoke<Fn>, {}};
     ::new (static_cast<void*>(ev.fn)) Fn(std::forward<F>(fn));
     events_.insert(std::partition_point(

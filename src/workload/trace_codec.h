@@ -7,7 +7,8 @@
 // for production-scale traces (multi-gigabyte pin/gem5 conversions,
 // recorded attack transcripts): compact varint-delta records
 // (trace_record.h) in checksummed frames with a trailing seek index,
-// decodable in O(chunk) memory and replayable from any frame boundary.
+// decodable in memory of one frame's payload and replayable from any
+// frame boundary.
 //
 // Text v1 grammar, one request per line:
 //
@@ -128,8 +129,6 @@ class TextTraceDecoder final : public TraceDecoder {
 /// the magic is here so detect_trace_format need not depend on it).
 inline constexpr char kTraceMagicV3[8] = {'P', 'I', 'P', 'O',
                                           'T', 'R', 'C', '3'};
-/// Default I/O chunk for the framed decoder's refill buffer.
-inline constexpr std::size_t kTraceChunkBytes = 64 * 1024;
 
 // ------------------------------------------------- factories + helpers
 

@@ -25,21 +25,9 @@ constexpr std::uint64_t kMinRecordBytes = 4;
 constexpr std::uint64_t kMinContainerBytes = 30;
 constexpr std::uint64_t kFooterBytes = 16;
 
-/// The diagnostic for an 8-byte magic other than "PIPOTRC3". The
-/// retired flat binary v2 format shares the 'P' that autodetection
-/// routes here, so its files are named rather than called garbage.
-std::string bad_magic(const char* magic) {
-  if (std::memcmp(magic, "PIPOTRC2", 8) == 0) {
-    return "bad magic: \"PIPOTRC2\" is the retired flat binary v2 trace "
-           "format, which this build no longer reads (convert it to text "
-           "with trace_convert from an older build)";
-  }
-  return "bad magic (want \"PIPOTRC3\")";
-}
-
 /// The diagnostic for a frame marker other than raw (0x01) or the end
 /// marker (0x00). Marker 0x02, the retired zstd-compressed frame, is
-/// named for the same reason as the retired magic above.
+/// named for the same reason as the retired magic (read_magic).
 std::string bad_marker(int marker) {
   if (marker == kRetiredFrameZstd) {
     return "frame marker 0x02 is the retired zstd-compressed frame, which "
@@ -57,27 +45,6 @@ void append_u64le(std::vector<std::uint8_t>& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back((v >> (8 * i)) & 0xFF);
 }
 
-/// Byte-source adapter that tees everything read into a side buffer —
-/// how the decoder checksums the index bytes exactly as stored while
-/// parsing them.
-struct RecordingSource {
-  trace_v2::StreamByteSource& src;
-  std::vector<std::uint8_t>& bytes;
-
-  int get_byte() {
-    const int b = src.get_byte();
-    if (b >= 0) bytes.push_back(static_cast<std::uint8_t>(b));
-    return b;
-  }
-  std::uint8_t need_byte(const char* what) {
-    const int b = get_byte();
-    if (b < 0) src.bad(std::string("truncated record (") + what + ")");
-    return static_cast<std::uint8_t>(b);
-  }
-  std::uint64_t consumed() const { return src.consumed(); }
-  [[noreturn]] void bad(const std::string& what) const { src.bad(what); }
-};
-
 template <class Source>
 std::uint32_t read_u32le(Source& src, const char* what) {
   std::uint32_t v = 0;
@@ -94,6 +61,78 @@ std::uint64_t read_u64le(Source& src, const char* what) {
     v |= static_cast<std::uint64_t>(src.need_byte(what)) << (8 * i);
   }
   return v;
+}
+
+/// Reads the 8-byte container magic at the start of a file. The retired
+/// flat binary v2 format shares the 'P' that autodetection routes here,
+/// so its files are named rather than called garbage.
+void read_magic(trace_v2::StreamByteSource& src) {
+  char magic[sizeof kTraceMagicV3] = {};
+  for (char& c : magic) {
+    const int got = src.get_byte();
+    if (got < 0) src.bad("truncated magic (want \"PIPOTRC3\")");
+    c = static_cast<char>(got);
+  }
+  if (std::memcmp(magic, "PIPOTRC2", sizeof magic) == 0) {
+    src.bad("bad magic: \"PIPOTRC2\" is the retired flat binary v2 trace "
+            "format, which this build no longer reads (convert it to text "
+            "with trace_convert from an older build)");
+  }
+  if (std::memcmp(magic, kTraceMagicV3, sizeof magic) != 0) {
+    src.bad("bad magic (want \"PIPOTRC3\")");
+  }
+}
+
+/// Parses a container's tail, [end marker, end of file), held in `tail`
+/// whose first byte is at absolute offset `end_off`: the end marker, the
+/// seek index, its checksum and the footer, with every structural check.
+/// Both readers call it; diagnostics name absolute file bytes.
+std::vector<FramedFrameInfo> parse_tail(const std::vector<std::uint8_t>& tail,
+                                        std::uint64_t end_off,
+                                        const std::string& context) {
+  trace_v2::BufferByteSource src(tail.data(), tail.size(), end_off, context);
+  if (src.need_byte("end marker") != kFrameEnd) {
+    src.bad("no end marker at the footer's offset");
+  }
+  const std::uint64_t frame_count =
+      trace_v2::read_varint(src, "index frame count");
+  std::vector<FramedFrameInfo> frames;
+  std::uint64_t off = 0;
+  std::uint64_t cum = 0;
+  for (std::uint64_t i = 0; i < frame_count; ++i) {
+    const std::uint64_t delta =
+        trace_v2::read_varint(src, "index frame offset");
+    const std::uint64_t requests =
+        trace_v2::read_varint(src, "index request count");
+    if (requests == 0) src.bad("index request count is zero");
+    // Frames sit between the magic and the end marker in rising order;
+    // the first entry is absolute, later ones are deltas.
+    if ((i == 0 ? delta < sizeof kTraceMagicV3 : delta == 0) ||
+        delta >= end_off - off) {
+      src.bad("index frame offset out of range");
+    }
+    off += delta;
+    frames.push_back({off, cum, requests});
+    cum += requests;
+  }
+  const std::uint64_t idx_len = src.consumed() - (end_off + 1);
+  const std::uint32_t want_crc = read_u32le(src, "index checksum");
+  if (framed_crc32(tail.data() + 1, idx_len) != want_crc) {
+    src.bad("index checksum mismatch");
+  }
+  const std::uint64_t foot_off = read_u64le(src, "footer offset");
+  if (foot_off != end_off) {
+    src.bad("footer end-marker offset disagrees with the stream (" +
+            std::to_string(foot_off) + " vs " + std::to_string(end_off) +
+            ")");
+  }
+  for (char want : kFramedIndexMagic) {
+    if (src.need_byte("footer magic") != static_cast<unsigned char>(want)) {
+      src.bad("bad footer magic (want \"PIPOIDX1\")");
+    }
+  }
+  if (!src.exhausted()) src.bad("trailing bytes after the footer");
+  return frames;
 }
 
 }  // namespace
@@ -195,26 +234,16 @@ void FramedTraceEncoder::finish() {
 
 // -------------------------------------------------------------- decoder
 
-FramedTraceDecoder::FramedTraceDecoder(std::istream& is,
-                                       std::size_t chunk_bytes)
-    : src_(is, chunk_bytes, "framed trace") {
-  char magic[sizeof kTraceMagicV3] = {};
-  for (char& c : magic) {
-    const int got = src_.get_byte();
-    if (got < 0) src_.bad("truncated magic (want \"PIPOTRC3\")");
-    c = static_cast<char>(got);
-  }
-  if (std::memcmp(magic, kTraceMagicV3, sizeof magic) != 0) {
-    src_.bad(bad_magic(magic));
-  }
+FramedTraceDecoder::FramedTraceDecoder(std::istream& is)
+    : src_(is, "framed trace") {
+  read_magic(src_);
 }
 
 FramedTraceDecoder::FramedTraceDecoder(std::istream& is,
-                                       std::size_t chunk_bytes,
                                        std::uint64_t start_offset,
                                        std::uint64_t skipped_frames,
                                        std::uint64_t skipped_requests)
-    : src_(is, chunk_bytes, "framed trace", start_offset),
+    : src_(is, "framed trace", start_offset),
       skipped_frames_(skipped_frames),
       skipped_requests_(skipped_requests) {}
 
@@ -250,7 +279,7 @@ bool FramedTraceDecoder::load_next_frame() {
   const int m = src_.get_byte();
   if (m < 0) src_.bad("truncated container (missing end marker and index)");
   if (m == kFrameEnd) {
-    validate_index_and_footer(marker_off);
+    check_tail(marker_off);
     return false;
   }
   if (m != kFrameRaw) {
@@ -278,7 +307,9 @@ bool FramedTraceDecoder::load_next_frame() {
   const std::uint32_t want_crc = read_u32le(src_, "frame checksum");
   const std::uint64_t payload_off = src_.consumed();
   stored_.resize(payload_len);
-  src_.read_bytes(stored_.data(), payload_len, "frame payload");
+  if (src_.read_some(stored_.data(), payload_len) != payload_len) {
+    src_.bad("truncated record (frame payload)");
+  }
   if (framed_crc32(stored_.data(), stored_.size()) != want_crc) {
     throw std::invalid_argument(
         "framed trace, byte " + std::to_string(marker_off) +
@@ -292,58 +323,42 @@ bool FramedTraceDecoder::load_next_frame() {
   return true;
 }
 
-void FramedTraceDecoder::validate_index_and_footer(
-    std::uint64_t end_marker_offset) {
-  std::vector<std::uint8_t> idx;
-  RecordingSource rec{src_, idx};
-  const std::uint64_t frame_count =
-      trace_v2::read_varint(rec, "index frame count");
-  std::vector<SeenFrame> entries;
-  std::uint64_t prev = 0;
-  for (std::uint64_t i = 0; i < frame_count; ++i) {
-    const std::uint64_t delta =
-        trace_v2::read_varint(rec, "index frame offset");
-    const std::uint64_t requests =
-        trace_v2::read_varint(rec, "index request count");
-    const std::uint64_t off = prev + delta;  // first entry is absolute
-    entries.push_back({off, requests});
-    prev = off;
+void FramedTraceDecoder::check_tail(std::uint64_t end_marker_offset) {
+  // The index lists every frame, skipped or decoded; each entry takes at
+  // most two varints, so a tail longer than this is not one.
+  const std::uint64_t frames = skipped_frames_ + seen_.size();
+  const std::size_t max_tail = 1 + trace_v2::kMaxVarintBytes +
+                               2 * trace_v2::kMaxVarintBytes * frames + 4 +
+                               kFooterBytes;
+  std::vector<std::uint8_t> tail(max_tail + 1);
+  tail[0] = kFrameEnd;
+  const std::size_t got = src_.read_some(tail.data() + 1, max_tail);
+  if (got == max_tail) {
+    src_.bad("trailing bytes after the footer (the tail runs past the " +
+             std::to_string(max_tail) + " bytes an index of " +
+             std::to_string(frames) + " frame(s) can take)");
   }
-  const std::uint32_t want_crc = read_u32le(src_, "index checksum");
-  if (framed_crc32(idx.data(), idx.size()) != want_crc) {
-    src_.bad("index checksum mismatch");
-  }
-  const std::uint64_t foot_off = read_u64le(src_, "footer offset");
-  if (foot_off != end_marker_offset) {
-    src_.bad("footer end-marker offset disagrees with the stream (" +
-             std::to_string(foot_off) + " vs " +
-             std::to_string(end_marker_offset) + ")");
-  }
-  for (char want : kFramedIndexMagic) {
-    const std::uint8_t got = src_.need_byte("footer magic");
-    if (got != static_cast<unsigned char>(want)) {
-      src_.bad("bad footer magic (want \"PIPOIDX1\")");
-    }
-  }
-  if (src_.get_byte() >= 0) src_.bad("trailing bytes after the footer");
+  tail.resize(1 + got);
+  const std::vector<FramedFrameInfo> entries =
+      parse_tail(tail, end_marker_offset, "framed trace");
 
   // The index must describe exactly the frames this decode saw (plus,
   // for a seek-resumed decode, the skipped prefix).
-  if (entries.size() != skipped_frames_ + seen_.size()) {
+  if (entries.size() != frames) {
     src_.bad("seek index holds " + std::to_string(entries.size()) +
-             " frame(s) but the stream decoded " +
-             std::to_string(skipped_frames_ + seen_.size()));
+             " frame(s) but the stream decoded " + std::to_string(frames));
   }
   std::uint64_t skipped = 0;
   for (std::uint64_t i = 0; i < skipped_frames_; ++i) {
-    skipped += entries[i].requests;
+    skipped += entries[i].request_count;
   }
   if (skipped != skipped_requests_) {
     src_.bad("seek index request counts disagree with the resume offset");
   }
   for (std::size_t j = 0; j < seen_.size(); ++j) {
-    const SeenFrame& e = entries[skipped_frames_ + j];
-    if (e.offset != seen_[j].offset || e.requests != seen_[j].requests) {
+    const FramedFrameInfo& e = entries[skipped_frames_ + j];
+    if (e.byte_offset != seen_[j].offset ||
+        e.request_count != seen_[j].requests) {
       src_.bad("seek index entry " +
                std::to_string(skipped_frames_ + j) +
                " disagrees with the decoded frame");
@@ -356,20 +371,15 @@ void FramedTraceDecoder::validate_index_and_footer(
 FramedTraceFile::FramedTraceFile(std::string path) : path_(std::move(path)) {
   std::ifstream f(path_, std::ios::binary);
   if (!f) throw std::runtime_error("cannot open trace file: " + path_);
+  const std::string context = "framed trace " + path_;
+  {
+    trace_v2::StreamByteSource src(f, context);
+    read_magic(src);
+  }
 
-  const auto malformed = [this](const std::string& what) -> void {
-    throw std::invalid_argument("framed trace " + path_ + ": " + what);
+  const auto malformed = [&context](const std::string& what) -> void {
+    throw std::invalid_argument(context + ": " + what);
   };
-
-  char magic[8] = {};
-  f.read(magic, sizeof magic);
-  if (f.gcount() != sizeof magic) {
-    malformed("truncated magic (want \"PIPOTRC3\")");
-  }
-  if (std::memcmp(magic, kTraceMagicV3, sizeof magic) != 0) {
-    malformed(bad_magic(magic));
-  }
-  f.clear();
   f.seekg(0, std::ios::end);
   const std::uint64_t size = static_cast<std::uint64_t>(f.tellg());
   if (size < kMinContainerBytes) {
@@ -387,52 +397,22 @@ FramedTraceFile::FramedTraceFile(std::string path) : path_(std::move(path)) {
     end_off |= static_cast<std::uint64_t>(footer[i]) << (8 * i);
   }
   // The end marker needs room for itself plus the smallest index.
-  if (end_off < sizeof magic || end_off > size - (kMinContainerBytes - 8)) {
+  if (end_off < sizeof kTraceMagicV3 ||
+      end_off > size - (kMinContainerBytes - sizeof kTraceMagicV3)) {
     malformed("footer end-marker offset out of range");
   }
 
   // Read [end marker, end of file) — O(index), however large the trace.
-  const std::uint64_t region_len = size - end_off;
-  std::vector<std::uint8_t> region(region_len);
+  std::vector<std::uint8_t> tail(size - end_off);
   f.seekg(static_cast<std::streamoff>(end_off));
-  f.read(reinterpret_cast<char*>(region.data()),
-         static_cast<std::streamsize>(region_len));
+  f.read(reinterpret_cast<char*>(tail.data()),
+         static_cast<std::streamsize>(tail.size()));
   if (!f) malformed("cannot read the seek index");
-  if (region[0] != kFrameEnd) {
-    malformed("no end marker at the footer's offset");
+  frames_ = parse_tail(tail, end_off, context);
+  if (!frames_.empty()) {
+    total_requests_ =
+        frames_.back().first_request + frames_.back().request_count;
   }
-
-  trace_v2::BufferByteSource src(region.data() + 1, region_len - 1,
-                                 end_off + 1, "framed trace " + path_);
-  const std::uint64_t frame_count =
-      trace_v2::read_varint(src, "index frame count");
-  std::uint64_t prev = 0;
-  std::uint64_t cum = 0;
-  for (std::uint64_t i = 0; i < frame_count; ++i) {
-    const std::uint64_t delta =
-        trace_v2::read_varint(src, "index frame offset");
-    const std::uint64_t requests =
-        trace_v2::read_varint(src, "index request count");
-    const std::uint64_t off = prev + delta;  // first entry is absolute
-    if (requests == 0) src.bad("index request count is zero");
-    if (off < sizeof magic || off >= end_off ||
-        (i > 0 && delta == 0)) {
-      src.bad("index frame offset out of range");
-    }
-    frames_.push_back({off, cum, requests});
-    cum += requests;
-    prev = off;
-  }
-  const std::uint64_t idx_len = src.consumed() - (end_off + 1);
-  const std::uint32_t want_crc = read_u32le(src, "index checksum");
-  if (framed_crc32(region.data() + 1, idx_len) != want_crc) {
-    src.bad("index checksum mismatch");
-  }
-  // What follows the checksum must be exactly the 16-byte footer.
-  if (src.consumed() != size - kFooterBytes) {
-    src.bad("unexpected bytes between the index and the footer");
-  }
-  total_requests_ = cum;
   end_marker_offset_ = end_off;
 }
 
@@ -454,8 +434,8 @@ std::unique_ptr<StreamingTraceWorkload> FramedTraceFile::workload_from_frame(
     throw std::runtime_error("cannot seek to frame " + std::to_string(k) +
                              " of trace file: " + path_);
   }
-  auto dec = std::make_unique<FramedTraceDecoder>(*f, kTraceChunkBytes, off,
-                                                  k, skipped_requests);
+  auto dec = std::make_unique<FramedTraceDecoder>(*f, off, k,
+                                                  skipped_requests);
   return std::make_unique<StreamingTraceWorkload>(std::move(f),
                                                   std::move(dec));
 }

@@ -37,11 +37,14 @@
 //     u64 byte offset of the end marker
 //     magic "PIPOIDX1" (8 bytes)
 //
-// Seek-open reads the 16-byte footer, jumps to the end marker,
-// validates the index checksum and hands out (frame offset, first
-// request, request count) triples — O(footer + index) I/O however large
-// the trace is. The streaming decoder reads frames in order, verifies
-// every frame checksum before decoding, and on reaching the end marker
+// One parser validates everything from the end marker to the end of the
+// file (marker, index, index checksum, footer) for both readers.
+// Seek-open reads the 16-byte footer, jumps to the end marker, hands
+// the rest of the file to that parser and keeps its (frame offset,
+// first request, request count) triples — O(footer + index) I/O
+// however large the trace is. The streaming decoder reads frames in
+// order, verifies every frame checksum before decoding, and on reaching
+// the end marker reads the rest of its stream, runs the same parser and
 // cross-checks the index against the frames it actually decoded, so a
 // truncated or tampered file cannot replay silently. Replay from frame
 // k is byte-identical to the tail of a full replay
@@ -120,24 +123,26 @@ class FramedTraceEncoder final : public TraceEncoder {
 /// Streaming reader for the framed container: next() yields requests
 /// in order across frame boundaries. Every frame's checksum is verified
 /// before its records are decoded, a frame's decoded record count must
-/// match its header, and the trailing index and footer are validated
-/// against the frames actually seen — any mismatch throws
-/// std::invalid_argument with an absolute byte offset. Memory is
-/// O(frame payload), not O(trace).
+/// match its header, and the trailing index and footer are validated and
+/// checked against the frames actually seen — any mismatch throws
+/// std::invalid_argument with an absolute byte offset. It reads through
+/// the stream's own buffer, so memory is O(frame payload), not
+/// O(trace). At the end marker it reads at most the 31 + 20 * F bytes an
+/// index of its F frames can take, so junk after the footer is rejected
+/// without being read in full.
 class FramedTraceDecoder final : public TraceDecoder {
  public:
   /// Decodes from the file start; validates the magic immediately (a
   /// retired flat "PIPOTRC2" trace is rejected by name).
-  explicit FramedTraceDecoder(std::istream& is,
-                              std::size_t chunk_bytes = kTraceChunkBytes);
+  explicit FramedTraceDecoder(std::istream& is);
   /// Resumes mid-file at a frame boundary (FramedTraceFile's seek path):
   /// `is` must be positioned at the marker byte of frame
   /// `skipped_frames`, whose absolute offset is `start_offset`;
   /// `skipped_requests` is the request count of the skipped prefix.
   /// End-of-stream index validation checks the skipped prefix against
   /// the index too, so a stale index cannot pass.
-  FramedTraceDecoder(std::istream& is, std::size_t chunk_bytes,
-                     std::uint64_t start_offset, std::uint64_t skipped_frames,
+  FramedTraceDecoder(std::istream& is, std::uint64_t start_offset,
+                     std::uint64_t skipped_frames,
                      std::uint64_t skipped_requests);
 
   std::optional<MemRequest> next() override;
@@ -152,7 +157,9 @@ class FramedTraceDecoder final : public TraceDecoder {
   /// arms the record cursor; false at the end marker (after which the
   /// index and footer have been validated).
   bool load_next_frame();
-  void validate_index_and_footer(std::uint64_t end_marker_offset);
+  /// Reads the tail after the end marker, parses it and checks the
+  /// index against the skipped prefix and the frames decoded.
+  void check_tail(std::uint64_t end_marker_offset);
 
   trace_v2::StreamByteSource src_;
   std::vector<std::uint8_t> stored_;   ///< current frame, as on disk

@@ -60,25 +60,27 @@ inline constexpr std::uint8_t kReservedType = 3;
 // the top bit (64 = 9*7 + 1).
 inline constexpr unsigned kMaxVarintBytes = 10;
 
-/// Chunked pull source over an istream: O(chunk) refill buffer,
-/// absolute consumed() offsets (optionally biased by `base_offset` for
-/// decoders resumed mid-file), stream-error detection on refill.
+/// Pull source over an istream that reads through the stream's own
+/// buffer: get() per header byte, read() per payload. consumed() is the
+/// absolute offset of the next unread byte (biased by `base_offset` for
+/// decoders resumed mid-file). A stream error (badbit) throws "stream
+/// read error": it is not a clean end of trace, and treating it as one
+/// would silently replay a prefix of the capture.
 class StreamByteSource {
  public:
-  StreamByteSource(std::istream& is, std::size_t chunk_bytes,
-                   std::string context, std::uint64_t base_offset = 0)
-      // No lower clamp beyond 1: tiny chunks are legal (slow), and the
-      // oracle tier leans on 1-byte refills to straddle every varint.
-      : is_(is),
-        buf_(chunk_bytes == 0 ? 1 : chunk_bytes),
-        consumed_(base_offset),
-        context_(std::move(context)) {}
+  StreamByteSource(std::istream& is, std::string context,
+                   std::uint64_t base_offset = 0)
+      : is_(is), consumed_(base_offset), context_(std::move(context)) {}
 
-  /// Next byte, refilling the chunk buffer; -1 at EOF.
+  /// Next byte; -1 at EOF.
   int get_byte() {
-    if (pos_ >= len_ && !refill()) return -1;
+    const int b = is_.get();
+    if (b == std::istream::traits_type::eof()) {
+      if (is_.bad()) bad("stream read error");
+      return -1;
+    }
     ++consumed_;
-    return buf_[pos_++];
+    return b;
   }
 
   std::uint8_t need_byte(const char* what) {
@@ -87,31 +89,13 @@ class StreamByteSource {
     return static_cast<std::uint8_t>(b);
   }
 
-  /// Bulk read of exactly `n` bytes into `dst`; throws (naming `what`)
-  /// if the stream ends first. Drains the refill buffer, then reads the
-  /// remainder straight into `dst` — no per-byte loop for large spans.
-  void read_bytes(std::uint8_t* dst, std::size_t n, const char* what) {
-    while (n > 0) {
-      if (pos_ < len_) {
-        const std::size_t take = std::min(n, len_ - pos_);
-        for (std::size_t i = 0; i < take; ++i) dst[i] = buf_[pos_ + i];
-        pos_ += take;
-        consumed_ += take;
-        dst += take;
-        n -= take;
-        continue;
-      }
-      is_.read(reinterpret_cast<char*>(dst),
-               static_cast<std::streamsize>(n));
-      const std::size_t got = static_cast<std::size_t>(is_.gcount());
-      consumed_ += got;
-      dst += got;
-      n -= got;
-      if (n > 0) {
-        if (is_.bad()) bad("stream read error");
-        bad(std::string("truncated record (") + what + ")");
-      }
-    }
+  /// Reads up to `n` bytes into `dst`; returns how many the stream held.
+  std::size_t read_some(std::uint8_t* dst, std::size_t n) {
+    is_.read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(n));
+    const auto got = static_cast<std::size_t>(is_.gcount());
+    consumed_ += got;
+    if (is_.bad()) bad("stream read error");
+    return got;
   }
 
   /// Absolute byte offset of the next unread byte.
@@ -123,24 +107,7 @@ class StreamByteSource {
   }
 
  private:
-  bool refill() {
-    is_.read(reinterpret_cast<char*>(buf_.data()),
-             static_cast<std::streamsize>(buf_.size()));
-    len_ = static_cast<std::size_t>(is_.gcount());
-    pos_ = 0;
-    if (len_ == 0) {
-      // An I/O error is not a clean end of trace — treating it as one
-      // would silently replay a prefix of the capture.
-      if (is_.bad()) bad("stream read error");
-      return false;
-    }
-    return true;
-  }
-
   std::istream& is_;
-  std::vector<std::uint8_t> buf_;
-  std::size_t pos_ = 0;   ///< next unread byte in buf_
-  std::size_t len_ = 0;   ///< valid bytes in buf_
   std::uint64_t consumed_;
   std::string context_;
 };

@@ -12,7 +12,8 @@
 // asserted after every driver op. Delta magnitudes are mixed from
 // same-tick to ~2^24 ticks out (the ranges once chosen to hit every
 // level of a since-removed calendar tier, 128 ticks being its first
-// far-routed delta), plus ticks near the top of the Tick range. A single
+// far-routed delta), plus ceiling ticks near the top of the Tick range,
+// far enough below it that a trace's later deltas cannot wrap. A single
 // divergence anywhere fails with the trace seed in the message, so
 // failures are reproducible by construction.
 #include <cstdint>
@@ -34,6 +35,11 @@ constexpr int kOpsPerTrace = 200;
 
 /// One dispatched event: (tick it ran at, id assigned at schedule time).
 using Log = std::vector<std::pair<Tick, int>>;
+
+/// Ceiling events land in [kCeiling, kCeiling + 2^22). Each op moves the
+/// clock at most about 2^25 ticks, so after a ceiling event runs the rest
+/// of a 200-op trace stays far below 2^64 and the clock never wraps.
+constexpr Tick kCeiling = ~Tick{0} - (Tick{1} << 40);
 
 /// Mixed-magnitude deltas, same-tick to ~2^24 ticks out.
 Tick mixed_delta(Rng& rng) {
@@ -101,9 +107,7 @@ struct AheadChain {
       const Tick when = s->q.now() + mixed_delta(s->rng);
       c = AheadChain{s, s->next_id++, c.hops - 1};
       if constexpr (std::is_same_v<Q, EventQueue>) {
-        // After a ceiling event ran, `when` can wrap below now(); only
-        // schedule() takes such a tick, on both sides alike.
-        if (when >= s->q.now() && s->q.advance_if_next(when)) continue;
+        if (s->q.advance_if_next(when)) continue;
       }
       s->q.schedule(when, c);
       return;
@@ -122,11 +126,12 @@ struct ClearShot {
   }
 };
 
-/// Drives one randomized trace through both queues. When `ran_in_place`
-/// is non-null, chains are AheadChains and the production queue's
-/// in-place runs are added to it.
+/// Drives one randomized trace through both queues and counts it in
+/// `ceiling_traces` if it dispatched a ceiling event. When
+/// `ran_in_place` is non-null, chains are AheadChains and the production
+/// queue's in-place runs are added to it.
 template <typename ProdQ, typename RefQ>
-void drive_trace(std::uint64_t seed, bool deep_bias,
+void drive_trace(std::uint64_t seed, bool deep_bias, int& ceiling_traces,
                  std::uint64_t* ran_in_place = nullptr) {
   Side<ProdQ> a(seed * 2 + 1);
   Side<RefQ> b(seed * 2 + 1);
@@ -211,11 +216,10 @@ void drive_trace(std::uint64_t seed, bool deep_bias,
         break;
       }
       default: {  // absolute ticks near 2^64
-        const Tick when =
-            ~Tick{0} - (Tick{1} << 21) + op.below(Tick{1} << 22);
+        const Tick when = kCeiling + op.below(Tick{1} << 22);
         if (when >= a.q.now()) {
-          // These never run (the trace ends first); they must still
-          // count as pending identically and clear out identically.
+          // run_one() and run_active() may dispatch these mid-trace,
+          // after which the clock carries on from the ceiling.
           const int id = a.next_id++;
           b.next_id++;
           a.q.schedule(when, Shot<ProdQ>{&a, id});
@@ -235,38 +239,49 @@ void drive_trace(std::uint64_t seed, bool deep_bias,
     }
   }
 
-  // Drain-and-compare, but drop the never-run ceiling stragglers first:
-  // draining past them would take ~2^64 simulated ticks of log entries
-  // on both sides without adding signal.
-  const Tick cutoff = ~Tick{0} - (Tick{1} << 23);
-  while (!a.q.empty() && a.q.next_tick() < cutoff) {
+  // Drain-and-compare below the ceiling, so a trace counts in
+  // `ceiling_traces` only if it dispatched a ceiling event mid-run, with
+  // ops left to follow it.
+  while (!a.q.empty() && a.q.next_tick() < kCeiling - (Tick{1} << 40)) {
     a.q.run_one();
     b.q.run_one();
   }
   ASSERT_EQ(a.log.size(), b.log.size()) << "seed " << seed;
   for (std::size_t i = 0; i < a.log.size(); ++i) {
     ASSERT_EQ(a.log[i], b.log[i]) << "seed " << seed << " event " << i;
+    // The clock never runs backwards, ceiling events included.
+    if (i > 0) {
+      ASSERT_GE(a.log[i].first, a.log[i - 1].first)
+          << "seed " << seed << " event " << i;
+    }
   }
   ASSERT_EQ(a.next_id, b.next_id) << "seed " << seed;
+  if (!a.log.empty() && a.log.back().first >= kCeiling) ++ceiling_traces;
   if (ran_in_place) *ran_in_place += a.q.ran_in_place();
 }
 
 TEST(EventQueueDifferential, RandomTraces) {
+  int ceiling_traces = 0;
   for (int t = 0; t < kTraces; ++t) {
     drive_trace<EventQueue, oracle::ReferenceEventQueue>(
-        0xE0000 + static_cast<std::uint64_t>(t), /*deep_bias=*/false);
+        0xE0000 + static_cast<std::uint64_t>(t), /*deep_bias=*/false,
+        ceiling_traces);
     if (HasFatalFailure()) return;
   }
+  EXPECT_GT(ceiling_traces, 0);
 }
 
 TEST(EventQueueDifferential, DeepQueueTraces) {
   // Batches of up to 24 events, mostly biased at least 128 ticks out,
   // pile the queue far deeper than a simulation ever does.
+  int ceiling_traces = 0;
   for (int t = 0; t < kTraces; ++t) {
     drive_trace<EventQueue, oracle::ReferenceEventQueue>(
-        0xD0000 + static_cast<std::uint64_t>(t), /*deep_bias=*/true);
+        0xD0000 + static_cast<std::uint64_t>(t), /*deep_bias=*/true,
+        ceiling_traces);
     if (HasFatalFailure()) return;
   }
+  EXPECT_GT(ceiling_traces, 0);
 }
 
 TEST(EventQueueDifferential, RunAheadTraces) {
@@ -275,13 +290,15 @@ TEST(EventQueueDifferential, RunAheadTraces) {
   // stops and clears: every hop must land where the reference pops it,
   // and run_active must count the in-place hops as dispatched.
   std::uint64_t ran_in_place = 0;
+  int ceiling_traces = 0;
   for (int t = 0; t < kTraces; ++t) {
     drive_trace<EventQueue, oracle::ReferenceEventQueue>(
         0xA0000 + static_cast<std::uint64_t>(t), /*deep_bias=*/false,
-        &ran_in_place);
+        ceiling_traces, &ran_in_place);
     if (HasFatalFailure()) return;
   }
   EXPECT_GT(ran_in_place, 10u * kTraces);
+  EXPECT_GT(ceiling_traces, 0);
 }
 
 TEST(EventQueueDifferential, SameTickFifoAcrossSchedulingTimes) {

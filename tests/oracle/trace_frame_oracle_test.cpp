@@ -3,10 +3,11 @@
 //
 //  * the text v1 codec — line-per-request, the seed's only trace path —
 //    is the reference implementation: randomized traces must decode
-//    identically through framed containers at adversarial frame sizes
-//    and refill-chunk sizes (down to 1 byte, so every header field,
-//    checksum, varint and payload straddles refill boundaries), and a
-//    teeth test proves that comparison can fail;
+//    identically through framed containers at adversarial frame sizes,
+//    read whole and through a stream buffer that refills one byte at a
+//    time (so every header field, checksum, varint, payload and index
+//    field straddles a refill), and a teeth test proves that comparison
+//    can fail;
 //  * seek replay: for random frame boundaries k, replaying a framed
 //    file from frame k must equal the tail of a full replay — the
 //    request stream AND the simulated System::Stats, so the seek path
@@ -25,6 +26,7 @@
 #include "common/rng.h"
 #include "sim/simulation.h"
 #include "tests/sim/test_configs.h"
+#include "tests/workload/one_byte_streambuf.h"
 #include "workload/trace.h"
 #include "workload/trace_codec.h"
 #include "workload/trace_frame.h"
@@ -70,7 +72,7 @@ std::vector<MemRequest> drain(Workload& w) {
 }
 
 // Framed decode must agree with the text reference on the same request
-// stream, for adversarial frame sizes and refill chunks.
+// stream, for adversarial frame sizes, read whole and a byte at a time.
 TEST(TraceFrameDifferential, FramedAgreesWithTextReference) {
   for (std::uint64_t seed = 0; seed < 150; ++seed) {
     Rng rng(seed * 0x9E3779B97F4A7C15ull + 7);
@@ -93,16 +95,17 @@ TEST(TraceFrameDifferential, FramedAgreesWithTextReference) {
       enc.finish();
     }
     const std::string bytes = os.str();
-    for (std::size_t chunk : {std::size_t{1}, std::size_t{3},
-                              std::size_t{64}, kTraceChunkBytes}) {
-      std::istringstream is(bytes, std::ios::binary);
-      FramedTraceDecoder dec(is, chunk);
+    std::istringstream whole(bytes, std::ios::binary);
+    testbuf::OneByteStreambuf buf(bytes);
+    std::istream one_byte(&buf);
+    for (std::istream* is : {static_cast<std::istream*>(&whole), &one_byte}) {
+      FramedTraceDecoder dec(*is);
       std::vector<MemRequest> got;
       while (auto r = dec.next()) got.push_back(*r);
       expect_equal(got, reference,
                    label + " frame_requests=" +
                        std::to_string(opts.frame_requests) +
-                       " chunk=" + std::to_string(chunk));
+                       (is == &whole ? " whole" : " one byte at a time"));
     }
   }
 }

@@ -1,9 +1,10 @@
 // Unit tests for the framed seekable trace container
 // (workload/trace_frame.h): round-trip across frame sizes, format
-// detection, 1-byte-chunk refill invariance, the seek index contract
-// (FramedTraceFile), and the malformed-container reject tables —
-// corrupt payloads, tampered headers, broken indexes and truncated
-// footers must all throw, never replay silently.
+// detection, decoding through a one-byte stream buffer, the seek index
+// contract (FramedTraceFile), and the malformed-container reject tables
+// — corrupt payloads, tampered headers, broken indexes and truncated
+// footers must all throw, never replay silently, and both readers
+// report a damaged index alike.
 #include "workload/trace_frame.h"
 
 #include <gtest/gtest.h>
@@ -15,9 +16,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "tests/workload/one_byte_streambuf.h"
 #include "workload/trace_codec.h"
 
 namespace pipo {
@@ -52,14 +55,16 @@ std::string encode_framed(const std::vector<MemRequest>& t,
   return os.str();
 }
 
-std::vector<MemRequest> decode_framed(const std::string& bytes,
-                                      std::size_t chunk_bytes =
-                                          kTraceChunkBytes) {
-  std::istringstream is(bytes, std::ios::binary);
-  FramedTraceDecoder dec(is, chunk_bytes);
+std::vector<MemRequest> decode_all(std::istream& is) {
+  FramedTraceDecoder dec(is);
   std::vector<MemRequest> out;
   while (auto r = dec.next()) out.push_back(*r);
   return out;
+}
+
+std::vector<MemRequest> decode_framed(const std::string& bytes) {
+  std::istringstream is(bytes, std::ios::binary);
+  return decode_all(is);
 }
 
 void expect_equal(const std::vector<MemRequest>& got,
@@ -121,16 +126,16 @@ TEST(TraceFrame, EmptyContainerDecodesToNothing) {
   EXPECT_EQ(detect_trace_format(is), TraceFormat::kFramedV3);
 }
 
-// The O(chunk) streaming property: a 1-byte refill buffer straddles
-// every header varint, checksum and payload boundary, and must decode
-// the same stream.
-TEST(TraceFrame, OneByteChunkRefillInvariance) {
+// The decoder reads through its stream's own buffer: one that refills a
+// byte at a time straddles every header varint, checksum, payload and
+// index boundary, and must decode the same stream.
+TEST(TraceFrame, OneByteStreamBufferInvariance) {
   FramedTraceOptions opts;
   opts.frame_requests = 5;
   const auto t = random_trace(7, 83);
-  const std::string bytes = encode_framed(t, opts);
-  expect_equal(decode_framed(bytes, 1), decode_framed(bytes),
-               "1-byte chunks");
+  testbuf::OneByteStreambuf buf(encode_framed(t, opts));
+  std::istream is(&buf);
+  expect_equal(decode_all(is), t, "1-byte stream buffer");
 }
 
 // Same requests, same options -> byte-identical container (the encoder
@@ -394,6 +399,125 @@ TEST(TraceFrameReject, IndexDisagreeingWithFramesThrows) {
         static_cast<char>((end2 >> (8 * i)) & 0xFF);
   }
   expect_reject(spliced, "seek index", "spliced index");
+}
+
+// ------------------------------------------------- one tail parser
+
+/// Twelve 4-byte records in frames of three: every frame is 20 bytes,
+/// so every index field is one byte: [count 4] [offset 8] [requests 3]
+/// and three times [delta 20] [requests 3].
+std::string small_index_container() {
+  std::vector<MemRequest> t(12);
+  for (std::size_t i = 0; i < t.size(); ++i) t[i].addr = i << 6;
+  FramedTraceOptions opts;
+  opts.frame_requests = 3;
+  return encode_framed(t, opts);
+}
+
+/// Recomputes the index checksum (the 4 bytes before the footer) after
+/// a test edited index bytes in place.
+void reseal_index(std::string& bytes) {
+  const std::size_t begin = footer_end_offset(bytes) + 1;
+  const std::size_t crc_at = bytes.size() - 16 - 4;
+  const std::uint32_t crc = framed_crc32(
+      reinterpret_cast<const std::uint8_t*>(bytes.data()) + begin,
+      crc_at - begin);
+  for (int i = 0; i < 4; ++i) {
+    bytes[crc_at + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
+  }
+}
+
+/// What `read` threw, from "byte N" on (seek-open names the file before
+/// it, the streaming decoder does not); empty if it did not throw.
+template <class Read>
+std::string rejection(const Read& read) {
+  try {
+    read();
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    const std::size_t at = msg.find("byte ");
+    return at == std::string::npos ? msg : msg.substr(at);
+  }
+  return {};
+}
+
+TEST_F(TraceFrameFileTest, BothReadersRejectADamagedIndexAlike) {
+  const std::string good = small_index_container();
+  const std::size_t idx = footer_end_offset(good) + 1;
+  ASSERT_EQ(good.substr(idx, 9),
+            std::string("\x04\x08\x03\x14\x03\x14\x03\x14\x03", 9));
+  const std::size_t crc_at = good.size() - 20;
+  struct Damage {
+    const char* label;
+    std::size_t at;
+    char value;
+    bool reseal;  ///< recompute the checksum over the edited index
+    const char* needle;
+  };
+  const Damage index_damage[] = {
+      {"checksum flip", crc_at, static_cast<char>(good[crc_at] ^ 0x01),
+       false, "index checksum mismatch"},
+      {"zero request count", idx + 4, 0, true, "index request count is zero"},
+      {"offset inside the magic", idx + 1, 7, true,
+       "index frame offset out of range"},
+      {"offset past the end marker", idx + 7, 0x7F, true,
+       "index frame offset out of range"},
+      {"repeated offset", idx + 5, 0, true,
+       "index frame offset out of range"},
+  };
+  for (const Damage& d : index_damage) {
+    std::string bytes = good;
+    bytes[d.at] = d.value;
+    if (d.reseal) reseal_index(bytes);
+    const std::string path = write_file("index.trace", bytes);
+    const std::string streaming = rejection([&] { decode_framed(bytes); });
+    const std::string seek_open = rejection([&] { FramedTraceFile{path}; });
+    EXPECT_NE(streaming.find(d.needle), std::string::npos)
+        << d.label << ": message was '" << streaming << "'";
+    EXPECT_EQ(streaming, seek_open) << d.label;
+  }
+
+  // Damage to the footer or the length: seek-open finds the footer from
+  // the end of the file and the decoder after the index, so each words
+  // it its own way, but both reject it.
+  std::string foot_offset = good;
+  foot_offset[good.size() - 16] ^= 0x01;
+  std::string foot_magic = good;
+  foot_magic[good.size() - 1] ^= 0x01;
+  const std::pair<const char*, std::string> other_damage[] = {
+      {"footer offset", foot_offset},
+      {"footer magic", foot_magic},
+      {"cut by a byte", good.substr(0, good.size() - 1)},
+      {"a byte appended", good + '\0'},
+  };
+  for (const auto& [label, bytes] : other_damage) {
+    const std::string path = write_file("other.trace", bytes);
+    EXPECT_NE(rejection([&] { decode_framed(bytes); }), "") << label;
+    EXPECT_NE(rejection([&] { FramedTraceFile{path}; }), "") << label;
+  }
+}
+
+// The streaming decoder reads at most what an index of the frames it
+// decoded can take past the end marker: junk after the footer is
+// rejected without being read to its end.
+TEST(TraceFrameReject, JunkAfterTheFooterIsNotReadInFull) {
+  const std::string good = small_index_container();  // 4 frames
+  const std::uint64_t end_off = footer_end_offset(good);
+  std::istringstream is(good + std::string(1 << 20, '\x5A'),
+                        std::ios::binary);
+  FramedTraceDecoder dec(is);
+  const std::string msg = rejection([&] {
+    while (dec.next()) {
+    }
+  });
+  EXPECT_NE(msg.find("trailing bytes after the footer"), std::string::npos)
+      << "message was '" << msg << "'";
+  // From the end marker on: the marker, the frame-count varint, two
+  // varints per frame, the checksum and the footer.
+  constexpr std::uint64_t kBound = 1 + 10 + 20 * 4 + 20;
+  const std::streamoff pos = is.tellg();
+  ASSERT_GE(pos, 0);
+  EXPECT_LE(static_cast<std::uint64_t>(pos), end_off + 1 + kBound);
 }
 
 }  // namespace
