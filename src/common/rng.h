@@ -8,10 +8,49 @@
 // its distributions are not stable across standard library versions.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
 namespace pipo {
+
+/// Lemire's multiply-shift rejection method: a uniform integer in
+/// [0, bound) from raw 64-bit draws, unbiased. `draw()` yields the next
+/// draw; bound must be nonzero. It takes one draw, and more only when
+/// the low half of the product lands in the rejected sliver (with
+/// probability below bound / 2^64). Rng::below and the synthetic
+/// generator's block draws (workload/synthetic.h) share this one
+/// definition, so the same draws give the same result through either.
+template <class Draw>
+std::uint64_t lemire_below(std::uint64_t bound, Draw&& draw) {
+  __uint128_t m = static_cast<__uint128_t>(draw()) * bound;
+  auto lo = static_cast<std::uint64_t>(m);
+  if (lo < bound) {
+    const std::uint64_t threshold = (0 - bound) % bound;
+    while (lo < threshold) {
+      m = static_cast<__uint128_t>(draw()) * bound;
+      lo = static_cast<std::uint64_t>(m);
+    }
+  }
+  return static_cast<std::uint64_t>(m >> 64);
+}
+
+/// The integer form of Rng::chance(p): for every raw draw x,
+///   Rng::unit(x) < p   exactly when   (x >> 11) < chance_threshold(p).
+/// unit(x) is X * 2^-53 for the integer X = x >> 11 < 2^53, and p * 2^53
+/// is exact (a power-of-two scale), so X * 2^-53 < p is X < p * 2^53,
+/// which for an integer X is X < ceil(p * 2^53). p <= 0 (or NaN) never
+/// succeeds and gives 0; p >= 1 always does and gives 2^53.
+inline std::uint64_t chance_threshold(double p) {
+  if (!(p > 0.0)) return 0;
+  if (p >= 1.0) return std::uint64_t{1} << 53;
+  return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+}
+
+/// Rng::chance(p)'s outcome for raw draw `x`, given t = chance_threshold(p).
+inline bool chance_hit(std::uint64_t x, std::uint64_t t) {
+  return (x >> 11) < t;
+}
 
 /// Xoshiro256** 1.0 by Blackman & Vigna (public domain reference
 /// implementation re-expressed in C++). 256-bit state, period 2^256-1,
@@ -48,18 +87,9 @@ class Rng {
   }
 
   /// Uniform integer in [0, bound). bound must be nonzero. Uses Lemire's
-  /// multiply-shift rejection method (unbiased).
+  /// multiply-shift rejection method (unbiased; lemire_below below).
   std::uint64_t below(std::uint64_t bound) {
-    __uint128_t m = static_cast<__uint128_t>(next()) * bound;
-    auto lo = static_cast<std::uint64_t>(m);
-    if (lo < bound) {
-      const std::uint64_t threshold = (0 - bound) % bound;
-      while (lo < threshold) {
-        m = static_cast<__uint128_t>(next()) * bound;
-        lo = static_cast<std::uint64_t>(m);
-      }
-    }
-    return static_cast<std::uint64_t>(m >> 64);
+    return lemire_below(bound, [this] { return next(); });
   }
 
   /// Uniform integer in [lo, hi] inclusive.
@@ -68,8 +98,11 @@ class Rng {
   }
 
   /// Uniform double in [0, 1).
-  double uniform() {
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  double uniform() { return unit(next()); }
+
+  /// The uniform() value of raw draw `x`: (x >> 11) * 2^-53, exact.
+  static double unit(std::uint64_t x) {
+    return static_cast<double>(x >> 11) * 0x1.0p-53;
   }
 
   /// Bernoulli trial with probability p of returning true.

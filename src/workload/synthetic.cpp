@@ -1,6 +1,7 @@
 #include "workload/synthetic.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace pipo {
 
@@ -35,18 +36,60 @@ SyntheticWorkload::SyntheticWorkload(BenchmarkProfile profile, Addr base,
                   kLineSizeBytes),
       hot_zipf_(hot_lines_, profile.zipf_s) {
   profile_.normalize();
-  stream_cursor_ = rng_.below(ws_lines_);
+  // Geometric gap with the profile's mean: P(stop) = 1/(mean+1).
+  stop_threshold_ = chance_threshold(1.0 / (profile_.mean_gap + 1.0));
+  hot_threshold_ = chance_threshold(profile_.frac_hot);
+  hot_stream_threshold_ =
+      chance_threshold(profile_.frac_hot + profile_.frac_stream);
+  store_threshold_ = chance_threshold(profile_.store_ratio);
+  stream_cursor_ = below(ws_lines_);
   // Quasi-periodic burst schedule: random initial phase, then one burst
   // per warm_burst_every accesses. A Bernoulli draw per access would give
   // each run a Poisson-distributed burst count whose variance swamps the
   // per-mix false-positive differences at downscaled budgets.
   if (profile_.warm_burst_every > 0 && warm_lines_ > 0) {
-    until_burst_ = rng_.below(profile_.warm_burst_every) + 1;
+    until_burst_ = below(profile_.warm_burst_every) + 1;
+  }
+}
+
+void SyntheticWorkload::refill() {
+  std::uint64_t stops = 0;
+  for (unsigned k = 0; k < kBlockDraws; ++k) {
+    block_[k] = rng_.next();
+    stops |= static_cast<std::uint64_t>(chance_hit(block_[k], stop_threshold_))
+             << k;
+  }
+  stops_ = stops;
+  pos_ = 0;
+}
+
+std::uint32_t SyntheticWorkload::draw_gap() {
+  // Each draw is one trial of `while (gap < kMaxGap && !chance(p_stop))
+  // ++gap`: skip the run of non-stop draws ahead, then take the stop
+  // draw, unless the run reaches the cap first (then the cap's last
+  // draw is the gap's last, and no stop draw is taken).
+  std::uint32_t gap = 0;
+  for (;;) {
+    if (pos_ == kBlockDraws) refill();
+    const std::uint64_t ahead = stops_ >> pos_;
+    const unsigned run = ahead != 0 ? static_cast<unsigned>(
+                                          std::countr_zero(ahead))
+                                    : kBlockDraws - pos_;
+    if (gap + run >= kMaxGap) {
+      pos_ += kMaxGap - gap;
+      return kMaxGap;
+    }
+    gap += run;
+    pos_ += run;
+    if (ahead != 0) {
+      ++pos_;
+      return gap;
+    }
   }
 }
 
 Addr SyntheticWorkload::pick_hot() {
-  return base_ + byte_of(hot_zipf_.rank(rng_.uniform()));
+  return base_ + byte_of(hot_zipf_.rank(Rng::unit(draw())));
 }
 
 Addr SyntheticWorkload::pick_warm() {
@@ -80,24 +123,21 @@ Addr SyntheticWorkload::pick_warm() {
 Addr SyntheticWorkload::pick_stream() {
   // Sequential walk with a 1-in-4096 chance of jumping to a new region
   // (a fresh scan).
-  if (rng_.one_in(4096)) stream_cursor_ = rng_.below(ws_lines_);
-  stream_cursor_ = (stream_cursor_ + 1) % ws_lines_;
+  if (below(4096) == 0) stream_cursor_ = below(ws_lines_);
+  // The cursor is always below ws_lines_, so wrapping is one compare.
+  if (++stream_cursor_ == ws_lines_) stream_cursor_ = 0;
   return base_ + byte_of(stream_cursor_);
 }
 
 Addr SyntheticWorkload::pick_random() {
-  return base_ + byte_of(rng_.below(ws_lines_));
+  return base_ + byte_of(below(ws_lines_));
 }
 
 std::optional<MemRequest> SyntheticWorkload::next(Tick) {
   if (instructions_ >= budget_) return std::nullopt;
 
   MemRequest req;
-  // Geometric gap with the profile's mean: P(stop) = 1/(mean+1).
-  const double p_stop = 1.0 / (profile_.mean_gap + 1.0);
-  std::uint32_t gap = 0;
-  while (gap < 64 && !rng_.chance(p_stop)) ++gap;
-  req.pre_delay = gap;
+  req.pre_delay = draw_gap();
 
   // Conflict-burst state machine: bursts start on the quasi-periodic
   // schedule; inside a burst, warm accesses run back-to-back per lap with
@@ -114,17 +154,17 @@ std::optional<MemRequest> SyntheticWorkload::next(Tick) {
     req.addr = pick_warm();
   } else {
     if (lap_gap_left_ > 0) --lap_gap_left_;
-    const double u = rng_.uniform();
-    if (u < profile_.frac_hot) {
+    const std::uint64_t u = draw();
+    if (chance_hit(u, hot_threshold_)) {
       req.addr = pick_hot();
-    } else if (u < profile_.frac_hot + profile_.frac_stream) {
+    } else if (chance_hit(u, hot_stream_threshold_)) {
       req.addr = pick_stream();
     } else {
       req.addr = pick_random();
     }
   }
-  req.type = rng_.chance(profile_.store_ratio) ? AccessType::kStore
-                                               : AccessType::kLoad;
+  req.type = chance_hit(draw(), store_threshold_) ? AccessType::kStore
+                                                  : AccessType::kLoad;
   instructions_ += 1 + req.pre_delay;
   return req;
 }

@@ -24,9 +24,34 @@
 // Gaps between memory instructions are geometric with the profile's
 // mean, giving an aggregate memory intensity comparable to the modeled
 // benchmark.
+//
+// Block draws. The generator takes its Rng's draws 64 at a time, in the
+// Rng's order, and uses them one by one: every draw it makes (a gap
+// trial, a region pick, a store decision) takes the next unused one,
+// where the per-draw generator called rng_.next()
+// (tests/oracle/reference_synthetic.h keeps that generator as the
+// specification). At each refill it marks in a 64-bit mask which draws
+// would end a pre_delay gap, so a gap is a countr_zero of that mask
+// instead of a loop of Bernoulli branches whose exit the branch
+// predictor misses. The request stream is the per-draw generator's,
+// byte for byte:
+//   * only this generator reads rng_, so draws taken ahead and never
+//     used change nothing, and the draws it uses are the same values in
+//     the same order;
+//   * a gap consumes draws as `while (gap < 64 && !chance(p_stop))
+//     ++gap` did: k + 1 draws if draw k is the first stop and k < 64,
+//     else 64 draws and a gap of 64, across refills too;
+//   * each chance(p) and `u < frac` is the integer compare
+//     (x >> 11) < chance_threshold(p) (common/rng.h), exact because
+//     uniform() is (x >> 11) * 2^-53; the thresholds come from the same
+//     doubles the per-draw code computed on every call;
+//   * below() is the one Lemire definition Rng::below uses, and the
+//     stream cursor, always below ws_lines_, wraps with a compare
+//     instead of `%`.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "common/rng.h"
 #include "common/types.h"
@@ -60,16 +85,44 @@ class SyntheticWorkload final : public Workload {
   }
 
  private:
+  /// Draws per block, and the cap on a pre_delay gap (one mask word
+  /// covers one block; the two 64s are independent).
+  static constexpr unsigned kBlockDraws = 64;
+  static constexpr std::uint32_t kMaxGap = 64;
+
   Addr pick_hot();
   Addr pick_warm();
   Addr pick_stream();
   Addr pick_random();
 
+  /// Refills the block with the Rng's next 64 draws and their stop mask.
+  void refill();
+  /// The next unused draw.
+  std::uint64_t draw() {
+    if (pos_ == kBlockDraws) refill();
+    return block_[pos_++];
+  }
+  std::uint64_t below(std::uint64_t bound) {
+    return lemire_below(bound, [this] { return draw(); });
+  }
+  /// One geometric pre_delay gap, from the stop mask.
+  std::uint32_t draw_gap();
+
   BenchmarkProfile profile_;
   Addr base_;
   std::uint64_t budget_;
   std::uint64_t instructions_ = 0;
-  Rng rng_;
+  Rng rng_;  ///< read only by refill()
+
+  // chance_threshold() of P(a gap stops) = 1/(mean_gap+1), of frac_hot,
+  // of frac_hot + frac_stream and of store_ratio.
+  std::uint64_t stop_threshold_ = 0;
+  std::uint64_t hot_threshold_ = 0;
+  std::uint64_t hot_stream_threshold_ = 0;
+  std::uint64_t store_threshold_ = 0;
+
+  std::uint64_t stops_ = 0;     ///< bit k: block_[k] would end a gap
+  unsigned pos_ = kBlockDraws;  ///< next unused draw; kBlockDraws: refill
 
   std::uint64_t ws_lines_;
   std::uint64_t hot_lines_;
@@ -85,6 +138,8 @@ class SyntheticWorkload final : public Workload {
   std::uint32_t lap_gap_left_ = 0;
 
   ZipfTable hot_zipf_;  ///< hot-line ranks, Zipf(profile.zipf_s)
+
+  std::uint64_t block_[kBlockDraws];  ///< the Rng's draws, in its order
 };
 
 }  // namespace pipo

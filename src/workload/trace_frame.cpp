@@ -20,10 +20,22 @@ constexpr std::uint64_t kMaxFramePayloadBytes = 256ull * 1024 * 1024;
 // Smallest possible record: flags + 1-byte delta + offset + 1-byte
 // pre_delay.
 constexpr std::uint64_t kMinRecordBytes = 4;
+// Smallest possible frame: marker + three 1-byte varints + crc32 + one
+// record.
+constexpr std::uint64_t kMinFrameBytes = 1 + 3 + 4 + kMinRecordBytes;
 // Smallest well-formed container: magic(8) + end marker(1) +
 // frame_count varint(1) + index crc(4) + footer(16).
 constexpr std::uint64_t kMinContainerBytes = 30;
 constexpr std::uint64_t kFooterBytes = 16;
+
+/// The most bytes from the end marker to the end of the file that a
+/// container of `frames` frames can hold: the marker, the frame-count
+/// varint, two varints per index entry, the index checksum and the
+/// footer (31 + 20 * frames).
+std::uint64_t max_tail_bytes(std::uint64_t frames) {
+  return 1 + trace_v2::kMaxVarintBytes +
+         2 * trace_v2::kMaxVarintBytes * frames + 4 + kFooterBytes;
+}
 
 /// The diagnostic for a frame marker other than raw (0x01) or the end
 /// marker (0x00). Marker 0x02, the retired zstd-compressed frame, is
@@ -138,20 +150,39 @@ std::vector<FramedFrameInfo> parse_tail(const std::vector<std::uint8_t>& tail,
 }  // namespace
 
 std::uint32_t framed_crc32(const std::uint8_t* data, std::size_t len) {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Slice-by-8: t[0] is the byte-at-a-time table; t[k][b] is the CRC
+  // register after byte b is followed by k zero bytes, so eight table
+  // lookups fold eight bytes at once. The tail goes a byte at a time.
+  using Table = std::array<std::uint32_t, 256>;
+  static const std::array<Table, 8> t = [] {
+    std::array<Table, 8> s{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
       }
-      t[i] = c;
+      s[0][i] = c;
     }
-    return t;
+    for (std::size_t k = 1; k < s.size(); ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        s[k][i] = (s[k - 1][i] >> 8) ^ s[0][s[k - 1][i] & 0xFF];
+      }
+    }
+    return s;
   }();
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    c = table[(c ^ data[i]) & 0xFF] ^ (c >> 8);
+  for (; len >= 8; data += 8, len -= 8) {
+    std::uint64_t v = 0;  // little-endian, at any alignment
+    for (int i = 0; i < 8; ++i) {
+      v |= static_cast<std::uint64_t>(data[i]) << (8 * i);
+    }
+    v ^= c;
+    c = t[7][v & 0xFF] ^ t[6][(v >> 8) & 0xFF] ^ t[5][(v >> 16) & 0xFF] ^
+        t[4][(v >> 24) & 0xFF] ^ t[3][(v >> 32) & 0xFF] ^
+        t[2][(v >> 40) & 0xFF] ^ t[1][(v >> 48) & 0xFF] ^ t[0][v >> 56];
+  }
+  for (; len > 0; ++data, --len) {
+    c = t[0][(c ^ *data) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -327,9 +358,7 @@ void FramedTraceDecoder::check_tail(std::uint64_t end_marker_offset) {
   // The index lists every frame, skipped or decoded; each entry takes at
   // most two varints, so a tail longer than this is not one.
   const std::uint64_t frames = skipped_frames_ + seen_.size();
-  const std::size_t max_tail = 1 + trace_v2::kMaxVarintBytes +
-                               2 * trace_v2::kMaxVarintBytes * frames + 4 +
-                               kFooterBytes;
+  const std::size_t max_tail = max_tail_bytes(frames);
   std::vector<std::uint8_t> tail(max_tail + 1);
   tail[0] = kFrameEnd;
   const std::size_t got = src_.read_some(tail.data() + 1, max_tail);
@@ -400,6 +429,21 @@ FramedTraceFile::FramedTraceFile(std::string path) : path_(std::move(path)) {
   if (end_off < sizeof kTraceMagicV3 ||
       end_off > size - (kMinContainerBytes - sizeof kTraceMagicV3)) {
     malformed("footer end-marker offset out of range");
+  }
+  // Every frame takes at least kMinFrameBytes, so at most max_frames of
+  // them fit before the end marker, and the tail is at most
+  // max_tail_bytes(max_frames). A longer one is refused before it is
+  // allocated or read: a footer damaged to name an early offset must not
+  // load the whole trace.
+  const std::uint64_t max_frames =
+      (end_off - sizeof kTraceMagicV3) / kMinFrameBytes;
+  const std::uint64_t max_tail = max_tail_bytes(max_frames);
+  if (size - end_off > max_tail) {
+    malformed("footer end-marker offset " + std::to_string(end_off) +
+              " leaves a tail of " + std::to_string(size - end_off) +
+              " bytes, past the " + std::to_string(max_tail) +
+              " bytes an index of at most " + std::to_string(max_frames) +
+              " frame(s) can take");
   }
 
   // Read [end marker, end of file) — O(index), however large the trace.

@@ -1,8 +1,8 @@
 // The record encoding of binary traces: the payload of every frame in
 // the framed "PIPOTRC3" container (trace_frame.h). The namespace keeps
 // the encoding's name, trace_v2. This header holds its one definition —
-// byte sources, the strict varint reader, the record decoder template
-// and the append-side helpers.
+// byte sources, the strict varint reader, the record decoder and the
+// append-side helpers.
 //
 // Record layout (all multi-byte integers are LEB128 varints,
 // little-endian base-128, at most 10 bytes):
@@ -32,9 +32,11 @@
 // it uniquely (what the framed container's seek index relies on).
 //
 // Byte sources implement: `int get_byte()` (-1 at end), `std::uint8_t
-// need_byte(const char*)`, `std::uint64_t consumed()` (absolute byte
-// offset of the next unread byte) and `[[noreturn]] void bad(const
-// std::string&)` (throws std::invalid_argument naming consumed()).
+// need_byte(const char*)` and `[[noreturn]] void bad(const
+// std::string&)` (throws std::invalid_argument naming the absolute
+// offset of the next unread byte). The two sources also report that
+// offset as consumed(); the record decoder reads a frame's payload
+// through BufferByteSource::Cursor, which holds the position in a local.
 #pragma once
 
 #include <cstdint>
@@ -120,33 +122,74 @@ class BufferByteSource {
   BufferByteSource(const std::uint8_t* data, std::size_t len,
                    std::uint64_t base_offset, std::string context)
       : data_(data),
-        len_(len),
+        pos_(data),
+        end_(data + len),
         base_(base_offset),
         context_(std::move(context)) {}
 
-  int get_byte() {
-    if (pos_ >= len_) return -1;
-    return data_[pos_++];
-  }
+  /// The read position as a pointer, for a decoder to hold in a local
+  /// (decode_record). A byte load may alias any object, so a position
+  /// kept in a member is stored and reloaded around every byte read
+  /// through it; a local whose address never escapes stays in a
+  /// register. It reads and rejects like the source (get_byte,
+  /// need_byte, bad, with the same messages and offsets); hand it back
+  /// with seek() when done.
+  class Cursor {
+   public:
+    explicit Cursor(const BufferByteSource& src)
+        : p_(src.pos_), end_(src.end_), src_(src) {}
+
+    int get_byte() { return p_ == end_ ? -1 : *p_++; }
+
+    std::uint8_t need_byte(const char* what) {
+      if (p_ == end_) src_.truncated_at(p_, what);
+      return *p_++;
+    }
+
+    [[noreturn]] void bad(const std::string& what) const {
+      src_.bad_at(p_, what);
+    }
+
+   private:
+    friend class BufferByteSource;
+    const std::uint8_t* p_;
+    const std::uint8_t* end_;
+    const BufferByteSource& src_;
+  };
+
+  int get_byte() { return pos_ == end_ ? -1 : *pos_++; }
 
   std::uint8_t need_byte(const char* what) {
-    const int b = get_byte();
-    if (b < 0) bad(std::string("truncated record (") + what + ")");
-    return static_cast<std::uint8_t>(b);
+    if (pos_ == end_) truncated_at(pos_, what);
+    return *pos_++;
   }
 
-  std::uint64_t consumed() const { return base_ + pos_; }
-  bool exhausted() const { return pos_ >= len_; }
+  /// Moves the read position to where `c` stopped.
+  void seek(const Cursor& c) { pos_ = c.p_; }
 
-  [[noreturn]] void bad(const std::string& what) const {
-    throw std::invalid_argument(context_ + ", byte " +
-                                std::to_string(consumed()) + ": " + what);
-  }
+  std::uint64_t consumed() const { return offset_of(pos_); }
+  bool exhausted() const { return pos_ == end_; }
+
+  [[noreturn]] void bad(const std::string& what) const { bad_at(pos_, what); }
 
  private:
+  std::uint64_t offset_of(const std::uint8_t* p) const {
+    return base_ + static_cast<std::uint64_t>(p - data_);
+  }
+  /// bad() with the position at `p`.
+  [[noreturn]] void bad_at(const std::uint8_t* p,
+                           const std::string& what) const {
+    throw std::invalid_argument(context_ + ", byte " +
+                                std::to_string(offset_of(p)) + ": " + what);
+  }
+  [[noreturn]] void truncated_at(const std::uint8_t* p,
+                                 const char* what) const {
+    bad_at(p, std::string("truncated record (") + what + ")");
+  }
+
   const std::uint8_t* data_;
-  std::size_t pos_ = 0;
-  std::size_t len_;
+  const std::uint8_t* pos_;
+  const std::uint8_t* end_;
   std::uint64_t base_;
   std::string context_;
 };
@@ -156,31 +199,42 @@ class BufferByteSource {
 /// continuation byte, e.g. 0x80 0x00 for 0 — a padded spelling the
 /// encoder never emits). Rejecting them keeps accepted streams
 /// byte-canonical, which the framed container's seek index relies on.
+/// Always inlined: with the record decoder's cursor, its loop runs on
+/// registers.
 template <class Source>
-std::uint64_t read_varint(Source& src, const char* what) {
+[[gnu::always_inline]] inline std::uint64_t read_varint(Source& src,
+                                                        const char* what) {
   std::uint64_t v = 0;
-  for (unsigned i = 0; i < kMaxVarintBytes; ++i) {
+  for (unsigned i = 0; i < kMaxVarintBytes - 1; ++i) {
     const std::uint8_t b = src.need_byte(what);
-    const std::uint64_t payload = b & 0x7F;
-    if (i == kMaxVarintBytes - 1 && payload > 1) {
-      src.bad(std::string(what) + ": varint overflows 64 bits");
-    }
-    v |= payload << (7 * i);
+    v |= static_cast<std::uint64_t>(b & 0x7F) << (7 * i);
     if (!(b & 0x80)) {
-      if (i > 0 && payload == 0) {
+      if (i > 0 && b == 0) {
         src.bad(std::string(what) + ": non-minimal varint encoding");
       }
       return v;
     }
   }
-  src.bad(std::string(what) + ": varint longer than 10 bytes");
+  // The 10th byte may carry only bit 63, and must end the varint.
+  const std::uint8_t b = src.need_byte(what);
+  const std::uint64_t payload = b & 0x7F;
+  if (payload > 1) src.bad(std::string(what) + ": varint overflows 64 bits");
+  if (b & 0x80) src.bad(std::string(what) + ": varint longer than 10 bytes");
+  if (payload == 0) {
+    src.bad(std::string(what) + ": non-minimal varint encoding");
+  }
+  return v | payload << 63;
 }
 
 /// Decodes one record, updating the running line-delta base; nullopt at
 /// a clean end of the source (end exactly between records). All
 /// rejection paths throw through src.bad() with absolute byte offsets.
-template <class Source>
-std::optional<MemRequest> decode_record(Source& src, LineAddr& prev_line) {
+/// The record is read through a local BufferByteSource::Cursor, so the
+/// position stays in a register for the whole record; always inlined, so
+/// the framed decoder's per-request loop pays no call for it.
+[[gnu::always_inline]] inline std::optional<MemRequest> decode_record(
+    BufferByteSource& in, LineAddr& prev_line) {
+  BufferByteSource::Cursor src(in);
   const int first = src.get_byte();
   if (first < 0) return std::nullopt;  // clean end of record stream
 
@@ -194,19 +248,21 @@ std::optional<MemRequest> decode_record(Source& src, LineAddr& prev_line) {
 
   // Valid line addresses occupy 58 bits (byte addr >> 6); a delta that
   // leaves [0, kMaxLine] cannot come from the encoder and must throw,
-  // not wrap into a garbage address.
+  // not wrap into a garbage address. The sign is a mask (all ones for a
+  // negative delta), not a branch: it is as random as the access
+  // pattern, so a branch on it would mispredict about every other time.
   constexpr LineAddr kMaxLine = ~Addr{0} >> kLineShift;
   const std::uint64_t delta = read_varint(src, "line delta");
-  LineAddr line;
-  if (flags & kFlagNegDelta) {
-    if (delta > prev_line) src.bad("line delta underflows line 0");
-    line = prev_line - delta;
-  } else {
-    if (delta > kMaxLine - prev_line) {
-      src.bad("line delta overflows the 58-bit line space");
-    }
-    line = prev_line + delta;
+  const LineAddr negative =
+      0 - static_cast<LineAddr>((flags & kFlagNegDelta) != 0);
+  const LineAddr room =
+      (prev_line & negative) | ((kMaxLine - prev_line) & ~negative);
+  if (delta > room) {
+    src.bad(negative != 0 ? "line delta underflows line 0"
+                          : "line delta overflows the 58-bit line space");
   }
+  // prev_line - delta when negative is all ones, prev_line + delta when 0.
+  const LineAddr line = prev_line + ((delta ^ negative) - negative);
   const std::uint8_t offset = src.need_byte("line offset");
   if (offset >= kLineSizeBytes) src.bad("line offset >= 64");
   r.addr = byte_of(line) | offset;
@@ -216,6 +272,7 @@ std::optional<MemRequest> decode_record(Source& src, LineAddr& prev_line) {
   r.pre_delay = static_cast<std::uint32_t>(delay);
 
   prev_line = line;
+  in.seek(src);
   return r;
 }
 

@@ -520,5 +520,65 @@ TEST(TraceFrameReject, JunkAfterTheFooterIsNotReadInFull) {
   EXPECT_LE(static_cast<std::uint64_t>(pos), end_off + 1 + kBound);
 }
 
+// Seek-open bounds the tail by what fits before the footer's end-marker
+// offset E: frames take at least 12 bytes, so at most (E - 8) / 12 of
+// them precede it, and an index of F frames takes at most 31 + 20 * F
+// bytes. A longer tail is refused by its length, before it is read, and
+// the message names both numbers.
+TEST_F(TraceFrameFileTest, SeekOpenRefusesATailLongerThanItsFramesAllow) {
+  FramedTraceOptions opts;
+  opts.frame_requests = 10;
+  const std::string good = encode_framed(random_trace(17, 200), opts);
+  ASSERT_GT(footer_end_offset(good), 8u + 19u * 12u);  // 20 frames
+  const auto with_footer_at = [](std::string bytes, std::uint64_t end) {
+    for (int i = 0; i < 8; ++i) {
+      bytes[bytes.size() - 16 + i] = static_cast<char>(end >> (8 * i));
+    }
+    return bytes;
+  };
+  const auto open = [&](const std::string& bytes) {
+    const std::string path = write_file("early.trace", bytes);
+    return rejection([&] { FramedTraceFile{path}; });
+  };
+  // A footer naming byte 8 leaves room for no frame; byte 140, for 11.
+  const struct {
+    std::uint64_t end;
+    std::uint64_t max_tail;
+    std::uint64_t max_frames;
+  } early[] = {{8, 31, 0}, {140, 251, 11}};
+  for (const auto& e : early) {
+    const std::string msg = open(with_footer_at(good, e.end));
+    const std::string want =
+        "footer end-marker offset " + std::to_string(e.end) +
+        " leaves a tail of " + std::to_string(good.size() - e.end) +
+        " bytes, past the " + std::to_string(e.max_tail) +
+        " bytes an index of at most " + std::to_string(e.max_frames) +
+        " frame(s) can take";
+    EXPECT_NE(msg.find(want), std::string::npos)
+        << "message was '" << msg << "'";
+  }
+  // The bound itself is allowed: a 31-byte tail after byte 8 reaches the
+  // parser (and fails there), a 32-byte one does not.
+  const auto junk_after_magic = [&](std::size_t tail) {
+    std::string bytes = good.substr(0, 8) + std::string(tail - 16, '\x5A') +
+                        good.substr(good.size() - 16);
+    return with_footer_at(bytes, 8);
+  };
+  const std::string at_bound = open(junk_after_magic(31));
+  EXPECT_NE(at_bound, "");
+  EXPECT_EQ(at_bound.find("leaves a tail"), std::string::npos) << at_bound;
+  EXPECT_NE(open(junk_after_magic(32)).find("leaves a tail of 32 bytes"),
+            std::string::npos);
+
+  // The densest container opens: one 4-byte record per 12-byte frame.
+  std::vector<MemRequest> zeros(300);
+  FramedTraceOptions one;
+  one.frame_requests = 1;
+  const std::string dense = encode_framed(zeros, one);
+  ASSERT_EQ(footer_end_offset(dense), 8u + 300u * 12u);
+  FramedTraceFile file(write_file("dense.trace", dense));
+  EXPECT_EQ(file.frames().size(), 300u);
+}
+
 }  // namespace
 }  // namespace pipo
