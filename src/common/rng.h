@@ -21,8 +21,11 @@ namespace pipo {
 /// probability below bound / 2^64). Rng::below and the synthetic
 /// generator's block draws (workload/synthetic.h) share this one
 /// definition, so the same draws give the same result through either.
+/// Always inlined, as Rng::below's body was before it moved here: the
+/// filters, attackers and fuzzer call it per access.
 template <class Draw>
-std::uint64_t lemire_below(std::uint64_t bound, Draw&& draw) {
+[[gnu::always_inline]] inline std::uint64_t lemire_below(std::uint64_t bound,
+                                                         Draw&& draw) {
   __uint128_t m = static_cast<__uint128_t>(draw()) * bound;
   auto lo = static_cast<std::uint64_t>(m);
   if (lo < bound) {
