@@ -40,8 +40,7 @@ CacheArray::CacheArray(const CacheConfig& cfg, unsigned index_shift)
       sets_(cfg_.num_sets()),
       set_mask_(sets_ - 1),
       fp_words_(static_cast<std::uint32_t>(ceil_div(cfg_.ways, 8))),
-      lines_(sets_ * cfg_.ways),
-      tags_(sets_ * cfg_.ways, 0),
+      ways_(sets_ * cfg_.ways),
       fps_(sets_ * fp_words_, 0),
       occ_(sets_, 0),
       repl_(sets_, cfg_.ways) {}
@@ -51,7 +50,7 @@ CacheProbe CacheArray::probe(LineAddr line) const {
   const std::size_t set = set_of(line);
   const std::uint64_t occ = occ_[set];
   const std::uint64_t* fps = &fps_[set * fp_words_];
-  const LineAddr* tags = &tags_[set * cfg_.ways];
+  const CacheWay* ways = &ways_[set * cfg_.ways];
   const std::uint64_t want = kByteOnes * fingerprint(line);
   for (std::uint32_t k = 0; k < fp_words_; ++k) {
     // Occupied ways 8k..8k+7 whose fingerprint matches, in way order.
@@ -60,7 +59,7 @@ CacheProbe CacheArray::probe(LineAddr line) const {
       const std::uint32_t w =
           8 * k + static_cast<std::uint32_t>(std::countr_zero(match));
       ++tag_compares_;
-      if (tags[w] == line) return CacheProbe{set, w, true, fills_};
+      if (ways[w].tag == line) return CacheProbe{set, w, true, fills_};
       match &= match - 1;
     }
   }
@@ -83,7 +82,7 @@ CacheArray::FillResult CacheArray::fill(LineAddr line_addr,
   if (r.slot.way >= cfg_.ways) {
     std::optional<std::uint32_t> override_way;
     if (chooser) {
-      override_way = chooser->choose(&lines_[set * cfg_.ways], cfg_.ways);
+      override_way = chooser->choose(&ways_[set * cfg_.ways], cfg_.ways);
       assert(!override_way || *override_way < cfg_.ways);
     }
     r.slot.way = override_way ? *override_way : repl_.victim(set);
@@ -91,8 +90,7 @@ CacheArray::FillResult CacheArray::fill(LineAddr line_addr,
   }
 
   const std::uint32_t way = r.slot.way;
-  lines_[index(r.slot)] = CacheLine{};
-  tags_[index(r.slot)] = line_addr;
+  ways_[index(r.slot)] = CacheWay{line_addr, CacheLine{}};
   std::uint64_t& fp_word = fps_[set * fp_words_ + way / 8];
   const unsigned lane = 8 * (way % 8);
   fp_word = (fp_word & ~(std::uint64_t{0xFF} << lane)) |
@@ -128,7 +126,7 @@ std::uint64_t CacheArray::valid_count() const {
 }
 
 void CacheArray::clear() {
-  for (CacheLine& l : lines_) l = CacheLine{};
+  for (CacheWay& w : ways_) w.line = CacheLine{};
   for (std::uint64_t& o : occ_) o = 0;
 }
 

@@ -8,10 +8,12 @@
 // indexing is `(line >> index_shift) & (sets-1)`, so an LLC slice passes
 // index_shift = log2(num_slices) to skip the slice-selection bits.
 //
-// Placement lives in one record per array: a packed row of tags, one per
-// (set, way), holding the full line address (hardware would store only
-// the bits above the index), and one 64-bit occupancy word per set. A
-// CacheLine holds only the protocol metadata of the line in its way.
+// Each (set, way) is one 16-byte record on the host, a CacheWay: the
+// full line address the way holds (hardware would store only the bits
+// above the index) beside that line's protocol metadata, a CacheLine.
+// So a hit's tag compare and its metadata share a host cache line.
+// Occupancy and fingerprints stay per-set rows: one 64-bit occupancy
+// word and one fingerprint row per set, which a probe reads first.
 //
 // A set scan first compares an 8-bit fingerprint per way, eight ways per
 // 64-bit word, and reads the full tag only of the occupied ways whose
@@ -48,8 +50,12 @@ struct CacheLine {
   // --- private-hierarchy residency: the L2 is each core's directory ---
   /// L2: which of the core's L1s hold the line (kInnerL1i | kInnerL1d).
   std::uint8_t inner = 0;
-  /// L1: the way of this line's copy in the core's L2 (its set follows
-  /// from the address).
+  /// The way of this line's copy one level out; its set (and slice)
+  /// follow from the address. L1: the copy's way in the core's L2,
+  /// always exact. L2: the LLC way, a hint the reader checks before use
+  /// (System::handle_l2_eviction). It is exact under an inclusive LLC
+  /// without RIC, can go stale when RIC orphans the line, and is unused
+  /// under the exclusive LLC.
   std::uint8_t outer_way = 0;
 };
 
@@ -57,8 +63,15 @@ struct CacheLine {
 inline constexpr std::uint8_t kInnerL1i = 1u << 0;
 inline constexpr std::uint8_t kInnerL1d = 1u << 1;
 
+/// One simulated way's host record: the line address it holds, beside
+/// that line's metadata. Meaningful only while the way is occupied.
+struct CacheWay {
+  LineAddr tag = 0;
+  CacheLine line;
+};
+
 // Every simulated way costs a record on the host: keep it small.
-static_assert(sizeof(CacheLine) <= 8);
+static_assert(sizeof(CacheWay) == 16);
 
 /// Identifies a resident line.
 struct CacheSlot {
@@ -77,14 +90,14 @@ struct CacheProbe {
 };
 
 /// Pluggable victim-selection override (e.g. SHARP's hierarchy-aware
-/// policy). `choose` sees one set's lines and returns the way to victimize,
-/// or nullopt to defer to the array's LRU victim.
+/// policy). `choose` sees one set's way records and returns the way to
+/// victimize, or nullopt to defer to the array's LRU victim.
 /// Precondition: the set is full. CacheArray::fill asks only when no way
 /// is free, so every way of `set` holds a line.
 class VictimChooser {
  public:
   virtual ~VictimChooser() = default;
-  virtual std::optional<std::uint32_t> choose(const CacheLine* set,
+  virtual std::optional<std::uint32_t> choose(const CacheWay* set,
                                               std::uint32_t ways) = 0;
 };
 
@@ -94,7 +107,9 @@ struct EvictedLine {
   Mesi state = Mesi::kInvalid;
   bool dirty = false;
   std::uint8_t inner = 0;      ///< L2 victim: the L1s that held it
-  std::uint8_t outer_way = 0;  ///< L1 victim: its L2 copy's way
+  /// CacheLine::outer_way: an L1 victim's L2 way, an L2 victim's LLC
+  /// way hint.
+  std::uint8_t outer_way = 0;
   std::uint32_t presence = 0;
   bool pp_tag = false;
   bool pp_accessed = false;
@@ -140,9 +155,9 @@ class CacheArray {
   /// Replacement-policy update on a hit.
   void touch(const CacheSlot& slot) { repl_.on_access(slot.set, slot.way); }
 
-  CacheLine& line(const CacheSlot& slot) { return lines_[index(slot)]; }
+  CacheLine& line(const CacheSlot& slot) { return ways_[index(slot)].line; }
   const CacheLine& line(const CacheSlot& slot) const {
-    return lines_[index(slot)];
+    return ways_[index(slot)].line;
   }
 
   /// Whether the way at `slot` holds a line.
@@ -151,7 +166,7 @@ class CacheArray {
   }
   /// The line address the way at `slot` holds; meaningful only while
   /// occupied(slot).
-  LineAddr tag(const CacheSlot& slot) const { return tags_[index(slot)]; }
+  LineAddr tag(const CacheSlot& slot) const { return ways_[index(slot)].tag; }
 
   /// Result of inserting a line: where it landed and what fell out.
   struct FillResult {
@@ -212,15 +227,13 @@ class CacheArray {
   std::size_t sets_;
   std::uint64_t set_mask_;
   std::uint32_t fp_words_;  ///< 64-bit fingerprint words per set
-  std::vector<CacheLine> lines_;
-  // The placement record, structure-of-arrays: probe() and the free-way
-  // scan in fill() read one 64-bit occupancy word, one fingerprint row
-  // and the matching ways' tags per set, never the CacheLine records.
-  // Only fill writes a tag or a fingerprint; of the record, invalidate
-  // and clear write only the occupancy word. A free way's tag and
-  // fingerprint are stale, and the occupancy word keeps probe() from
-  // reading them.
-  std::vector<LineAddr> tags_;       ///< per-(set,way) line address
+  // probe() and the free-way scan in fill() read one 64-bit occupancy
+  // word and one fingerprint row per set, and only the matching ways'
+  // records. Only fill writes a tag or a fingerprint; invalidate and
+  // clear reset the CacheLine and the occupancy bit. A free way's tag
+  // and fingerprint are stale, and the occupancy word keeps probe()
+  // from reading them.
+  std::vector<CacheWay> ways_;  ///< per-(set,way) record
   /// Per-set row of fp_words_ words, byte w % 8 of word w / 8 holding
   /// way w's fingerprint(); the padding past the last way stays zero.
   std::vector<std::uint64_t> fps_;

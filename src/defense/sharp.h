@@ -33,12 +33,12 @@ class SharpChooser final : public VictimChooser {
   /// specifies *random* among unowned lines; Step 2: all lines are
   /// privately held — random victim + alarm. A set with a free way never
   /// gets here (VictimChooser's precondition).
-  std::optional<std::uint32_t> choose(const CacheLine* set,
+  std::optional<std::uint32_t> choose(const CacheWay* set,
                                       std::uint32_t ways) override {
     std::uint32_t unowned[64];
     std::uint32_t n = 0;
     for (std::uint32_t w = 0; w < ways && n < 64; ++w) {
-      if (set[w].presence == 0) unowned[n++] = w;
+      if (set[w].line.presence == 0) unowned[n++] = w;
     }
     if (n > 0) return unowned[rng_.below(n)];
     ++alarms_;

@@ -140,8 +140,9 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
     const Tick done = mem_->fetch(now, line, MemController::Reason::kDemand);
     const std::uint32_t lat =
         cfg_.l3.latency + static_cast<std::uint32_t>(done - now);
-    CacheLine& l3l = fill_l3(now, l3p, line, mres.ping_pong,
-                             /*from_prefetch=*/false, kInvalidCore);
+    CacheLine& l3l = slice.line(fill_l3(now, l3p, line, mres.ping_pong,
+                                        /*from_prefetch=*/false,
+                                        kInvalidCore));
     if (cfg_.defense == DefenseKind::kRic && !exclusive()) {
       // The probe's fill re-establishes an LLC entry that knows about no
       // holders, but RIC orphans of the line may survive in private
@@ -189,6 +190,7 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
   HitLevel level;
   Mesi fill_state;
   bool tag_l2 = false;  ///< set the Ping-Pong tag on the L2 fill
+  std::uint32_t llc_way = 0;  ///< the L2 fill's outer_way: its LLC way
 
   // ---- L2 ----
   CacheArray& l2 = *l2_[core];
@@ -220,6 +222,7 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
     if (l3p.hit) {
       slice.touch(l3p.slot());
       CacheLine& l3l = slice.line(l3p.slot());
+      llc_way = l3p.way;
       lat = cfg_.l3.latency;
       if (type == AccessType::kStore) {
         make_exclusive(now, core, line, l3l);
@@ -241,8 +244,10 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
       const Tick done =
           mem_->fetch(now, line, MemController::Reason::kDemand);
       lat = cfg_.l3.latency + static_cast<std::uint32_t>(done - now);
-      CacheLine& l3l = fill_l3(now, l3p, line, mres.ping_pong,
-                               /*from_prefetch=*/false, core);
+      const CacheSlot l3slot = fill_l3(now, l3p, line, mres.ping_pong,
+                                       /*from_prefetch=*/false, core);
+      CacheLine& l3l = slice.line(l3slot);
+      llc_way = l3slot.way;
       fill_state =
           (type == AccessType::kStore) ? Mesi::kModified : Mesi::kExclusive;
       if (cfg_.defense == DefenseKind::kRic) {
@@ -312,8 +317,8 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
     }
   }
 
-  const PrivateSlots at =
-      fill_private(now, core, l1, l1_bit, l1p, l2p, line, fill_state);
+  const PrivateSlots at = fill_private(now, core, l1, l1_bit, l1p, l2p, line,
+                                       fill_state, llc_way);
   // Attach-level tagging of the fresh fill. An L2/LLC tag lives on the
   // L2 line (in exclusive mode it rides back to the LLC on victim-fill);
   // an L1 tag lives on the just-filled L1 line.
@@ -336,14 +341,17 @@ System::PrivateSlots System::fill_private(Tick now, CoreId core,
                                           CacheArray& l1, std::uint8_t l1_bit,
                                           const CacheProbe& l1_miss,
                                           const CacheProbe& l2_probe,
-                                          LineAddr line, Mesi state) {
+                                          LineAddr line, Mesi state,
+                                          std::uint32_t llc_way) {
   CacheArray& l2 = *l2_[core];
   CacheSlot l2slot = l2_probe.slot();
   if (!l2_probe.hit) {
     auto r = l2.fill(line, l2_probe);
     if (r.evicted) handle_l2_eviction(now, core, *r.evicted);
     l2slot = r.slot;
-    l2.line(l2slot).state = state;
+    CacheLine& l2l = l2.line(l2slot);
+    l2l.state = state;
+    l2l.outer_way = static_cast<std::uint8_t>(llc_way);
   }
   auto r = l1.fill(line, l1_miss);
   if (r.evicted) {
@@ -401,21 +409,29 @@ void System::handle_l2_eviction(Tick now, CoreId core,
     victim_fill_l3(now, ev, dirty);
     return;
   }
-  // Merge into the LLC and release the directory presence bit. Under
-  // RIC a clean private line can outlive its LLC entry (relaxed
-  // inclusion); evicting such an orphan needs no LLC bookkeeping, and it
-  // cannot be dirty (writes re-establish the LLC entry on upgrade).
-  auto l3slot = l3_->lookup(ev.line);
-  if (!l3slot) {
+  // Merge into the LLC and release the directory presence bit. The L2
+  // line's outer_way names its LLC copy's way, so no set scan is needed,
+  // unless RIC left that hint stale: an orphan's LLC entry may since
+  // have been refilled into another way, or not at all. A clean private
+  // line can outlive its LLC entry under RIC (relaxed inclusion);
+  // evicting such an orphan needs no LLC bookkeeping, and it cannot be
+  // dirty (writes re-establish the LLC entry on upgrade).
+  CacheArray& slice = l3_->slice_for(ev.line);
+  CacheSlot l3slot{slice.set_of(ev.line), ev.outer_way};
+  if (!slice.occupied(l3slot) || slice.tag(l3slot) != ev.line) {
     assert(cfg_.defense == DefenseKind::kRic &&
-           "inclusive invariant: L2 line must be in L3");
-    if (dirty) {
-      mem_->writeback(now, ev.line);
-      ++stats_.writebacks;
+           "inclusive invariant: an L2 line's outer_way names its LLC way");
+    const auto found = slice.lookup(ev.line);
+    if (!found) {
+      if (dirty) {
+        mem_->writeback(now, ev.line);
+        ++stats_.writebacks;
+      }
+      return;
     }
-    return;
+    l3slot = *found;
   }
-  CacheLine& l3l = l3_->line_for(ev.line, *l3slot);
+  CacheLine& l3l = slice.line(l3slot);
   l3l.presence &= ~bit(core);
   if (dirty) {
     l3l.dirty = true;
@@ -438,9 +454,9 @@ void System::victim_fill_l3(Tick now, const EvictedLine& ev, bool dirty) {
   l3l.pp_accessed = l3l.pp_tag && ev.pp_accessed;
 }
 
-CacheLine& System::fill_l3(Tick now, const CacheProbe& miss, LineAddr line,
-                           bool pp_tagged, bool from_prefetch,
-                           CoreId requester) {
+CacheSlot System::fill_l3(Tick now, const CacheProbe& miss, LineAddr line,
+                          bool pp_tagged, bool from_prefetch,
+                          CoreId requester) {
   CacheArray& slice = l3_->slice_for(line);
   auto r = slice.fill(line, miss, sharp_.get());
   if (r.evicted) {
@@ -456,7 +472,7 @@ CacheLine& System::fill_l3(Tick now, const CacheProbe& miss, LineAddr line,
   // (the paper's anti-over-protection rule).
   l3l.pp_accessed = pp_tagged && !from_prefetch;
   if (pp_tagged && !from_prefetch) ++stats_.pp_tag_fills;
-  return l3l;
+  return r.slot;
 }
 
 void System::handle_l3_eviction(Tick now, const EvictedLine& ev,
@@ -590,7 +606,7 @@ void System::upgrade_for_store(Tick now, CoreId core, LineAddr line) {
   // knows only about this writer, so sibling orphan copies (which
   // make_exclusive's presence walk cannot see) must be reconciled away
   // here or a stale S copy survives next to the new M.
-  CacheLine& l3l = fill_l3(now, l3p, line, false, false, core);
+  CacheLine& l3l = slice.line(fill_l3(now, l3p, line, false, false, core));
   reconcile_ric_orphans(now, line, core, /*is_store=*/true, l3l);
   make_exclusive(now, core, line, l3l);
 }
@@ -701,6 +717,14 @@ std::string System::check_invariants() const {
           err << "L2 line " << std::hex << addr << std::dec
               << " of core " << unsigned(c)
               << " missing from the inclusive L3";
+          return err.str();
+        }
+        // Residency, toward the LLC: outer_way names the LLC copy's way,
+        // exactly unless RIC may have orphaned and refilled the line.
+        if (!ric && l.outer_way != l3slot->way) {
+          err << "L2 line " << std::hex << addr << std::dec << " of core "
+              << unsigned(c) << " names LLC way " << unsigned(l.outer_way)
+              << " but its copy is in way " << l3slot->way;
           return err.str();
         }
         const CacheLine& l3l = l3_->slice_for(addr).line(*l3slot);

@@ -42,7 +42,11 @@
 // Each core's L2 is that core's directory: an L2 line's
 // CacheLine::inner bits name the L1s holding it, and an L1 line's
 // outer_way names its L2 copy's way. Every per-core coherence action
-// probes the L2 once and visits only the L1s its bits name.
+// probes the L2 once and visits only the L1s its bits name. An L2
+// line's outer_way in turn names the way of its inclusive LLC copy, so
+// an L2 eviction clears its presence bit without scanning the LLC set.
+// That one is a hint, checked before use: RIC can orphan the line and
+// refill its LLC copy elsewhere, and then the eviction scans the set.
 //
 // The active defense attaches at cfg.monitor_level: it observes misses
 // at that level, tags that level's fills, and receives pEvict when a
@@ -194,7 +198,9 @@ class System {
   ///    (except under RIC, whose relaxed inclusion permits clean
   ///    orphans), and every L1 line is present in its core's L2;
   ///  * residency — every L1 line's outer_way names its L2 copy's way,
-  ///    and every L2 line's inner bits name exactly the L1s holding it;
+  ///    every L2 line's inner bits name exactly the L1s holding it, and,
+  ///    under an inclusive LLC without RIC, every L2 line's outer_way
+  ///    names the LLC way holding its copy;
   ///  * single writer — at most one core holds a line in M or E, and no
   ///    other core holds any copy of an M/E line;
   ///  * directory — the L3 presence bit of every privately held line's
@@ -211,9 +217,9 @@ class System {
   }
 
   /// Fills `line` into its LLC slice, consuming that slice's miss
-  /// probe, and returns the new line.
-  CacheLine& fill_l3(Tick now, const CacheProbe& miss, LineAddr line,
-                     bool pp_tagged, bool from_prefetch, CoreId requester);
+  /// probe, and returns where it landed in the slice.
+  CacheSlot fill_l3(Tick now, const CacheProbe& miss, LineAddr line,
+                    bool pp_tagged, bool from_prefetch, CoreId requester);
   /// `demand_caused`: the eviction was triggered by a demand fill rather
   /// than a monitor prefetch fill (forwarded in the pEvict message).
   void handle_l3_eviction(Tick now, const EvictedLine& ev,
@@ -226,11 +232,12 @@ class System {
   };
   /// Fills `line` into `core`'s L2 unless `l2_probe` hit, then into
   /// `l1` (whose CacheLine::inner bit is `l1_bit`), consuming both
-  /// probes and keeping the L2's residency records.
+  /// probes and keeping the residency records. A fresh L2 line's
+  /// outer_way is `llc_way`, its inclusive LLC copy's way.
   PrivateSlots fill_private(Tick now, CoreId core, CacheArray& l1,
                             std::uint8_t l1_bit, const CacheProbe& l1_miss,
                             const CacheProbe& l2_probe, LineAddr line,
-                            Mesi state);
+                            Mesi state, std::uint32_t llc_way);
   /// One of a core's L1s and its CacheLine::inner bit.
   struct InnerL1 {
     CacheArray* array;

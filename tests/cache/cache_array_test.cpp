@@ -125,7 +125,7 @@ TEST(CacheArray, ValidCountsTrackFills) {
 class CountingChooser final : public VictimChooser {
  public:
   explicit CountingChooser(std::uint32_t way) : way_(way) {}
-  std::optional<std::uint32_t> choose(const CacheLine*,
+  std::optional<std::uint32_t> choose(const CacheWay*,
                                       std::uint32_t) override {
     ++calls;
     return way_;

@@ -11,16 +11,15 @@ namespace {
 
 using testutil::pop_all_due;
 
-CacheLine line_with(std::uint32_t presence) {
-  CacheLine l;
-  l.presence = presence;
-  return l;
+CacheWay way_with(std::uint32_t presence) {
+  CacheWay w;
+  w.line.presence = presence;
+  return w;
 }
 
 TEST(SharpChooser, PicksOnlyUnownedLines) {
   SharpChooser chooser(2);
-  CacheLine set[4] = {line_with(1), line_with(0), line_with(2),
-                      line_with(0)};
+  CacheWay set[4] = {way_with(1), way_with(0), way_with(2), way_with(0)};
   for (int i = 0; i < 50; ++i) {
     const auto way = chooser.choose(set, 4);
     ASSERT_TRUE(way.has_value());
@@ -31,8 +30,7 @@ TEST(SharpChooser, PicksOnlyUnownedLines) {
 
 TEST(SharpChooser, AlarmsWhenEveryLineIsOwned) {
   SharpChooser chooser(3);
-  CacheLine set[4] = {line_with(1), line_with(2), line_with(4),
-                      line_with(8)};
+  CacheWay set[4] = {way_with(1), way_with(2), way_with(4), way_with(8)};
   const auto way = chooser.choose(set, 4);
   ASSERT_TRUE(way.has_value());
   EXPECT_LT(*way, 4u);
@@ -41,8 +39,7 @@ TEST(SharpChooser, AlarmsWhenEveryLineIsOwned) {
 
 TEST(SharpChooser, RandomChoiceCoversAllUnownedWays) {
   SharpChooser chooser(4);
-  CacheLine set[4] = {line_with(0), line_with(0), line_with(0),
-                      line_with(0)};
+  CacheWay set[4] = {way_with(0), way_with(0), way_with(0), way_with(0)};
   bool seen[4] = {false, false, false, false};
   for (int i = 0; i < 200; ++i) {
     const auto way = chooser.choose(set, 4);

@@ -224,5 +224,14 @@ TEST(Invariants, DetectsAWrongOuterWay) {
   EXPECT_NE(r.sys.check_invariants(), "");
 }
 
+TEST(Invariants, DetectsAnL2LineNamingTheWrongLlcWay) {
+  ResidentLine r;
+  ASSERT_EQ(r.sys.check_invariants(), "");
+  CacheLine& l2 = r.l2_line();
+  const std::uint32_t llc_ways = r.sys.l3().slice(0).ways();
+  l2.outer_way = static_cast<std::uint8_t>((l2.outer_way + 1) % llc_ways);
+  EXPECT_NE(r.sys.check_invariants(), "");
+}
+
 }  // namespace
 }  // namespace pipo
