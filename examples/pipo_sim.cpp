@@ -8,8 +8,7 @@
 //            [--defense none|pipo|dir|sharp|bitp|ric] [--l L] [--b B]
 //            [--secthr T] [--mnk K] [--seed S]
 //            [--record DIR] [--record-format text|framed]
-//   pipo_sim trace <file|dir> [--core C] [--from-frame K]
-//            [--no-defense] [...]
+//   pipo_sim trace <file|dir> [--core C] [--no-defense] [...]
 //   pipo_sim attack [--iters N] [--interval T] [--no-defense] [...]
 //
 // Flags may come in any order: --defense (and --no-defense, the same as
@@ -32,7 +31,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,9 +44,7 @@
 #include "fabric/campaign.h"  // parse_defense
 #include "sim/simulation.h"
 #include "workload/mixes.h"
-#include "workload/trace.h"        // IdleWorkload
 #include "workload/trace_codec.h"  // TraceFormat
-#include "workload/trace_frame.h"  // FramedTraceFile (--from-frame)
 
 namespace {
 
@@ -64,9 +60,7 @@ using namespace pipo;
                "         --no-defense (= --defense none)\n"
                "         --l L --b B --secthr T --mnk K --seed S\n"
                "         --record DIR --record-format text|framed "
-               "(mix only)\n"
-               "         --from-frame K (trace only: seek replay of a "
-               "framed trace)\n");
+               "(mix only)\n");
   std::exit(2);
 }
 
@@ -79,8 +73,6 @@ struct Options {
   Tick interval = 5000;
   std::string record_dir;
   TraceFormat record_format = TraceFormat::kTextV1;
-  std::uint64_t from_frame = 0;  ///< framed trace: first frame to replay
-  bool from_frame_set = false;
   SystemConfig system = SystemConfig::paper_default();
 };
 
@@ -137,9 +129,6 @@ Options parse_options(int argc, char** argv, int first) {
         usage();
       }
       o.record_format = *fmt;
-    } else if (a == "--from-frame") {
-      o.from_frame = parse_uint(need("--from-frame"), "--from-frame");
-      o.from_frame_set = true;
     } else {
       std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
       usage();
@@ -210,38 +199,11 @@ int run_trace_cmd(int argc, char** argv) {
                  "directory assigns core<i>.trace to core i\n");
     return 2;
   }
-  std::uint32_t driven = 1;
-  if (o.from_frame_set) {
-    // Seek replay: open the framed container's seek index and start
-    // mid-trace. Only meaningful for a single framed file.
-    if (std::filesystem::is_directory(path)) {
-      std::fprintf(stderr,
-                   "--from-frame applies to a single framed trace file\n");
-      return 2;
-    }
-    FramedTraceFile file(path);
-    if (o.from_frame > file.frames().size()) {
-      std::fprintf(stderr, "--from-frame %llu out of range (%zu frames)\n",
-                   static_cast<unsigned long long>(o.from_frame),
-                   file.frames().size());
-      return 2;
-    }
-    sim.set_workload(o.core, file.workload_from_frame(
-                                 static_cast<std::size_t>(o.from_frame)));
-    for (CoreId c = 0; c < sim.num_cores(); ++c) {
-      if (c != o.core) sim.set_workload(c, std::make_unique<IdleWorkload>());
-    }
-    std::printf("replaying %s from frame %llu/%zu on core %u (%s), "
-                "streaming\n\n",
-                path.c_str(), static_cast<unsigned long long>(o.from_frame),
-                file.frames().size(), o.core, to_string(o.system.defense));
-  } else {
-    // Same loading rules (and out-of-range/garbage-name validation) as
-    // run_trace_perf / sweep_runner; --core picks the single-file target.
-    driven = assign_trace_scenario(sim, path, o.core);
-    std::printf("replaying %s on %u core(s) (%s), streaming\n\n",
-                path.c_str(), driven, to_string(o.system.defense));
-  }
+  // Same loading rules (and out-of-range/garbage-name validation) as
+  // run_trace_perf / sweep_runner; --core picks the single-file target.
+  const std::uint32_t driven = assign_trace_scenario(sim, path, o.core);
+  std::printf("replaying %s on %u core(s) (%s), streaming\n\n",
+              path.c_str(), driven, to_string(o.system.defense));
   const Tick end = sim.run();
   std::printf("finished at tick      %llu\n",
               static_cast<unsigned long long>(end));

@@ -20,8 +20,8 @@ Comment lines (``#``) and blank lines are skipped. Unparseable lines
 abort with the line number — a silently mis-imported trace would replay
 plausible-looking garbage.
 
-The output is text v1; pack it with trace_convert into the seekable
-framed v3 container for production replay.
+The output is text v1; pack it with trace_convert into the framed v3
+container for production replay.
 
 Usage:
   scripts/import_gem5.py IN OUT [--ticks-per-cycle N] [--pre-delay N]

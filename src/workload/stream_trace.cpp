@@ -23,10 +23,6 @@ StreamingTraceWorkload::StreamingTraceWorkload(
     std::unique_ptr<std::istream> is)
     : is_(std::move(is)), decoder_(make_trace_decoder(*is_)) {}
 
-StreamingTraceWorkload::StreamingTraceWorkload(
-    std::unique_ptr<std::istream> is, std::unique_ptr<TraceDecoder> decoder)
-    : is_(std::move(is)), decoder_(std::move(decoder)) {}
-
 bool StreamingTraceWorkload::has_requests() {
   if (!ahead_) ahead_ = decoder_->next();
   return ahead_.has_value();

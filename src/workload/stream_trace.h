@@ -37,11 +37,6 @@ class StreamingTraceWorkload final : public Workload {
   /// Reads from `is` (e.g. a std::istringstream in tests); the format
   /// is autodetected.
   explicit StreamingTraceWorkload(std::unique_ptr<std::istream> is);
-  /// Replays `decoder`, which reads from `is` (e.g. a framed decoder
-  /// positioned at a frame boundary by
-  /// FramedTraceFile::workload_from_frame, trace_frame.h).
-  StreamingTraceWorkload(std::unique_ptr<std::istream> is,
-                         std::unique_ptr<TraceDecoder> decoder);
 
   std::optional<MemRequest> next(Tick) override;
 

@@ -6,9 +6,8 @@
 // fuzz corpus write it. Framed v3 (trace_frame.h) is the capture format
 // for production-scale traces (multi-gigabyte pin/gem5 conversions,
 // recorded attack transcripts): compact varint-delta records
-// (trace_record.h) in checksummed frames with a trailing seek index,
-// decodable in memory of one frame's payload and replayable from any
-// frame boundary.
+// (trace_record.h) in checksummed frames with a trailing frame index,
+// decodable in memory of one frame's payload.
 //
 // Text v1 grammar, one request per line:
 //
@@ -49,7 +48,7 @@ namespace pipo {
 
 enum class TraceFormat : std::uint8_t {
   kTextV1,    ///< line-per-request text (this header)
-  kFramedV3,  ///< seekable framed container of varint records (trace_frame.h)
+  kFramedV3,  ///< framed container of varint records (trace_frame.h)
 };
 
 const char* to_string(TraceFormat f);

@@ -2,8 +2,8 @@
 
 #include <array>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
+#include <string>
 
 namespace pipo {
 
@@ -20,12 +20,6 @@ constexpr std::uint64_t kMaxFramePayloadBytes = 256ull * 1024 * 1024;
 // Smallest possible record: flags + 1-byte delta + offset + 1-byte
 // pre_delay.
 constexpr std::uint64_t kMinRecordBytes = 4;
-// Smallest possible frame: marker + three 1-byte varints + crc32 + one
-// record.
-constexpr std::uint64_t kMinFrameBytes = 1 + 3 + 4 + kMinRecordBytes;
-// Smallest well-formed container: magic(8) + end marker(1) +
-// frame_count varint(1) + index crc(4) + footer(16).
-constexpr std::uint64_t kMinContainerBytes = 30;
 constexpr std::uint64_t kFooterBytes = 16;
 
 /// The most bytes from the end marker to the end of the file that a
@@ -97,20 +91,19 @@ void read_magic(trace_v2::StreamByteSource& src) {
 
 /// Parses a container's tail, [end marker, end of file), held in `tail`
 /// whose first byte is at absolute offset `end_off`: the end marker, the
-/// seek index, its checksum and the footer, with every structural check.
-/// Both readers call it; diagnostics name absolute file bytes.
-std::vector<FramedFrameInfo> parse_tail(const std::vector<std::uint8_t>& tail,
-                                        std::uint64_t end_off,
-                                        const std::string& context) {
-  trace_v2::BufferByteSource src(tail.data(), tail.size(), end_off, context);
+/// index, its checksum and the footer, with every structural check.
+/// Diagnostics name absolute file bytes.
+std::vector<FramedIndexEntry> parse_tail(
+    const std::vector<std::uint8_t>& tail, std::uint64_t end_off) {
+  trace_v2::BufferByteSource src(tail.data(), tail.size(), end_off,
+                                 "framed trace");
   if (src.need_byte("end marker") != kFrameEnd) {
     src.bad("no end marker at the footer's offset");
   }
   const std::uint64_t frame_count =
       trace_v2::read_varint(src, "index frame count");
-  std::vector<FramedFrameInfo> frames;
+  std::vector<FramedIndexEntry> frames;
   std::uint64_t off = 0;
-  std::uint64_t cum = 0;
   for (std::uint64_t i = 0; i < frame_count; ++i) {
     const std::uint64_t delta =
         trace_v2::read_varint(src, "index frame offset");
@@ -124,8 +117,7 @@ std::vector<FramedFrameInfo> parse_tail(const std::vector<std::uint8_t>& tail,
       src.bad("index frame offset out of range");
     }
     off += delta;
-    frames.push_back({off, cum, requests});
-    cum += requests;
+    frames.push_back({off, requests});
   }
   const std::uint64_t idx_len = src.consumed() - (end_off + 1);
   const std::uint32_t want_crc = read_u32le(src, "index checksum");
@@ -244,7 +236,7 @@ void FramedTraceEncoder::finish() {
   std::vector<std::uint8_t> idx;
   trace_v2::append_varint(idx, index_.size());
   std::uint64_t prev = 0;
-  for (const IndexEntry& e : index_) {
+  for (const FramedIndexEntry& e : index_) {
     trace_v2::append_varint(idx, e.offset - prev);
     trace_v2::append_varint(idx, e.requests);
     prev = e.offset;
@@ -269,14 +261,6 @@ FramedTraceDecoder::FramedTraceDecoder(std::istream& is)
     : src_(is, "framed trace") {
   read_magic(src_);
 }
-
-FramedTraceDecoder::FramedTraceDecoder(std::istream& is,
-                                       std::uint64_t start_offset,
-                                       std::uint64_t skipped_frames,
-                                       std::uint64_t skipped_requests)
-    : src_(is, "framed trace", start_offset),
-      skipped_frames_(skipped_frames),
-      skipped_requests_(skipped_requests) {}
 
 std::optional<MemRequest> FramedTraceDecoder::next() {
   for (;;) {
@@ -355,133 +339,33 @@ bool FramedTraceDecoder::load_next_frame() {
 }
 
 void FramedTraceDecoder::check_tail(std::uint64_t end_marker_offset) {
-  // The index lists every frame, skipped or decoded; each entry takes at
-  // most two varints, so a tail longer than this is not one.
-  const std::uint64_t frames = skipped_frames_ + seen_.size();
-  const std::size_t max_tail = max_tail_bytes(frames);
+  // The index lists every frame; each entry takes at most two varints,
+  // so a tail longer than this is not one.
+  const std::size_t max_tail = max_tail_bytes(seen_.size());
   std::vector<std::uint8_t> tail(max_tail + 1);
   tail[0] = kFrameEnd;
   const std::size_t got = src_.read_some(tail.data() + 1, max_tail);
   if (got == max_tail) {
     src_.bad("trailing bytes after the footer (the tail runs past the " +
              std::to_string(max_tail) + " bytes an index of " +
-             std::to_string(frames) + " frame(s) can take)");
+             std::to_string(seen_.size()) + " frame(s) can take)");
   }
   tail.resize(1 + got);
-  const std::vector<FramedFrameInfo> entries =
-      parse_tail(tail, end_marker_offset, "framed trace");
+  const std::vector<FramedIndexEntry> entries =
+      parse_tail(tail, end_marker_offset);
 
-  // The index must describe exactly the frames this decode saw (plus,
-  // for a seek-resumed decode, the skipped prefix).
-  if (entries.size() != frames) {
+  // The index must describe exactly the frames this decode saw.
+  if (entries.size() != seen_.size()) {
     src_.bad("seek index holds " + std::to_string(entries.size()) +
-             " frame(s) but the stream decoded " + std::to_string(frames));
+             " frame(s) but the stream decoded " +
+             std::to_string(seen_.size()));
   }
-  std::uint64_t skipped = 0;
-  for (std::uint64_t i = 0; i < skipped_frames_; ++i) {
-    skipped += entries[i].request_count;
-  }
-  if (skipped != skipped_requests_) {
-    src_.bad("seek index request counts disagree with the resume offset");
-  }
-  for (std::size_t j = 0; j < seen_.size(); ++j) {
-    const FramedFrameInfo& e = entries[skipped_frames_ + j];
-    if (e.byte_offset != seen_[j].offset ||
-        e.request_count != seen_[j].requests) {
-      src_.bad("seek index entry " +
-               std::to_string(skipped_frames_ + j) +
+  for (std::size_t i = 0; i < seen_.size(); ++i) {
+    if (entries[i] != seen_[i]) {
+      src_.bad("seek index entry " + std::to_string(i) +
                " disagrees with the decoded frame");
     }
   }
-}
-
-// ------------------------------------------------------------ seek file
-
-FramedTraceFile::FramedTraceFile(std::string path) : path_(std::move(path)) {
-  std::ifstream f(path_, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open trace file: " + path_);
-  const std::string context = "framed trace " + path_;
-  {
-    trace_v2::StreamByteSource src(f, context);
-    read_magic(src);
-  }
-
-  const auto malformed = [&context](const std::string& what) -> void {
-    throw std::invalid_argument(context + ": " + what);
-  };
-  f.seekg(0, std::ios::end);
-  const std::uint64_t size = static_cast<std::uint64_t>(f.tellg());
-  if (size < kMinContainerBytes) {
-    malformed("file too small to hold an index and footer");
-  }
-  f.seekg(static_cast<std::streamoff>(size - kFooterBytes));
-  std::uint8_t footer[kFooterBytes] = {};
-  f.read(reinterpret_cast<char*>(footer), sizeof footer);
-  if (!f) malformed("cannot read the footer");
-  if (std::memcmp(footer + 8, kFramedIndexMagic, 8) != 0) {
-    malformed("bad footer magic (want \"PIPOIDX1\" — truncated file?)");
-  }
-  std::uint64_t end_off = 0;
-  for (int i = 0; i < 8; ++i) {
-    end_off |= static_cast<std::uint64_t>(footer[i]) << (8 * i);
-  }
-  // The end marker needs room for itself plus the smallest index.
-  if (end_off < sizeof kTraceMagicV3 ||
-      end_off > size - (kMinContainerBytes - sizeof kTraceMagicV3)) {
-    malformed("footer end-marker offset out of range");
-  }
-  // Every frame takes at least kMinFrameBytes, so at most max_frames of
-  // them fit before the end marker, and the tail is at most
-  // max_tail_bytes(max_frames). A longer one is refused before it is
-  // allocated or read: a footer damaged to name an early offset must not
-  // load the whole trace.
-  const std::uint64_t max_frames =
-      (end_off - sizeof kTraceMagicV3) / kMinFrameBytes;
-  const std::uint64_t max_tail = max_tail_bytes(max_frames);
-  if (size - end_off > max_tail) {
-    malformed("footer end-marker offset " + std::to_string(end_off) +
-              " leaves a tail of " + std::to_string(size - end_off) +
-              " bytes, past the " + std::to_string(max_tail) +
-              " bytes an index of at most " + std::to_string(max_frames) +
-              " frame(s) can take");
-  }
-
-  // Read [end marker, end of file) — O(index), however large the trace.
-  std::vector<std::uint8_t> tail(size - end_off);
-  f.seekg(static_cast<std::streamoff>(end_off));
-  f.read(reinterpret_cast<char*>(tail.data()),
-         static_cast<std::streamsize>(tail.size()));
-  if (!f) malformed("cannot read the seek index");
-  frames_ = parse_tail(tail, end_off, context);
-  if (!frames_.empty()) {
-    total_requests_ =
-        frames_.back().first_request + frames_.back().request_count;
-  }
-  end_marker_offset_ = end_off;
-}
-
-std::unique_ptr<StreamingTraceWorkload> FramedTraceFile::workload_from_frame(
-    std::size_t k) const {
-  if (k > frames_.size()) {
-    throw std::out_of_range("frame index " + std::to_string(k) +
-                            " past the end of the trace (" +
-                            std::to_string(frames_.size()) + " frames)");
-  }
-  auto f = std::make_unique<std::ifstream>(path_, std::ios::binary);
-  if (!*f) throw std::runtime_error("cannot open trace file: " + path_);
-  const std::uint64_t off =
-      k == frames_.size() ? end_marker_offset_ : frames_[k].byte_offset;
-  const std::uint64_t skipped_requests =
-      k == frames_.size() ? total_requests_ : frames_[k].first_request;
-  f->seekg(static_cast<std::streamoff>(off));
-  if (!*f) {
-    throw std::runtime_error("cannot seek to frame " + std::to_string(k) +
-                             " of trace file: " + path_);
-  }
-  auto dec = std::make_unique<FramedTraceDecoder>(*f, off, k,
-                                                  skipped_requests);
-  return std::make_unique<StreamingTraceWorkload>(std::move(f),
-                                                  std::move(dec));
 }
 
 }  // namespace pipo

@@ -28,8 +28,9 @@
 // a line delta leaving the 58-bit line space, pre_delay beyond 32 bits,
 // end of input inside a record) throw std::invalid_argument naming the
 // absolute byte offset. Accepted record streams are byte-canonical:
-// encode(decode(bytes)) == bytes, so a record's byte offset identifies
-// it uniquely (what the framed container's seek index relies on).
+// encode(decode(bytes)) == bytes, so a trace's bytes are a function of
+// its requests and its framing, and re-encoding a decoded trace
+// reproduces its file.
 //
 // Byte sources implement: `int get_byte()` (-1 at end), `std::uint8_t
 // need_byte(const char*)` and `[[noreturn]] void bad(const
@@ -64,15 +65,13 @@ inline constexpr unsigned kMaxVarintBytes = 10;
 
 /// Pull source over an istream that reads through the stream's own
 /// buffer: get() per header byte, read() per payload. consumed() is the
-/// absolute offset of the next unread byte (biased by `base_offset` for
-/// decoders resumed mid-file). A stream error (badbit) throws "stream
-/// read error": it is not a clean end of trace, and treating it as one
-/// would silently replay a prefix of the capture.
+/// absolute offset of the next unread byte. A stream error (badbit)
+/// throws "stream read error": it is not a clean end of trace, and
+/// treating it as one would silently replay a prefix of the capture.
 class StreamByteSource {
  public:
-  StreamByteSource(std::istream& is, std::string context,
-                   std::uint64_t base_offset = 0)
-      : is_(is), consumed_(base_offset), context_(std::move(context)) {}
+  StreamByteSource(std::istream& is, std::string context)
+      : is_(is), context_(std::move(context)) {}
 
   /// Next byte; -1 at EOF.
   int get_byte() {
@@ -110,7 +109,7 @@ class StreamByteSource {
 
  private:
   std::istream& is_;
-  std::uint64_t consumed_;
+  std::uint64_t consumed_ = 0;
   std::string context_;
 };
 
@@ -198,7 +197,7 @@ class BufferByteSource {
 /// non-minimal encodings (a terminating zero payload after a
 /// continuation byte, e.g. 0x80 0x00 for 0 — a padded spelling the
 /// encoder never emits). Rejecting them keeps accepted streams
-/// byte-canonical, which the framed container's seek index relies on.
+/// byte-canonical (see the header comment).
 /// Always inlined: with the record decoder's cursor, its loop runs on
 /// registers.
 template <class Source>

@@ -18,9 +18,7 @@
 #include "sim/simulation.h"
 #include "tests/sim/test_configs.h"
 #include "workload/stream_trace.h"
-#include "workload/trace.h"
 #include "workload/trace_codec.h"
-#include "workload/trace_frame.h"
 
 namespace pipo {
 namespace {
@@ -115,61 +113,6 @@ TEST(TraceReplayE2E, ConvertedCaptureReplaysIdentically) {
   expect_identical(replay, live, "converted");
   fs::remove_all(dir);
   fs::remove_all(conv);
-}
-
-// The production ingest workflow end to end: capture a live mix, pack
-// one core's trace into the seekable framed container, then replay from
-// a mid-trace frame boundary — the seek replay must be stats-identical
-// to replaying the materialized tail of the same capture.
-TEST(TraceReplayE2E, CapturedTracePacksAndSeekReplays) {
-  const SystemConfig cfg = config_for(DefenseKind::kPiPoMonitor);
-  const std::string dir = fresh_dir("seek_capture");
-  const TraceCapture capture{dir, TraceFormat::kFramedV3};
-  run_mix_perf(kMix, cfg, kInstrBudget, kSeed, kWsDivisor, &capture);
-
-  // Pack core0's capture into a framed container with CI-sized frames.
-  const std::vector<MemRequest> t =
-      load_trace_file_auto(dir + "/core0.trace");
-  ASSERT_GE(t.size(), 200u) << "capture too small to seek into";
-  const std::string framed = dir + "/core0.framed";
-  {
-    std::ofstream f(framed, std::ios::binary);
-    FramedTraceOptions opts;
-    opts.frame_requests = 64;
-    FramedTraceEncoder enc(f, opts);
-    for (const MemRequest& r : t) enc.put(r);
-    enc.finish();
-  }
-
-  FramedTraceFile file(framed);
-  ASSERT_EQ(file.total_requests(), t.size());
-  const std::size_t k = file.frames().size() / 2;
-  ASSERT_GE(k, 1u);
-  const std::vector<MemRequest> tail(
-      t.begin() + static_cast<std::ptrdiff_t>(
-                      file.frames()[k].first_request),
-      t.end());
-
-  const auto replay = [&](std::unique_ptr<Workload> w) {
-    Simulation sim(cfg);
-    sim.set_workload(0, std::move(w));
-    for (CoreId c = 1; c < sim.num_cores(); ++c) {
-      sim.set_workload(c, std::make_unique<IdleWorkload>());
-    }
-    MixPerfResult r;
-    r.exec_time = sim.run();
-    r.instructions = sim.total_instructions();
-    r.stats = sim.system().stats();
-    return r;
-  };
-  const MixPerfResult want = replay(std::make_unique<TraceWorkload>(tail));
-  const MixPerfResult got = replay(file.workload_from_frame(k));
-  EXPECT_EQ(got.exec_time, want.exec_time);
-  EXPECT_EQ(got.instructions, want.instructions);
-#define PIPO_X(field) EXPECT_EQ(got.stats.field, want.stats.field) << #field;
-  PIPO_SYSTEM_STATS(PIPO_X)
-#undef PIPO_X
-  fs::remove_all(dir);
 }
 
 // Teeth: replaying a *different* capture (another seed) must diverge —

@@ -5,7 +5,9 @@
 // one step away from it on each axis — the exclusive LLC, the Intel CAS
 // slice hash, and the monitor attached at L1 and at L2, each with the
 // other axes at their defaults — under all six defenses on mixes 1 and
-// 4 of the mini() machine. Per row it compares every System::Stats
+// 4 of the mini() machine, at 5,000 instructions per core. A fifth cell
+// runs the exclusive LLC again at 20,000, where DirectoryMonitor acts
+// (at 5,000 only SHARP does). Per row it compares every System::Stats
 // counter, the finish tick and the retired instruction count. The
 // monitor's own counters (MixPerfResult::captures and prefetches) are
 // left out: they read the PiPoMonitor under every defense.
@@ -16,6 +18,8 @@
 // writes the .inc and skips the comparison.
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,24 +30,33 @@
 namespace pipo {
 namespace {
 
-/// One hierarchy cell: a SystemConfig axis moved off its default.
+/// One hierarchy cell: a SystemConfig axis moved off its default, run
+/// for `instr_budget` instructions per core. At its budget every cell
+/// has a defended row that differs from its baseline row
+/// (VariantGolden.EveryCellHasADefenseThatActs).
 struct Cell {
   const char* name;
   InclusionPolicy inclusion;
   SliceHashKind slice_hash;
   MonitorLevel monitor_level;
+  std::uint64_t instr_budget;
 };
 
 constexpr Cell kCells[] = {
     {"exc", InclusionPolicy::kExclusive, SliceHashKind::kLowBits,
-     MonitorLevel::kLlc},
+     MonitorLevel::kLlc, 5000},
     {"cas", InclusionPolicy::kInclusive, SliceHashKind::kIntelCas,
-     MonitorLevel::kLlc},
+     MonitorLevel::kLlc, 5000},
     {"l1", InclusionPolicy::kInclusive, SliceHashKind::kLowBits,
-     MonitorLevel::kL1},
+     MonitorLevel::kL1, 5000},
     {"l2", InclusionPolicy::kInclusive, SliceHashKind::kLowBits,
-     MonitorLevel::kL2},
+     MonitorLevel::kL2, 5000},
+    // The exclusive LLC again, long enough for DirectoryMonitor to act
+    // (VariantGolden.ExclusiveLlcPinsTheDirectoryMonitor).
+    {"exc_20k", InclusionPolicy::kExclusive, SliceHashKind::kLowBits,
+     MonitorLevel::kLlc, 20000},
 };
+constexpr unsigned kExc20k = 4;  ///< index of "exc_20k" in kCells
 
 struct VariantRow {
   unsigned cell;  ///< index into kCells
@@ -64,9 +77,6 @@ constexpr DefenseKind kDefenses[] = {
     DefenseKind::kDirectoryMonitor, DefenseKind::kSharp,
     DefenseKind::kBitp,          DefenseKind::kRic,
 };
-// At this budget every cell has a defended row that differs from its
-// baseline row (VariantGolden.EveryCellHasADefenseThatActs).
-constexpr std::uint64_t kInstrBudget = 5000;
 constexpr std::uint64_t kWsDivisor = 16;
 constexpr std::uint64_t kSeed = 2026;
 
@@ -78,7 +88,7 @@ VariantRow run_cell(unsigned cell, unsigned mix, DefenseKind defense) {
   cfg.defense = defense;
   cfg.monitor.enabled = (defense == DefenseKind::kPiPoMonitor);
   const MixPerfResult r =
-      run_mix_perf(mix, cfg, kInstrBudget, kSeed, kWsDivisor);
+      run_mix_perf(mix, cfg, kCells[cell].instr_budget, kSeed, kWsDivisor);
   return VariantRow{cell, mix, defense, r.exec_time, r.instructions, r.stats};
 }
 
@@ -96,6 +106,13 @@ const std::vector<VariantRow>& matrix() {
     return out;
   }();
   return rows;
+}
+
+const VariantRow& row_of(unsigned cell, unsigned mix, DefenseKind defense) {
+  for (const VariantRow& r : matrix()) {
+    if (r.cell == cell && r.mix == mix && r.defense == defense) return r;
+  }
+  throw std::logic_error("no such row in the variant matrix");
 }
 
 bool same_outcome(const VariantRow& a, const VariantRow& b) {
@@ -184,6 +201,22 @@ TEST(VariantGolden, EveryCellHasADefenseThatActs) {
       }
     }
     EXPECT_GT(acting, 0u) << "no defense acts in cell " << kCells[cell].name;
+  }
+}
+
+// Behind the exclusive LLC at 20,000 instructions per core,
+// DirectoryMonitor tags fills and prefetches on both mixes. BITP and RIC
+// have nothing to act on there: the exclusive LLC sends no
+// back-invalidations, which are all BITP reacts to, and keeps no
+// inclusion for RIC to relax. So their rows equal the baseline row.
+TEST(VariantGolden, ExclusiveLlcPinsTheDirectoryMonitor) {
+  for (unsigned mix : kMixes) {
+    SCOPED_TRACE("mix" + std::to_string(mix));
+    const VariantRow& base = row_of(kExc20k, mix, DefenseKind::kNone);
+    EXPECT_FALSE(same_outcome(
+        row_of(kExc20k, mix, DefenseKind::kDirectoryMonitor), base));
+    EXPECT_TRUE(same_outcome(row_of(kExc20k, mix, DefenseKind::kBitp), base));
+    EXPECT_TRUE(same_outcome(row_of(kExc20k, mix, DefenseKind::kRic), base));
   }
 }
 

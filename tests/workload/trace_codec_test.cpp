@@ -279,8 +279,8 @@ TEST(TraceCodecMalformed, PositiveDeltaOverflowRejected) {
 // Headline bugfix repro: the decoder used to accept non-minimal LEB128
 // encodings the encoder never emits (0x80 0x00 is a two-byte spelling
 // of delta 0), so the same request stream had many byte spellings and
-// record byte offsets were not canonical — exactly what a seek index
-// must pin down. Non-minimal varints are malformed input.
+// a trace's bytes were not a function of its requests. Non-minimal
+// varints are malformed input.
 TEST(TraceCodecMalformed, NonMinimalVarintRejected) {
   // flags 0, line delta encoded as 0x80 0x00 (padded zero; embedded NUL
   // bytes need the explicit-length string constructor).

@@ -1,8 +1,8 @@
 // champsim_import — bridge ChampSim instruction traces onto the text v1
 // request format (docs/traces.md), so traces captured for ChampSim's
 // cache hierarchy replay through this simulator's ingest path
-// (trace_convert then packs them into the seekable framed v3
-// container for production-scale replay).
+// (trace_convert then packs them into the framed v3 container for
+// production-scale replay).
 //
 // Input: the classic ChampSim `input_instr` record — 64 bytes, little
 // endian, no header:

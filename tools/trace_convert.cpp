@@ -10,9 +10,9 @@
 // other format. Because both codecs are lossless, converting
 // text -> framed -> text reproduces the canonical text byte-for-byte
 // (the CI smoke step pins this with cmp).
-// --frame-requests sets the framed container's restart interval.
+// --frame-requests sets the framed container's restart interval; it is
+// rejected (exit 2) when the output is text.
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -44,9 +44,18 @@ int main(int argc, char** argv) {
   bool have_to = false;
   TraceFormat to = TraceFormat::kTextV1;
   FramedTraceOptions framed_opts;
+  bool have_frame_requests = false;
   for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--to") == 0 && i + 1 < argc) {
-      const std::string v = argv[++i];
+    const std::string a = argv[i];
+    const auto need = [&]() -> std::string {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s needs a value\n", a.c_str());
+        usage();
+      }
+      return argv[++i];
+    };
+    if (a == "--to") {
+      const std::string v = need();
       const auto fmt = parse_trace_format(v);
       if (!fmt) {
         std::fprintf(stderr, "unknown format '%s'\n", v.c_str());
@@ -54,17 +63,17 @@ int main(int argc, char** argv) {
       }
       to = *fmt;
       have_to = true;
-    } else if (std::strcmp(argv[i], "--frame-requests") == 0 &&
-               i + 1 < argc) {
+    } else if (a == "--frame-requests") {
       try {
         framed_opts.frame_requests = static_cast<std::size_t>(
-            parse_uint(argv[++i], "--frame-requests", 1));
+            parse_uint(need(), "--frame-requests", 1));
       } catch (const std::exception& e) {
         std::fprintf(stderr, "%s\n", e.what());
         usage();
       }
+      have_frame_requests = true;
     } else {
-      std::fprintf(stderr, "unknown argument '%s'\n", argv[i]);
+      std::fprintf(stderr, "unknown argument '%s'\n", a.c_str());
       usage();
     }
   }
@@ -83,6 +92,14 @@ int main(int argc, char** argv) {
     if (!have_to) {
       to = from == TraceFormat::kTextV1 ? TraceFormat::kFramedV3
                                         : TraceFormat::kTextV1;
+    }
+    // Checked before the output is opened, which would truncate it.
+    if (have_frame_requests && to != TraceFormat::kFramedV3) {
+      std::fprintf(stderr,
+                   "--frame-requests applies to framed output only; this "
+                   "conversion writes %s\n",
+                   to_string(to));
+      return 2;
     }
     const auto decoder = make_trace_decoder(in, from);
     std::ofstream out(out_path, std::ios::binary);
